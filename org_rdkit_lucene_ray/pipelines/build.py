@@ -121,6 +121,20 @@ def stable_term_hash(terms) -> np.ndarray:
     return h
 
 
+_FNV_MASK = (1 << 64) - 1
+
+
+def stable_term_hash_one(term: str) -> int:
+    """:func:`stable_term_hash` of ONE string, as a Python int — the same
+    FNV-1a over the same UTF-8 bytes, without building an Arrow array (a
+    query-time bucket probe hashes one term at a time)."""
+    h = int(_FNV_OFFSET)
+    prime = int(_FNV_PRIME)
+    for byte in term.encode("utf-8"):
+        h = ((h ^ byte) * prime) & _FNV_MASK
+    return h
+
+
 # --------------------------------------------------------------------- plan
 def plan_fragments(input_paths: str | list[str], doc_id_base: int = 0) -> list[dict]:
     """Fragment descriptors with deterministic doc-id bases.

@@ -41,6 +41,7 @@ import ray.data as rd
 from org_rdkit_lucene_ray.config import AnalyzerConfig, BM25Params
 from org_rdkit_lucene_ray.functions.analyze import analyze_text
 from org_rdkit_lucene_ray.functions.codec import varint_decode
+from org_rdkit_lucene_ray.pipelines.build import stable_term_hash_one
 from org_rdkit_lucene_ray.state.segment import (
     check_format,
     check_query_compat,
@@ -49,6 +50,21 @@ from org_rdkit_lucene_ray.state.segment import (
     list_segment_ids,
     read_manifest,
 )
+
+
+# Byte budget of one Searcher's decoded-posting cache (docs, tfs, dls,
+# block bounds and weights per term). A budget in bytes, not a slot count,
+# sizes the cache to the working set: a whole 16k-doc index decodes to
+# ~25 MB, while one head term of a billion-doc index can alone exceed it.
+DECODE_CACHE_BYTES = 256 << 20
+# fixed per-entry charge (dict slot, key, tuple) — keeps cached misses
+# (``None`` entries) inside the budget too
+_CACHE_ENTRY_BYTES = 128
+
+
+def _cache_entry_bytes(dec: tuple | None) -> int:
+    return _CACHE_ENTRY_BYTES + (0 if dec is None
+                                 else sum(a.nbytes for a in dec))
 
 
 class _TermCursor:
@@ -175,6 +191,24 @@ def _levenshtein_within(a: str, b: str, k: int) -> bool:
     return prev[lb] <= k
 
 
+def _one_array(col: pa.Array | pa.ChunkedArray) -> pa.Array:
+    """A column as one Arrow array — zero-copy unless it has several chunks
+    (a multi-row-group Parquet read)."""
+    if isinstance(col, pa.ChunkedArray):
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    return col
+
+
+def _binary_views(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy ``(int32 offsets, uint8 data)`` numpy views of a
+    string/binary column: row ``i`` is ``data[offs[i]:offs[i + 1]]``."""
+    arr = _one_array(col)
+    _, offs, data = arr.buffers()
+    offs = np.frombuffer(offs, np.int32)[arr.offset: arr.offset + len(arr) + 1]
+    return offs, (np.frombuffer(data, np.uint8) if data is not None
+                  else np.zeros(0, np.uint8))
+
+
 class _SortedTermIndex:
     """Zero-copy binary search over a term-SORTED Arrow string column.
 
@@ -187,13 +221,10 @@ class _SortedTermIndex:
 
     __slots__ = ("offs", "data", "n")
 
-    def __init__(self, terms: pa.Array):
-        if isinstance(terms, pa.ChunkedArray):
-            terms = terms.combine_chunks()
+    def __init__(self, terms: pa.Array | pa.ChunkedArray):
         self.n = len(terms)
-        bufs = terms.buffers()
-        self.offs = np.frombuffer(bufs[1], np.int32)[terms.offset: terms.offset + self.n + 1]
-        self.data = memoryview(bufs[2])
+        self.offs, data = _binary_views(terms)
+        self.data = memoryview(data)
 
     def find(self, term: str) -> int | None:
         q = term.encode("utf-8")
@@ -209,6 +240,22 @@ class _SortedTermIndex:
             else:
                 return mid
         return None
+
+
+class _ChunkIndex(_SortedTermIndex):
+    """One chunk table's term index plus zero-copy views of its posting
+    columns: ``df`` (the ``df_chunk`` values) and ``streams``, the
+    (offsets, data) views of ``doc_bytes``/``tf_bytes``/``dl_bytes``. A
+    term's postings are then plain slices of these views — no per-row
+    pyarrow scalars on the decode path."""
+
+    __slots__ = ("df", "streams")
+
+    def __init__(self, tbl: pa.Table):
+        super().__init__(tbl["term"])
+        self.df = _one_array(tbl["df_chunk"]).to_numpy()
+        self.streams = tuple(_binary_views(tbl[c])
+                             for c in ("doc_bytes", "tf_bytes", "dl_bytes"))
 
 
 class Searcher:
@@ -269,7 +316,7 @@ class Searcher:
         ]
         self._shard = shard
         self._term_buckets = int(self.manifest["config"]["term_buckets"])
-        self._by_bucket: dict[int, list[tuple[int, pa.Table, _SortedTermIndex]]] = {}
+        self._by_bucket: dict[int, list[tuple[int, pa.Table, _ChunkIndex]]] = {}
         mine: set[int] | None = None
         if shard is not None:
             # CONTIGUOUS doc-range sharding (segment ids order doc ranges):
@@ -296,7 +343,7 @@ class Searcher:
         # answers head-term queries resides a few hot buckets. Parquet
         # reads use memory_map=True so the OS page cache backs the raw
         # column bytes (zstd pages still decompress into heap; the decoded
-        # posting arrays themselves live in the bounded _decode_cache).
+        # posting arrays themselves live in the byte-budgeted _decode_cache).
         # ``residency="eager"`` preloads everything (old behavior) for
         # latency-critical serving where the first-probe cost must not
         # land on a query.
@@ -321,7 +368,6 @@ class Searcher:
         if residency == "eager":
             for b in self._bucket_files:
                 self._bucket_chunks(b)
-        self._bucket_cache: dict[str, int] = {}
         # sharded scoring needs GLOBAL df — from the df table, not the
         # shard's partial chunk counts. Kept Arrow-native: a term-sorted
         # (term, df) table + binary search, not a vocab-sized Python dict.
@@ -340,13 +386,16 @@ class Searcher:
         self._deletes = (pq.read_table(del_path)["doc_id"].to_numpy()
                          if os.path.exists(del_path) else None)
         self._df_cache: dict[str, int] = {}
-        # LRU of decoded posting lists + precomputed BM25 weight vectors:
-        # head terms recur across queries (T3 warm-searcher analog). Arrays
-        # are treated read-only by cursors (only .pos mutates).
+        # LRU of decoded posting lists + precomputed BM25 weight vectors,
+        # bounded by DECODE_CACHE_BYTES: head terms recur across queries
+        # (T3 warm-searcher analog). Arrays are treated read-only by
+        # cursors (only .pos mutates). The counters are always on.
         from collections import OrderedDict
 
         self._decode_cache: "OrderedDict[str, tuple | None]" = OrderedDict()
-        self._decode_cache_max = max(64, warm_top_terms)
+        self.decode_hits = 0
+        self.decode_misses = 0
+        self.decode_cache_bytes = 0
         if warm_top_terms:
             # eagerly decode the highest-df terms — from the index's df
             # TABLE (one Arrow aggregate + select_k), not a vocab-sized
@@ -360,10 +409,11 @@ class Searcher:
                 for t in top["term"].to_pylist():
                     self._decode_term(t)
 
-    def _bucket_chunks(self, bucket: int) -> list[tuple[int, pa.Table, "_SortedTermIndex"]]:
-        """Chunk tables + term indexes of one bucket, loaded on first probe
-        and cached (lazy residency). memory_map=True keeps the raw Parquet
-        bytes on the page cache instead of a heap copy."""
+    def _bucket_chunks(self, bucket: int) -> list[tuple[int, pa.Table, _ChunkIndex]]:
+        """Chunk tables + term indexes (with posting-column views) of one
+        bucket, loaded on first probe and cached (lazy residency).
+        memory_map=True keeps the raw Parquet bytes on the page cache
+        instead of a heap copy."""
         got = self._by_bucket.get(bucket)
         if got is None:
             from org_rdkit_lucene_ray.state.segment import read_chunk_table
@@ -374,7 +424,7 @@ class Searcher:
                 # parquet decompresses pages into heap on read
                 tbl = read_chunk_table(f, memory_map=True)
                 if tbl.num_rows:
-                    got.append((sid, tbl, _SortedTermIndex(tbl["term"])))
+                    got.append((sid, tbl, _ChunkIndex(tbl)))
             self._by_bucket[bucket] = got
         return got
 
@@ -399,15 +449,7 @@ class Searcher:
         return t
 
     def _term_bucket(self, term: str) -> int:
-        b = self._bucket_cache.get(term)
-        if b is None:
-            from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
-
-            # int() BEFORE the modulo: a scalar np.uint64 % python-int
-            # promotes to float64 and silently loses precision
-            b = int(stable_term_hash([term])[0]) % self._term_buckets
-            self._bucket_cache[term] = b
-        return b
+        return stable_term_hash_one(term) % self._term_buckets
 
     def df(self, term: str) -> int:
         if self._gdf_vals is not None:
@@ -416,8 +458,8 @@ class Searcher:
         d = self._df_cache.get(term)
         if d is None:
             d = sum(
-                tbl["df_chunk"][i].as_py()
-                for _, tbl, tix in self._bucket_chunks(self._term_bucket(term))
+                int(tix.df[i])
+                for _, _, tix in self._bucket_chunks(self._term_bucket(term))
                 if (i := tix.find(term)) is not None
             )
             self._df_cache[term] = d
@@ -461,10 +503,18 @@ class Searcher:
         tombstones). One ``np.maximum.reduceat`` per decode makes them exact
         for the live (avgdl, deletes) pair — and tighter, so block-max
         pruning only improves. Stored ``bm_*`` columns remain in the format
-        for offline consumers/debug."""
-        if term in self._decode_cache:
-            self._decode_cache.move_to_end(term)
-            return self._decode_cache[term]
+        for offline consumers/debug.
+
+        The cache holds at most ``DECODE_CACHE_BYTES``: each entry costs
+        its arrays' ``nbytes`` plus ``_CACHE_ENTRY_BYTES`` (so cached
+        misses are bounded too); least-recently-used entries are evicted,
+        and an entry larger than the whole budget is returned uncached."""
+        cache = self._decode_cache
+        if term in cache:
+            cache.move_to_end(term)
+            self.decode_hits += 1
+            return cache[term]
+        self.decode_misses += 1
         dec = self._decode_term_uncached(term)
         if dec is not None:
             # precompute the per-posting float64 weight vector once per term
@@ -480,31 +530,43 @@ class Searcher:
             blk_last = docs[np.minimum(starts + bs, docs.size) - 1]
             blk_maxw = np.maximum.reduceat(weights, starts)
             dec = (docs, tfs, dls, blk_first, blk_last, blk_maxw, weights)
-        self._decode_cache[term] = dec
-        if len(self._decode_cache) > self._decode_cache_max:
-            self._decode_cache.popitem(last=False)
+        size = _cache_entry_bytes(dec)
+        if size <= DECODE_CACHE_BYTES:
+            cache[term] = dec
+            self.decode_cache_bytes += size
+            while self.decode_cache_bytes > DECODE_CACHE_BYTES:
+                self.decode_cache_bytes -= _cache_entry_bytes(
+                    cache.popitem(last=False)[1])
         return dec
 
     def _decode_term_uncached(self, term: str):
         """Concatenate this term's chunks across segments (ascending sid);
-        only the term's own bucket is probed (one binary search per chunk)."""
-        docs_l, tfs_l, dls_l = [], [], []
-        for _, tbl, tix in self._bucket_chunks(self._term_bucket(term)):
+        only the term's own bucket is probed (one binary search per chunk).
+
+        One varint pass per term: the term's doc, tf and dl byte slices
+        from every chunk are joined into ONE stream (varints are
+        self-delimiting) and decoded by a single ``varint_decode``."""
+        ns: list[int] = []
+        parts: tuple[list, list, list] = ([], [], [])
+        for _, _, tix in self._bucket_chunks(self._term_bucket(term)):
             i = tix.find(term)
             if i is None:
                 continue
-            n = tbl["df_chunk"][i].as_py()
-            deltas = varint_decode(np.frombuffer(tbl["doc_bytes"][i].as_buffer(), np.uint8), n)
-            # zero-copy reinterpret + single-pass cumsum: this VM's memory
-            # bandwidth makes every 1M-element astype cost ~10 ms
-            docs_l.append(np.cumsum(deltas, dtype=np.int64))
-            tfs_l.append(varint_decode(np.frombuffer(tbl["tf_bytes"][i].as_buffer(), np.uint8), n).view(np.int64))
-            dls_l.append(varint_decode(np.frombuffer(tbl["dl_bytes"][i].as_buffer(), np.uint8), n).view(np.int64))
-        if not docs_l:
+            ns.append(int(tix.df[i]))
+            for out, (offs, data) in zip(parts, tix.streams):
+                out.append(data[offs[i]:offs[i + 1]])
+        if not ns:
             return None
-        docs = np.concatenate(docs_l)
-        tfs = np.concatenate(tfs_l)
-        dls = np.concatenate(dls_l)
+        n = sum(ns)
+        vals = varint_decode(np.concatenate(parts[0] + parts[1] + parts[2]),
+                             3 * n).view(np.int64)
+        docs, tfs, dls = vals[:n], vals[n:2 * n], vals[2 * n:]
+        # every chunk's first delta is an absolute doc id: one running sum
+        # over all chunks, minus the total carried in from earlier chunks
+        np.cumsum(docs, out=docs)
+        if len(ns) > 1:
+            ends = np.cumsum(ns[:-1])
+            docs -= np.repeat(np.concatenate(([0], docs[ends - 1])), ns)
         if self._deletes is not None and self._deletes.size:
             keep = ~np.isin(docs, self._deletes)
             if not keep.all():
@@ -898,6 +960,24 @@ class Searcher:
                                  if dfs is not None else pa.array([], pa.string()))
         return self._vocab_cache
 
+    def _expansion_vocab(self, pattern: str) -> pa.Array:
+        """The dictionary a multi-term expansion scans. A pattern that
+        names a configured field (``lang:d*``) scans every term; any other
+        pattern scans only text terms, i.e. terms that do not start with
+        ``field:`` for a configured field — so ``la.*`` never unions
+        ``lang:de`` postings, while analyzer tokens that merely contain
+        ``:`` (``12:30`` under the whitespace analyzer) stay reachable."""
+        fields = self.manifest["config"].get("field_columns", [])
+        v = self._vocab()
+        if not fields or any(pattern.startswith(f + ":") for f in fields):
+            return v
+        if not hasattr(self, "_text_vocab_cache"):
+            fielded = pc.starts_with(v, fields[0] + ":")
+            for f in fields[1:]:
+                fielded = pc.or_(fielded, pc.starts_with(v, f + ":"))
+            self._text_vocab_cache = v.filter(pc.invert(fielded))
+        return self._text_vocab_cache
+
     def _union_docs(self, terms: list[str],
                     max_hits: int | None = None) -> np.ndarray:
         parts = [d[0] for t in set(terms)
@@ -909,7 +989,7 @@ class Searcher:
 
     def prefix_terms(self, prefix: str) -> list[str]:
         """PrefixQuery expansion (``term*``): vectorized starts_with scan."""
-        v = self._vocab()
+        v = self._expansion_vocab(prefix)
         return sorted(v.filter(pc.starts_with(v, prefix)).to_pylist())
 
     def wildcard_terms(self, pattern: str) -> list[str]:
@@ -920,21 +1000,19 @@ class Searcher:
 
         rx = "".join("[\\s\\S]*" if c == "*" else "[\\s\\S]" if c == "?"
                      else _re.escape(c) for c in pattern)
-        v = self._vocab()
+        v = self._expansion_vocab(pattern)
         return sorted(v.filter(
             pc.match_substring_regex(v, "^" + rx + "$")).to_pylist())
 
     def regexp_terms(self, pattern: str) -> list[str]:
         """RegexpQuery expansion (the 3.6-era contrib ``RegexQuery`` the
         QueryParser family sits beside): vocabulary terms FULLY matching
-        the RE2 pattern, via one vectorized Arrow regex scan. Fielded
-        ``field:value`` namespace terms are excluded — the expansion
-        domain is the text-token vocabulary, matching suggest_complete
-        (a pattern like ``la.*`` must not union ``lang:de`` postings)."""
-        v = self._vocab()
-        m = pc.and_(pc.match_substring_regex(v, "^(?:" + pattern + ")$"),
-                    pc.invert(pc.match_substring(v, pattern=":")))
-        return sorted(v.filter(m).to_pylist())
+        the RE2 pattern, via one vectorized Arrow regex scan. Unless the
+        pattern itself starts with ``field:``, fielded namespace terms are
+        excluded (:meth:`_expansion_vocab`)."""
+        v = self._expansion_vocab(pattern)
+        return sorted(v.filter(pc.match_substring_regex(
+            v, "^(?:" + pattern + ")$")).to_pylist())
 
     def search_regexp(self, pattern: str,
                       max_hits: int | None = None) -> np.ndarray:
@@ -1419,12 +1497,11 @@ class Searcher:
             i = tix.find(term)
             if i is None:
                 continue
-            n = tbl["df_chunk"][i].as_py()
-            deltas = varint_decode(
-                np.frombuffer(tbl["doc_bytes"][i].as_buffer(), np.uint8), n)
-            docs = np.cumsum(deltas, dtype=np.int64)
-            tfs = varint_decode(
-                np.frombuffer(tbl["tf_bytes"][i].as_buffer(), np.uint8), n) \
+            n = int(tix.df[i])
+            (doc_offs, doc_data), (tf_offs, tf_data), _ = tix.streams
+            docs = np.cumsum(varint_decode(
+                doc_data[doc_offs[i]:doc_offs[i + 1]], n), dtype=np.int64)
+            tfs = varint_decode(tf_data[tf_offs[i]:tf_offs[i + 1]], n) \
                 .view(np.int64)
             blob = tbl["pos_bytes"][i]
             if not blob.is_valid:

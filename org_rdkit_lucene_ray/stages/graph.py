@@ -251,6 +251,19 @@ def pagerank_reference(edges_src: np.ndarray, edges_dst: np.ndarray,
     return r
 
 
+def _rank_block_top(t: pa.Table, k: int) -> pa.Table:
+    """A rank block's ``k`` best ``(node, rank)`` rows (rank desc, node
+    asc). Empty and zero-column blocks — the join path's empty partitions
+    — yield the empty ``(node, rank)`` table; ``select_k_unstable`` would
+    raise on them."""
+    if t.num_rows == 0 or "rank" not in t.column_names:
+        return pa.table({"node": pa.array([], pa.int64()),
+                         "rank": pa.array([], pa.int64())})
+    sel = pc.select_k_unstable(t, k=min(k, t.num_rows), sort_keys=[
+        ("rank", "descending"), ("node", "ascending")])
+    return t.take(sel)
+
+
 def keyword_textrank(docs: rd.Dataset, *, k: int = 20, n_iter: int = 4,
                      text_col: str = "text", analyzer: str = "standard",
                      max_vocab: int = 50_000_000) -> pa.Table:
@@ -327,13 +340,9 @@ def keyword_textrank(docs: rd.Dataset, *, k: int = 20, n_iter: int = 4,
 
     edges = edge_keys.map_batches(unpack, batch_format="pyarrow")
 
-    def block_top(t: pa.Table) -> pa.Table:
-        sel = _pc.select_k_unstable(t, k=min(k, t.num_rows), sort_keys=[
-            ("rank", "descending"), ("node", "ascending")])
-        return t.take(sel)
-
     ranks = (pagerank(edges, n_nodes, n_iter=n_iter)
-             .map_batches(block_top, batch_format="pyarrow").take_all())
+             .map_batches(_rank_block_top, fn_kwargs={"k": k},
+                          batch_format="pyarrow").take_all())
     ranks.sort(key=lambda r: (-r["rank"], r["node"]))
     # map node id -> word; tie-break = word asc == node asc (sorted vocab)
     top = ranks[:k]

@@ -473,6 +473,17 @@ def _hashed_unigram_lut(wc_ds: rd.Dataset) -> tuple[np.ndarray, np.ndarray]:
                             for r in rows]))
 
 
+def _hashed_lut_rows(words: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Row of each word hash ``keys`` in the sorted hashed unigram LUT
+    ``words``. A key absent from the LUT raises: ``searchsorted`` alone
+    would silently read a neighbour's count, or run off the end."""
+    pos = np.minimum(np.searchsorted(words, keys), max(words.size - 1, 0))
+    if keys.size and (words.size == 0 or not np.array_equal(words[pos], keys)):
+        raise ValueError("collocation_topk: pair token missing from the "
+                         "hashed unigram LUT")
+    return pos
+
+
 def collocation_topk(docs: rd.Dataset, *, k: int = 20, min_count: int = 5,
                      text_col: str = "text", analyzer: str = "standard",
                      method: str = "auto",
@@ -539,15 +550,16 @@ def collocation_topk(docs: rd.Dataset, *, k: int = 20, min_count: int = 5,
             from org_rdkit_lucene_ray.pipelines.build import \
                 stable_term_hash
 
-            keys = stable_term_hash(flat)
-            pos = np.searchsorted(words, keys).reshape(-1, 2)
-            ca = ucounts[pos[:, 0]].astype(np.float64)
-            cb = ucounts[pos[:, 1]].astype(np.float64)
+            pos = _hashed_lut_rows(words, stable_term_hash(flat))
         else:
-            pos = pc.index_in(flat, value_set=words).to_numpy(
-                zero_copy_only=False).astype(np.int64).reshape(-1, 2)
-            ca = ucounts[pos[:, 0]].astype(np.float64)
-            cb = ucounts[pos[:, 1]].astype(np.float64)
+            rows = pc.index_in(flat, value_set=words)
+            if rows.null_count:
+                raise ValueError("collocation_topk: pair token missing "
+                                 "from the unigram LUT")
+            pos = rows.to_numpy(zero_copy_only=False).astype(np.int64)
+        pos = pos.reshape(-1, 2)
+        ca = ucounts[pos[:, 0]].astype(np.float64)
+        cb = ucounts[pos[:, 1]].astype(np.float64)
         cab = t["c"].to_numpy(zero_copy_only=False).astype(np.float64)
         pmi = np.log((cab * t_total * t_total) / (float(p_total) * ca * cb))
         probe = pa.table({"pair": t["pair"], "n": t["c"],

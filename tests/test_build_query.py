@@ -915,3 +915,111 @@ def test_regexp_search_semantics(searcher):
     # exclusion itself is exercised in test_sources.test_fielded_search)
     allt = searcher.regexp_terms(".*")
     assert allt and all(":" not in t for t in allt)
+
+
+def test_scalar_bucket_hash_matches_vectorised():
+    """The query-time scalar FNV-1a is bit-identical to the build's
+    vectorised stable_term_hash — the bucket a term is probed in is the
+    bucket it was written to."""
+    from org_rdkit_lucene_ray.pipelines.build import (stable_term_hash,
+                                                      stable_term_hash_one)
+    from org_rdkit_lucene_ray.synth import vocab
+
+    terms = list(vocab()) + ["", "lang:de", "12:30", "a:b:c", "ünïcødé",
+                             "日本語", "emoji😀", "x" * 300]
+    want = stable_term_hash(terms)
+    assert [stable_term_hash_one(t) for t in terms] == [int(h) for h in want]
+
+
+def test_decode_cache_byte_budget(built_index, searcher, monkeypatch):
+    """A decode cache squeezed to a few KB evicts constantly yet answers
+    exactly like the default one, never holds more than its budget, and
+    keeps its hit/miss counters consistent; an entry larger than the
+    whole budget is returned but not kept."""
+    from org_rdkit_lucene_ray.pipelines import query as Q
+
+    idx, _ = built_index
+    budget = 2048
+    monkeypatch.setattr(Q, "DECODE_CACHE_BYTES", budget)
+    small = Searcher(idx)
+    queries = gen_queries().to_pylist()
+    for q in queries:
+        query, k = q["query"], int(q["k"])
+        assert small.topk(query, k) == searcher.topk(query, k), query
+        assert small.topk_exhaustive(query, k) == \
+            searcher.topk_exhaustive(query, k), query
+        assert small.decode_cache_bytes <= budget
+        assert small.decode_cache_bytes == sum(
+            Q._cache_entry_bytes(d) for d in small._decode_cache.values())
+    assert small.decode_hits > 0
+    # the budget forced re-decodes: more misses than distinct terms
+    distinct = {t for q in queries for t in small._query_terms(q["query"])}
+    assert small.decode_misses > len(distinct)
+    sizes = {t: Q._cache_entry_bytes(d)
+             for t, d in searcher._decode_cache.items()}
+    big = max(sizes, key=sizes.get)
+    monkeypatch.setattr(Q, "DECODE_CACHE_BYTES", sizes[big] - 1)
+    tiny = Searcher(idx)
+    dec = tiny._decode_term(big)
+    assert np.array_equal(dec[0], searcher._decode_term(big)[0])
+    assert big not in tiny._decode_cache and tiny.decode_cache_bytes == 0
+    assert tiny._decode_term(big) is not None and tiny.decode_misses == 2
+    monkeypatch.undo()
+    # default budget: a warm repeat is all hits
+    warm = Searcher(idx)
+    warm.topk("baba cece", 10)
+    hits, misses = warm.decode_hits, warm.decode_misses
+    warm.topk("baba cece", 10)
+    assert warm.decode_misses == misses and warm.decode_hits > hits
+
+
+def test_expansions_keep_colon_text_tokens(ray_session, tmp_path_factory):
+    """Under the whitespace analyzer ``12:30`` is a text token: regexp,
+    wildcard and prefix expansion all reach it, while bare patterns still
+    skip the fielded ``lang:xx`` namespace and fielded patterns (facets,
+    ``lang:d*``) still reach it."""
+    import re
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from org_rdkit_lucene_ray.config import IndexConfig
+    from org_rdkit_lucene_ray.functions.analyze import REGISTRY
+    from org_rdkit_lucene_ray.pipelines.build import build_index
+    from org_rdkit_lucene_ray.synth import gen_pages
+
+    pages = gen_pages(60, seed=5, dup_url_frac=0.0, near_dup_frac=0.0)
+    # swap a vocabulary word for a colon-bearing token in html AND text,
+    # so the golden extraction still matches
+    swap = lambda v: re.sub(r"\bbaba\b", "12:30", v)          # noqa: E731
+    texts = pages["text"].to_pylist()
+    htmls = [h.decode("utf-8") for h in pages["html"].to_pylist()]
+    pages = pages.set_column(2, "html", pa.array(
+        [swap(h).encode("utf-8") for h in htmls], pa.binary()))
+    pages = pages.set_column(3, "text", pa.array([swap(t) for t in texts]))
+    d = tmp_path_factory.mktemp("colon_pages")
+    pq.write_table(pages, str(d / "part-00000.parquet"))
+    ws = REGISTRY["whitespace"]
+    idx = str(tmp_path_factory.mktemp("colon_idx"))
+    build_index(str(d), idx, cfg=IndexConfig(
+        docs_per_segment=256, term_buckets=8, block_size=32,
+        index_analyzer=ws, query_analyzer=ws, field_columns=("lang",)))
+    s = Searcher(idx)
+    want = [i for i, t in enumerate(pages["text"].to_pylist())
+            if "12:30" in t.split()]
+    assert want, "fixture must plant the colon token"
+    assert s.regexp_terms("12:.*") == ["12:30"]
+    assert s.wildcard_terms("12:*") == ["12:30"]
+    assert s.prefix_terms("12:") == ["12:30"]
+    assert s.search_regexp("12:30").tolist() == want
+    # bare patterns skip the fielded namespace ...
+    for terms in (s.regexp_terms(".*"), s.wildcard_terms("*"),
+                  s.prefix_terms("")):
+        assert "12:30" in terms
+        assert not any(t.startswith("lang:") for t in terms)
+    # ... fielded patterns reach it
+    langs = sorted({"lang:" + v for v in pages["lang"].to_pylist()})
+    assert s.prefix_terms("lang:") == langs
+    assert s.regexp_terms("lang:.*") == langs
+    assert s.wildcard_terms("lang:*") == langs
+    assert s.facet_counts("12:30", "lang")

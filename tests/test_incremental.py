@@ -106,6 +106,49 @@ def test_delta_generation_and_tombstones(incr_index):
     assert s.n_docs == len(base_surv) + len(delta_surv)
 
 
+
+def test_one_pass_decode_matches_per_chunk_reference(incr_index):
+    """The one-stream term decode (every chunk's doc/tf/dl slices joined
+    into one varint_decode, doc ids rebuilt by one cumsum reset per chunk)
+    equals decoding each chunk row on its own, on the two-generation
+    view: several segments per generation, and tombstones."""
+    from org_rdkit_lucene_ray.functions.codec import varint_decode
+
+    idx, *_, add_m = incr_index
+    s = Searcher(idx, generation=add_m["generation"])
+    assert len(s._gdirs) == 2 and s._deletes is not None and s._deletes.size
+    dead = set(s._deletes.tolist())
+
+    def reference(term):
+        docs, tfs, dls = [], [], []
+        for _, tbl, tix in s._bucket_chunks(s._term_bucket(term)):
+            i = tix.find(term)
+            if i is None:
+                continue
+            n = tbl["df_chunk"][i].as_py()
+            docs.append(np.cumsum(varint_decode(tbl["doc_bytes"][i].as_py(), n)))
+            tfs.append(varint_decode(tbl["tf_bytes"][i].as_py(), n))
+            dls.append(varint_decode(tbl["dl_bytes"][i].as_py(), n))
+        if not docs:
+            return None
+        d, t, l = (np.concatenate(x).astype(np.int64) for x in (docs, tfs, dls))
+        keep = np.array([x not in dead for x in d.tolist()], bool)
+        return (d[keep], t[keep], l[keep]) if keep.any() else None
+
+    terms = sorted({t for q in gen_queries().to_pylist()
+                    for t in s._query_terms(q["query"])})
+    multi_chunk = 0
+    for term in terms:
+        got, want = s._decode_term_uncached(term), reference(term)
+        assert (got is None) == (want is None), term
+        if got is not None:
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64 and np.array_equal(g, w), term
+        multi_chunk += sum(tix.find(term) is not None for _, _, tix in
+                           s._bucket_chunks(s._term_bucket(term))) > 1
+    assert multi_chunk, "queries must hit terms spanning several chunks"
+
+
 def test_pre_merge_doc_sets_match_oracle(incr_index):
     idx, base_paths, delta_paths, *_ = incr_index
     live_base, delta_surv, _ = _expected_corpus(base_paths, delta_paths)

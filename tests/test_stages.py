@@ -2059,6 +2059,41 @@ def test_collocation_topk_matches_python(docs_ds):
     assert auto_h.equals(got)
 
 
+
+def test_hashed_pmi_lut_refuses_missing_keys():
+    """The hashed PMI lookup raises on a word hash absent from the unigram
+    LUT — in the middle (searchsorted would read the neighbour's count)
+    and past the end (it would index out of range) — and finds present
+    keys exactly."""
+    from org_rdkit_lucene_ray.stages.lm import _hashed_lut_rows
+
+    words = np.array([10, 20, 30], np.uint64)
+    assert _hashed_lut_rows(words, np.array([30, 10, 20, 20], np.uint64)) \
+        .tolist() == [2, 0, 1, 1]
+    assert _hashed_lut_rows(words, np.zeros(0, np.uint64)).size == 0
+    for keys in ([10, 25], [40], [5]):
+        with pytest.raises(ValueError, match="missing"):
+            _hashed_lut_rows(words, np.array(keys, np.uint64))
+    with pytest.raises(ValueError, match="missing"):
+        _hashed_lut_rows(np.zeros(0, np.uint64), np.array([1], np.uint64))
+
+
+def test_keyword_textrank_rank_stage_tolerates_empty_blocks():
+    """keyword_textrank's per-block rank top-k returns the empty
+    ``(node, rank)`` table for empty and zero-column blocks (the join
+    path's empty partitions) instead of raising, and keeps the k best
+    rows (rank desc, node asc) of a real block."""
+    from org_rdkit_lucene_ray.stages.graph import _rank_block_top
+
+    empty = pa.table({"node": pa.array([], pa.int64()),
+                      "rank": pa.array([], pa.int64())})
+    for blk in (empty, pa.table({})):
+        assert _rank_block_top(blk, 5).equals(empty)
+    blk = pa.table({"node": pa.array([0, 1, 2, 3], pa.int64()),
+                    "rank": pa.array([5, 9, 9, 1], pa.int64())})
+    assert _rank_block_top(blk, 2).to_pydict() == {"node": [1, 2],
+                                                   "rank": [9, 9]}
+
 def test_keyword_textrank_vocab_ceiling(docs_ds):
     """TextRank refuses above max_vocab (the node space is intrinsically
     vocabulary-sized) instead of silently gathering a web-scale vocab."""
