@@ -19,7 +19,7 @@ def main() -> None:
     ap.add_argument("--index", required=True)
     ap.add_argument("--queries", required=True, help="parquet: query_id, query, k")
     ap.add_argument("--out", required=True, help="output parquet directory")
-    ap.add_argument("--mode", default="bmw", choices=["bmw", "wand", "exhaustive"])
+    ap.add_argument("--mode", default="bmw", choices=["bmw", "exhaustive"])
     args = ap.parse_args()
 
     import ray

@@ -1,4 +1,5 @@
-"""BM25 top-k query pipeline: searcher actor pool + block-max WAND.
+"""BM25 top-k query pipeline: searcher actor pool + vectorized block-max
+pruning.
 
 Reference analogs:
 - ``IndexSearcher`` singleton (T3, ``ChemicalIndex.java:886-904``) ->
@@ -6,15 +7,18 @@ Reference analogs:
   (:class:`SearcherStage`): segments are loaded ONCE per actor in
   ``__init__``, every batch of queries reuses them.
 - bounded top-k PQ with "lower score loses; tie -> larger docID loses"
-  (``SubstructureHitQueue.java:98-118``) -> the heap in :meth:`Searcher.topk`.
-- ``TopScoreDocCollector`` (K2) -> exhaustive scorer; block-max WAND is the
-  pruning variant the north star mandates; both produce IDENTICAL results
+  (``SubstructureHitQueue.java:98-118``) -> :func:`_top_hits`, the final
+  select of every top-k scorer.
+- ``TopScoreDocCollector`` (K1/K2) -> two collectors:
+  :meth:`Searcher.topk_exhaustive` scores every match, and
+  :meth:`Searcher.topk_bmw` prunes. Both produce IDENTICAL results
   (tested), and both are float-exact vs the oracle: per-doc contributions
   are added in ascending term order in float64 and rounded once to float32.
-  Pruning designs follow the public literature: WAND (Broder et al., CIKM
-  2003), Block-Max WAND (Ding & Suel, SIGIR 2011), MaxScore essential-list
-  splitting (Turtle & Flood, IP&M 1995) — re-derived here in vectorized
-  numpy form with an exactness guarantee the papers don't need.
+  Pruning follows the public literature: Block-Max WAND (Ding & Suel,
+  SIGIR 2011) bounds and MaxScore essential-list splitting (Turtle &
+  Flood, IP&M 1995), re-derived in vectorized numpy form with an
+  exactness guarantee the papers don't need, and a threshold known before
+  scoring, from per-term top docs kept in the decode cache.
 - hit -> stored-field join (J7, ``getPrimaryKeysForSearchHits:739-767``) ->
   :meth:`Searcher.resolve_urls` — predicate-pushdown read of the forward
   index for just the top-k doc ids (a broadcast-small-side join).
@@ -29,8 +33,8 @@ so partial heaps concatenate safely (SURVEY K2). See ``topk_sharded``.
 
 from __future__ import annotations
 
-import heapq
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -52,121 +56,121 @@ from org_rdkit_lucene_ray.state.segment import (
 )
 
 
-# Byte budget of one Searcher's decoded-posting cache (docs, tfs, dls,
-# block bounds and weights per term). A budget in bytes, not a slot count,
-# sizes the cache to the working set: a whole 16k-doc index decodes to
-# ~25 MB, while one head term of a billion-doc index can alone exceed it.
+# Byte budget of one Searcher's decoded-posting cache (one _Postings per
+# term: docs, tfs, dls, weights, block bounds, top docs). A budget in
+# bytes, not a slot count, sizes the cache to the working set: a whole
+# 16k-doc index decodes to ~25 MB, while one head term of a billion-doc
+# index can alone exceed it.
 DECODE_CACHE_BYTES = 256 << 20
 # fixed per-entry charge (dict slot, key, tuple) — keeps cached misses
 # (``None`` entries) inside the budget too
 _CACHE_ENTRY_BYTES = 128
+# doc ids of each term's largest weights kept in its decode-cache entry:
+# the bootstrap threshold of any top-k with k <= _TOP_K is scored from
+# them, so no query makes a pass over a term's postings to find it.
+_TOP_K = 128
 
 
-def _cache_entry_bytes(dec: tuple | None) -> int:
-    return _CACHE_ENTRY_BYTES + (0 if dec is None
-                                 else sum(a.nbytes for a in dec))
-
-
-class _TermCursor:
-    """Decoded, concatenated posting list of one term + block-max metadata.
+class _Postings(NamedTuple):
+    """One term's decode-cache entry: its posting list concatenated across
+    segments, plus the query-independent data every scorer reads.
 
     Doc ids are globally ascending because segments are doc-id-range
     partitions visited in ascending segment order (SURVEY §2.9 ordering
     invariant).
 
-    ``blk_maxw`` is the EXACT per-block maximum of the live float64 weight
-    vector (computed at decode time in :meth:`Searcher._decode_term`), NOT
-    the encode-time ``bm_max_tfn``. Encode-time bounds are relative to the
-    encoding generation's avgdl; on a multi-generation index the query-time
-    avgdl can exceed it, making stored bounds non-admissible (true weights
-    above the bound => block-max pruning could drop genuine top-k hits).
-    Live-derived bounds are exact for the current avgdl and tombstone set."""
+    ``weights`` is the per-posting float64 weight under the searcher's
+    similarity. ``blk_maxw[j]`` is the EXACT maximum of ``weights`` over
+    postings ``j * block_size`` to ``(j + 1) * block_size - 1``, derived
+    from the live weights, NOT the encode-time ``bm_max_tfn``: stored
+    bounds are relative to the encoding generation's avgdl, and on a
+    multi-generation index the query-time avgdl can exceed it, making
+    them non-admissible (true weights above the bound => block-max pruning
+    could drop genuine top-k hits). ``top`` holds the doc ids of the
+    ``_TOP_K`` largest weights in descending weight order, ``max_w`` the
+    largest weight."""
 
-    __slots__ = ("term", "docs", "tfs", "dls", "blk_first", "blk_last",
-                 "blk_maxw", "idf", "mult", "pos", "weights", "max_ub", "_k1", "_b", "_avgdl")
+    docs: np.ndarray
+    tfs: np.ndarray
+    dls: np.ndarray
+    weights: np.ndarray
+    blk_maxw: np.ndarray
+    top: np.ndarray
+    max_w: float
 
-    def __init__(self, term, docs, tfs, dls, blk_first, blk_last, blk_maxw,
-                 idf, mult, bm25: BM25Params, avgdl: float, weights=None):
-        self.term = term
-        self.docs = docs
-        self.tfs = tfs
-        self.dls = dls
-        self.blk_first = blk_first
-        self.blk_last = blk_last
-        self.blk_maxw = blk_maxw
-        self.idf = idf
-        self.mult = mult
-        self.pos = 0
-        self.weights = weights
-        self._k1, self._b, self._avgdl = bm25.k1, bm25.b, avgdl
-        # admissible per-term bound: exact max block weight x clause multiplier
-        self.max_ub = mult * float(blk_maxw.max())
 
-    # -- scoring -------------------------------------------------------------
-    def weight_vector(self) -> np.ndarray:
-        """Per-posting float64 BM25 weight — the SAME expression, op for op,
-        as OracleIndex.score_all, vectorized."""
-        if self.weights is None:
-            k1, b = self._k1, self._b
-            tf = self.tfs.astype(np.float64)
-            K = k1 * ((1.0 - b) + (b * self.dls.astype(np.float64)) / self._avgdl)
-            self.weights = self.idf * (tf * (k1 + 1.0)) / (tf + K)
-        return self.weights
+def _cache_entry_bytes(dec: _Postings | None) -> int:
+    return _CACHE_ENTRY_BYTES + (0 if dec is None else sum(
+        a.nbytes for a in dec if isinstance(a, np.ndarray)))
 
-    def weight_at(self, pos: int) -> float:
-        if self.weights is not None:
-            # precomputed per-posting weight vector (any similarity) — the
-            # scalar BM25 fallback below only serves cursors built without
-            # one (tests constructing _TermCursor directly)
-            return float(self.weights[pos])
-        k1, b = self._k1, self._b
-        tf = float(self.tfs[pos])
-        K = k1 * ((1.0 - b) + (b * float(self.dls[pos])) / self._avgdl)
-        return self.idf * (tf * (k1 + 1.0)) / (tf + K)
 
-    # -- traversal -----------------------------------------------------------
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= self.docs.size
+def _exact_scores(clauses: list[tuple[_Postings, int]],
+                  docs: np.ndarray) -> np.ndarray:
+    """float64 scores of ``docs`` with the oracle's summation order: one add
+    per clause occurrence, in ascending clause order (adding +0.0 for an
+    absent clause is an exact identity, so each sum equals the oracle's)."""
+    acc = np.zeros(docs.size, dtype=np.float64)
+    for p, mult in clauses:
+        pos = np.minimum(np.searchsorted(p.docs, docs), p.docs.size - 1)
+        w = np.where(p.docs[pos] == docs, p.weights[pos], 0.0)
+        for _ in range(mult):
+            acc = acc + w
+    return acc
 
-    @property
-    def doc(self) -> int:
-        return int(self.docs[self.pos])
 
-    def seek(self, target: int) -> None:
-        """Gallop to the first doc >= target."""
-        self.pos += int(np.searchsorted(self.docs[self.pos:], target, side="left"))
+# up to this many hits one lexsort is cheaper than argpartition + filter +
+# lexsort (one CPU core: 6.5 vs 14 us at 16 hits, 11 vs 16 us at 256)
+_SORT_ALL_MAX = 512
 
-    def advance(self) -> None:
-        self.pos += 1
 
-    def block_ub(self, doc: int) -> float:
-        """Upper bound of this clause's contribution at ``doc`` using the
-        block-max metadata of the block containing ``doc``."""
-        i = int(np.searchsorted(self.blk_last, doc, side="left"))
-        if i >= self.blk_maxw.size:
-            return 0.0
-        return self.mult * float(self.blk_maxw[i])
+def _top_hits(docs: np.ndarray, s32: np.ndarray,
+              k: int) -> list[tuple[int, float]]:
+    """The first ``k`` of parallel doc/float32-score arrays in (score desc,
+    doc_id asc) order — the reference's hit-queue comparator
+    (``SubstructureHitQueue.java:98-118``)."""
+    if docs.size > max(k, _SORT_ALL_MAX):
+        kth = s32[np.argpartition(-s32, k - 1)[:k]].min()
+        sel = np.flatnonzero(s32 >= kth)          # keep ties for doc-id order
+        docs, s32 = docs[sel], s32[sel]
+    order = np.lexsort((docs, -s32.astype(np.float64)))[:k]
+    return [(int(docs[i]), float(s32[i])) for i in order]
+
+
+def _sum_by_doc(parts_d: list, parts_w: list):
+    """Concatenated per-clause (docs, float64 weights) grouped by doc ->
+    ``(docs sorted, weights in that order, group starts)``. The stable sort
+    keeps clause order within a doc, so ``np.add.reduceat`` over the starts
+    sums left-to-right in the oracle's order (it is sequential below its
+    128-element pairwise threshold; queries have far fewer clauses)."""
+    docs = np.concatenate(parts_d)
+    order = np.argsort(docs, kind="stable")
+    docs_s, ws_s = docs[order], np.concatenate(parts_w)[order]
+    starts = np.flatnonzero(
+        np.concatenate([[True], docs_s[1:] != docs_s[:-1]]))
+    return docs_s, ws_s, starts
 
 
 def _fold_topk(parts_d: list, parts_w: list, k: int) -> list[tuple[int, float]]:
-    """Shared clause-fold: concatenated per-clause (docs, float64 weights)
-    -> per-doc sum in concat order (score_all's float-parity contract:
-    stable sort by doc keeps clause order, reduceat sums left-to-right)
-    -> float32 cast -> (score desc, doc asc) top-k. The ONE place the
-    summation-order invariant lives for the boosted/synonym scorers."""
+    """Shared clause-fold for the boosted/synonym scorers: per-doc sum in
+    concat order (:func:`_sum_by_doc`) -> float32 cast -> (score desc,
+    doc asc) top-k."""
     if not parts_d or k <= 0:
         return []
-    docs = np.concatenate(parts_d)
-    ws = np.concatenate(parts_w)
-    order = np.argsort(docs, kind="stable")
-    docs_s, ws_s = docs[order], ws[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], docs_s[1:] != docs_s[:-1]]))
+    docs_s, ws_s, starts = _sum_by_doc(parts_d, parts_w)
     sums = np.add.reduceat(ws_s, starts).astype(np.float32)
     docs_u = docs_s[starts]
     top = np.lexsort((docs_u, -sums.astype(np.float64)))[:k]
     return [(int(docs_u[i]), float(sums[i])) for i in top]
+
+
+# scorers :meth:`Searcher.topk` dispatches to
+TOPK_MODES = ("bmw", "exhaustive", "phrase")
+
+
+def _check_topk_mode(mode: str) -> None:
+    if mode not in TOPK_MODES:
+        raise ValueError(f"unknown top-k mode {mode!r}; valid modes: "
+                         + ", ".join(TOPK_MODES))
 
 
 def _levenshtein_within(a: str, b: str, k: int) -> bool:
@@ -386,13 +390,14 @@ class Searcher:
         self._deletes = (pq.read_table(del_path)["doc_id"].to_numpy()
                          if os.path.exists(del_path) else None)
         self._df_cache: dict[str, int] = {}
-        # LRU of decoded posting lists + precomputed BM25 weight vectors,
-        # bounded by DECODE_CACHE_BYTES: head terms recur across queries
-        # (T3 warm-searcher analog). Arrays are treated read-only by
-        # cursors (only .pos mutates). The counters are always on.
+        # LRU of decoded posting lists + precomputed weight vectors, block
+        # bounds and top docs (_Postings), bounded by DECODE_CACHE_BYTES:
+        # head terms recur across queries (T3 warm-searcher analog). The
+        # arrays are shared by every query and never written. The counters
+        # are always on.
         from collections import OrderedDict
 
-        self._decode_cache: "OrderedDict[str, tuple | None]" = OrderedDict()
+        self._decode_cache: "OrderedDict[str, _Postings | None]" = OrderedDict()
         self.decode_hits = 0
         self.decode_misses = 0
         self.decode_cache_bytes = 0
@@ -491,24 +496,30 @@ class Searcher:
         K = k1 * ((1.0 - b) + (b * dl) / self.avgdl)
         return idf * (tf * (k1 + 1.0)) / (tf + K)
 
-    # --------------------------------------------------------------- cursors
-    def _decode_term(self, term: str):
-        """Concatenate this term's chunks across segments (ascending sid);
-        cached (LRU) with the term's weight vector + LIVE block-max bounds.
+    # ---------------------------------------------------------- decode cache
+    def _decode_term(self, term: str) -> _Postings | None:
+        """This term's :class:`_Postings` (``None`` if no live posting),
+        decoded once and kept in a byte-budgeted LRU.
 
-        Block bounds are derived HERE from the exact float64 weight vector,
-        not read from the stored ``bm_max_tfn``: stored bounds were encoded
-        with that generation's own avgdl and are not admissible once a delta
-        generation shifts the combined avgdl (they also stay stale across
-        tombstones). One ``np.maximum.reduceat`` per decode makes them exact
-        for the live (avgdl, deletes) pair — and tighter, so block-max
-        pruning only improves. Stored ``bm_*`` columns remain in the format
-        for offline consumers/debug.
+        Everything in the entry is query-independent (idf and avgdl are
+        fixed per searcher) and is built here, once per decode:
+
+        - the float64 weight vector under the active similarity;
+        - LIVE block-max bounds, one ``np.maximum.reduceat`` over the
+          weights. The stored ``bm_max_tfn`` is not read: it was encoded
+          with its generation's own avgdl and is not admissible once a
+          delta generation shifts the combined avgdl (it also stays stale
+          across tombstones). Live bounds are exact for the (avgdl,
+          deletes) pair, and tighter;
+        - the doc ids of the ``_TOP_K`` largest weights, by one
+          ``argpartition`` and a sort of ``_TOP_K`` items, from which
+          :meth:`topk_bmw` scores its pruning threshold.
 
         The cache holds at most ``DECODE_CACHE_BYTES``: each entry costs
-        its arrays' ``nbytes`` plus ``_CACHE_ENTRY_BYTES`` (so cached
-        misses are bounded too); least-recently-used entries are evicted,
-        and an entry larger than the whole budget is returned uncached."""
+        its arrays' ``nbytes`` (top docs included) plus
+        ``_CACHE_ENTRY_BYTES`` (so cached misses are bounded too);
+        least-recently-used entries are evicted, and an entry larger than
+        the whole budget is returned uncached."""
         cache = self._decode_cache
         if term in cache:
             cache.move_to_end(term)
@@ -517,19 +528,17 @@ class Searcher:
         self.decode_misses += 1
         dec = self._decode_term_uncached(term)
         if dec is not None:
-            # precompute the per-posting float64 weight vector once per term
-            # (same expression as _TermCursor.weight_vector; idf/avgdl are
-            # fixed per searcher, so this is query-independent)
             docs, tfs, dls = dec
             weights = self._weight_arrays(self._sim_idf(term),
                                           tfs.astype(np.float64),
                                           dls.astype(np.float64))
-            bs = self.block_size
-            starts = np.arange(0, docs.size, bs)
-            blk_first = docs[starts]
-            blk_last = docs[np.minimum(starts + bs, docs.size) - 1]
-            blk_maxw = np.maximum.reduceat(weights, starts)
-            dec = (docs, tfs, dls, blk_first, blk_last, blk_maxw, weights)
+            blk_maxw = np.maximum.reduceat(
+                weights, np.arange(0, docs.size, self.block_size))
+            top = (np.argpartition(-weights, _TOP_K - 1)[:_TOP_K]
+                   if docs.size > _TOP_K else np.arange(docs.size))
+            top = top[np.argsort(-weights[top], kind="stable")]
+            dec = _Postings(docs, tfs, dls, weights, blk_maxw, docs[top],
+                            float(blk_maxw.max()))
         size = _cache_entry_bytes(dec)
         if size <= DECODE_CACHE_BYTES:
             cache[term] = dec
@@ -591,47 +600,31 @@ class Searcher:
             out.extend(analyze_text(raw, self.query_cfg))
         return out
 
-    def _cursors(self, query: str):
-        """-> (occurrence term list sorted asc, {term: _TermCursor})."""
-        occurrences = sorted(self._query_terms(query))
-        cursors: dict[str, _TermCursor] = {}
-        for t in occurrences:
-            if t in cursors:
-                continue
-            dec = self._decode_term(t)
-            if dec is None:
-                continue
-            mult = occurrences.count(t)
-            cursors[t] = _TermCursor(t, *dec[:6], idf=self._sim_idf(t), mult=mult,
-                                     bm25=self.bm25, avgdl=self.avgdl,
-                                     weights=dec[6] if len(dec) > 6 else None)
-        return occurrences, cursors
+    def _clauses(self, query: str) -> list[tuple[_Postings, int]]:
+        """-> ``(postings, mult)`` per distinct indexed query term, in
+        ascending term order; ``mult`` counts the term's occurrences (the
+        oracle adds one contribution per occurrence)."""
+        terms = sorted(self._query_terms(query))
+        out = []
+        for t in dict.fromkeys(terms):
+            p = self._decode_term(t)
+            if p is not None:
+                out.append((p, terms.count(t)))
+        return out
 
     # ------------------------------------------------------------ exhaustive
     def score_all(self, query: str) -> tuple[np.ndarray, np.ndarray]:
         """Score every matching doc (TermQuery-OR over clauses).
 
         float-exact vs the oracle: contributions concatenated in ascending
-        term-occurrence order, stable-sorted by doc, summed left-to-right per
-        doc (np.add.reduceat is sequential below its 128-element pairwise
-        threshold; queries have far fewer clauses than 128)."""
-        occurrences, cursors = self._cursors(query)
-        parts_d, parts_w = [], []
-        for t in occurrences:          # duplicates appear once per occurrence
-            c = cursors.get(t)
-            if c is None:
-                continue
-            parts_d.append(c.docs)
-            parts_w.append(c.weight_vector())
-        if not parts_d:
+        term-occurrence order and summed per doc in that order
+        (:func:`_sum_by_doc`)."""
+        reps = [p for p, mult in self._clauses(query) for _ in range(mult)]
+        if not reps:
             return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        docs = np.concatenate(parts_d)
-        ws = np.concatenate(parts_w)
-        order = np.argsort(docs, kind="stable")
-        docs_s, ws_s = docs[order], ws[order]
-        starts = np.flatnonzero(np.concatenate([[True], docs_s[1:] != docs_s[:-1]]))
-        sums = np.add.reduceat(ws_s, starts)
-        return docs_s[starts], sums.astype(np.float32)
+        docs_s, ws_s, starts = _sum_by_doc([p.docs for p in reps],
+                                           [p.weights for p in reps])
+        return docs_s[starts], np.add.reduceat(ws_s, starts).astype(np.float32)
 
     @staticmethod
     def _after_mask(docs: np.ndarray, s32: np.ndarray,
@@ -656,213 +649,107 @@ class Searcher:
         order = np.lexsort((docs, -scores.astype(np.float64)))[:k]
         return [(int(docs[i]), float(scores[i])) for i in order]
 
-    # ------------------------------------------------------------------ WAND
-    def topk_wand(self, query: str, k: int,
-                  after: tuple[float, int] | None = None) -> list[tuple[int, float]]:
-        """Block-max WAND: identical results to exhaustive, fewer evaluations.
-
-        Pruning is admissible under the tie rule (tie -> larger docID loses;
-        docs stream in ascending id, so a candidate tying the heap minimum
-        always loses): skip when bound <= theta. With ``after``, hits at or
-        before the after-position are dropped before heap insertion (they
-        can't raise theta and never reach the result)."""
-        occurrences, cursors = self._cursors(query)
-        if not cursors or k <= 0:
-            return []
-        heap: list[tuple[float, int]] = []   # (score, -doc_id): min-heap of keepers
-        clause_order = [t for t in occurrences if t in cursors]
-        live = list(cursors.values())
-        while True:
-            live = [c for c in live if not c.exhausted]
-            if not live:
-                break
-            live.sort(key=lambda c: c.doc)
-            theta = heap[0][0] if len(heap) == k else float("-inf")
-            acc, pivot = 0.0, -1
-            for i, c in enumerate(live):
-                acc += c.max_ub
-                if acc > theta:
-                    pivot = i
-                    break
-            if pivot < 0:
-                break                      # no clause set can beat theta
-            pivot_doc = live[pivot].doc
-            if live[0].doc == pivot_doc:
-                at_pivot = [c for c in live if not c.exhausted and c.doc == pivot_doc]
-                bub = sum(c.block_ub(pivot_doc) for c in at_pivot)
-                if len(heap) == k and bub <= theta:
-                    for c in at_pivot:
-                        c.advance()
-                    continue
-                score64 = 0.0
-                for t in clause_order:     # ascending term order, dups adjacent
-                    c = cursors[t]
-                    if not c.exhausted and c.doc == pivot_doc:
-                        score64 += c.weight_at(c.pos)
-                s32 = float(np.float32(score64))
-                eligible = after is None or bool(self._after_mask(
-                    np.asarray([pivot_doc]), np.asarray([s32], np.float32), after)[0])
-                if eligible:
-                    entry = (s32, -pivot_doc)
-                    if len(heap) < k:
-                        heapq.heappush(heap, entry)
-                    elif entry > heap[0]:
-                        heapq.heapreplace(heap, entry)
-                for c in at_pivot:
-                    c.advance()
-            else:
-                for c in live[:pivot]:
-                    if c.doc < pivot_doc:
-                        c.seek(pivot_doc)
-        out = sorted(heap, key=lambda e: (-e[0], -e[1]))
-        return [(-d, s) for s, d in out]
+    @classmethod
+    def _theta(cls, docs: np.ndarray, s32: np.ndarray, k: int,
+               after: tuple[float, int] | None) -> float:
+        """Pruning threshold from the exact float32 scores ``s32`` of some
+        real ``docs``: the k-th largest score among those eligible under
+        ``after``, stepped one f32 ulp down so that a doc TYING the k-th
+        score is never pruned (the doc-id tie-break must still see it);
+        -inf when fewer than ``k`` are eligible. Hits at or before the
+        ``after`` position never reach the result, so they may not raise
+        the threshold."""
+        if after is not None:
+            s32 = s32[cls._after_mask(docs, s32, after)]
+        if s32.size < k:
+            return float("-inf")
+        return float(np.nextafter(np.sort(s32)[-k], np.float32(-np.inf)))
 
     # ------------------------------------------------- vectorized block-max
     def topk_bmw(self, query: str, k: int,
                  after: tuple[float, int] | None = None) -> list[tuple[int, float]]:
         """Vectorized block-max dynamic pruning (MaxScore skeleton + BMW
-        block bounds) — rank- and score-identical to the oracle, numpy
-        throughout (the doc-at-a-time loop in :meth:`topk_wand` evaluates
-        one doc per Python iteration; this path prunes with the same
-        block-max metadata but scores candidates in bulk).
+        block bounds, numpy throughout) — rank- and score-identical to
+        :meth:`topk_exhaustive` and the oracle.
 
-        1. bootstrap θ: exact-score each clause's top-k postings by weight;
-        2. split clauses essential/non-essential: maximal UB-ascending
-           prefix with ΣUB **strictly** < θ can be ignored as a candidate
-           SOURCE (docs only there score < θ; strictness keeps the
-           doc-id-asc tie-break exact);
-        3. candidates = union of essential lists; per-doc upper bound =
-           Σ essential block-max UB (the BMW bound) + Σ non-essential
-           global UB; drop bounds < θ;
-        4. exact-score survivors with the oracle's summation order
-           (float64 accumulated in ascending clause order; +0.0 for absent
-           clauses is an exact identity, so skips don't change the sum).
+        1. θ before selection: the k-th largest ELIGIBLE exact float32
+           score over the union of each clause's first ``k`` cached top
+           docs (:class:`_Postings` ``top``; see :meth:`_theta`). Any ``k``
+           real docs bound the k-th best score from below, so θ is
+           admissible for any positive weight formula, and it is never
+           below the max over clauses of the clause's k-th weight.
+        2. Dense (posting mass > span/16): ONE ``np.bincount`` over the
+           clauses' docs and weights, each clause repeated ``mult`` times
+           in ascending clause order — bincount adds per bin in input
+           order, the oracle's summation order, so it also gives step 1's
+           exact scores — then only docs scoring above θ reach selection.
+        3. Sparse: split clauses essential/non-essential (maximal
+           UB-ascending prefix with ΣUB **strictly** < θ is no candidate
+           SOURCE); candidates = union of essential lists, bounded by
+           Σ essential block-max UB + Σ non-essential UB; drop bounds < θ;
+           exact-score the survivors and the step-1 docs.
         """
-        occurrences, cursors = self._cursors(query)
-        if not cursors or k <= 0:
+        clauses = self._clauses(query)
+        if not clauses or k <= 0:
             return []
-        terms = sorted(cursors)                   # ascending clause order
-        curs = [cursors[t] for t in terms]
 
-        # Head-term fast path: when the posting mass is a sizable fraction
-        # of the doc-id span, pruning can't skip much and the sparse
-        # searchsorted gathers dominate (profiled ~550 ms/query at 1.5M
-        # docs). A dense scatter-add accumulator scores everything in
-        # O(total postings) with vector constants (~30 ms same query) and
-        # is float-exact: adds happen per term in ascending clause order,
-        # doc ids are unique within a term.
-        # span measured from the smallest doc id present, not 0: a sharded
-        # searcher holds a contiguous doc-range slice, so base-offset
-        # indexing keeps its accumulator proportional to the SHARD, not the
-        # corpus (and is an exact identity — same adds, same order)
-        base = min(int(c.docs[0]) for c in curs)
-        span = max(int(c.docs[-1]) for c in curs) + 1 - base
-        total = sum(c.docs.size for c in curs)
+        # -- 1. θ's docs: the union of each clause's first k cached top docs
+        boot = np.unique(np.concatenate([p.top[:k] for p, _ in clauses]))
+
+        # -- 2. dense: when the posting mass is a sizable fraction of the
+        # doc-id span, pruning can't skip much and sparse searchsorted
+        # gathers dominate (profiled ~550 ms/query at 1.5M docs, against
+        # ~30 ms for one accumulator). The span starts at the smallest doc
+        # id present: a sharded searcher holds a contiguous doc-range
+        # slice, so its accumulator is proportional to the SHARD
+        base = min(int(p.docs[0]) for p, _ in clauses)
+        span = max(int(p.docs[-1]) for p, _ in clauses) + 1 - base
+        total = sum(p.docs.size for p, _ in clauses)
         if total > span // 16 and span <= 64_000_000:
-            acc = np.zeros(span, dtype=np.float64)
-            for c in curs:                         # ascending term order
-                w = c.weight_vector()
-                idx = c.docs - base if base else c.docs
-                for _ in range(c.mult):
-                    acc[idx] += w
-            # BM25 weights are strictly positive (idf > 0 even at df == N),
-            # so acc != 0 IS the touched set — no separate bool scatter
-            docs = np.flatnonzero(acc) + base
-            s32 = acc[docs - base].astype(np.float32)
-            if after is not None and docs.size:
+            reps = [p for p, mult in clauses for _ in range(mult)]
+            idx = np.concatenate([p.docs for p in reps])
+            acc = np.bincount(idx - base if base else idx,
+                              weights=np.concatenate([p.weights for p in reps]),
+                              minlength=span)
+            theta = self._theta(boot, acc[boot - base].astype(np.float32),
+                                k, after)
+            # weights are strictly positive (idf > 0 even at df == N), so
+            # acc > 0 is the touched set
+            docs = np.flatnonzero(acc > max(theta, 0.0))
+            s32 = acc[docs].astype(np.float32)
+            docs += base
+            if after is not None:
                 m = self._after_mask(docs, s32, after)
                 docs, s32 = docs[m], s32[m]
-            if docs.size > k:
-                part = np.argpartition(-s32, k - 1)[:k]
-                kth = s32[part].min()
-                sel = np.flatnonzero(s32 >= kth)   # keep ties for doc-id order
-                order = sel[np.lexsort((docs[sel], -s32[sel].astype(np.float64)))][:k]
-            else:
-                order = np.lexsort((docs, -s32.astype(np.float64)))[:k]
-            return [(int(docs[i]), float(s32[i])) for i in order]
+            return _top_hits(docs, s32, k)
 
-        # duplicate query terms: cursor.mult occurrences — replicate the
-        # oracle's "one contribution per occurrence" by adding the weight
-        # `mult` times (still ascending clause order, duplicates adjacent).
-        def exact_scores(docs: np.ndarray) -> np.ndarray:
-            acc = np.zeros(docs.size, dtype=np.float64)
-            for c in curs:
-                pos = np.searchsorted(c.docs, docs)
-                pos_c = np.minimum(pos, c.docs.size - 1)
-                hit = c.docs[pos_c] == docs
-                w = np.where(hit, c.weight_vector()[pos_c], 0.0)
-                for _ in range(c.mult):
-                    acc = acc + w
-            return acc
-
-        # -- 1. bootstrap
-        boot_parts = []
-        for c in curs:
-            w = c.weight_vector()
-            if w.size > k:
-                idx = np.argpartition(-w, k - 1)[:k]
-            else:
-                idx = np.arange(w.size)
-            boot_parts.append(c.docs[idx])
-        boot = np.unique(np.concatenate(boot_parts))
-        boot_scores = exact_scores(boot)
-        # with search-after, θ must bound the k-th ELIGIBLE score: hits at
-        # or before the after-position are excluded by the final filter, so
-        # they may not raise the pruning threshold
-        boot32 = boot_scores.astype(np.float32)
-        if after is not None:
-            elig = self._after_mask(boot, boot32, after)
-            elig32 = boot32[elig]
-        else:
-            elig32 = boot32
-        if elig32.size >= k:
-            # final comparisons are on float32 scores with doc-id tie-break:
-            # a doc whose f32 score TIES the k-th must not be pruned, so the
-            # pruning threshold steps one f32 ulp below the k-th f32 score.
-            kth32 = np.sort(elig32)[-k]
-            theta = float(np.nextafter(kth32, np.float32(-np.inf)))
-        else:
-            theta = float("-inf")
-
-        # -- 2. essential split (UB ascending, strict prefix)
-        order = np.argsort([c.max_ub for c in curs], kind="stable")
+        # -- 3. sparse: θ, then the essential split (UB ascending,
+        # strict prefix)
+        theta = self._theta(
+            boot, _exact_scores(clauses, boot).astype(np.float32), k, after)
+        ubs = [mult * p.max_w for p, mult in clauses]
         cum = 0.0
         non_essential = set()
-        for i in order:
-            if cum + curs[i].max_ub < theta:
-                cum += curs[i].max_ub
-                non_essential.add(i)
-            else:
+        for i in np.argsort(ubs, kind="stable"):
+            if cum + ubs[i] >= theta:
                 break
-        noness_ub = sum(curs[i].max_ub for i in non_essential)
-
-        # -- 3. candidates + block-max bound
-        ess = [i for i in range(len(curs)) if i not in non_essential]
-        cand = np.unique(np.concatenate([curs[i].docs for i in ess])) \
+            cum += ubs[i]
+            non_essential.add(i)
+        ess = [c for i, c in enumerate(clauses) if i not in non_essential]
+        cand = np.unique(np.concatenate([p.docs for p, _ in ess])) \
             if ess else np.zeros(0, np.int64)
-        if cand.size:
-            bound = np.full(cand.size, noness_ub, dtype=np.float64)
-            for i in ess:
-                c = curs[i]
-                pos = np.searchsorted(c.docs, cand)
-                pos_c = np.minimum(pos, c.docs.size - 1)
-                hit = c.docs[pos_c] == cand
-                blk = np.searchsorted(c.blk_last, c.docs[pos_c], side="left")
-                blk = np.minimum(blk, c.blk_maxw.size - 1)
-                ub = c.mult * c.blk_maxw[blk]
-                bound += np.where(hit, ub, 0.0)
-            survivors = cand[bound >= theta]
-        else:
-            survivors = np.zeros(0, np.int64)
-
-        # -- 4. exact scores over bootstrap ∪ survivors
-        final_docs = np.unique(np.concatenate([boot, survivors]))
-        final_scores = exact_scores(final_docs).astype(np.float32)
-        if after is not None and final_docs.size:
-            m = self._after_mask(final_docs, final_scores, after)
-            final_docs, final_scores = final_docs[m], final_scores[m]
-        order = np.lexsort((final_docs, -final_scores.astype(np.float64)))[:k]
-        return [(int(final_docs[i]), float(final_scores[i])) for i in order]
+        bound = np.full(cand.size, cum, dtype=np.float64)
+        bs = self.block_size
+        for p, mult in ess:
+            pos = np.minimum(np.searchsorted(p.docs, cand), p.docs.size - 1)
+            bound += np.where(p.docs[pos] == cand,
+                              mult * p.blk_maxw[pos // bs], 0.0)
+        final = np.unique(np.concatenate([boot, cand[bound >= theta]]))
+        s32 = _exact_scores(clauses, final).astype(np.float32)
+        if after is not None:
+            m = self._after_mask(final, s32, after)
+            final, s32 = final[m], s32[m]
+        return _top_hits(final, s32, k)
 
     def search_boolean(self, query: str,
                        max_hits: int | None = None) -> np.ndarray:
@@ -1210,20 +1097,8 @@ class Searcher:
         and_docs = self.search_and(query)
         if and_docs.size == 0 or k <= 0:
             return []
-        _, cursors = self._cursors(query)
-        terms = sorted(cursors)
-        acc = np.zeros(and_docs.size, dtype=np.float64)
-        for t in terms:                         # ascending clause order
-            c = cursors[t]
-            pos = np.searchsorted(c.docs, and_docs)
-            pos_c = np.minimum(pos, c.docs.size - 1)
-            hit = c.docs[pos_c] == and_docs
-            w = np.where(hit, c.weight_vector()[pos_c], 0.0)
-            for _ in range(c.mult):
-                acc = acc + w
-        s32 = acc.astype(np.float32)
-        order = np.lexsort((and_docs, -s32.astype(np.float64)))[:k]
-        return [(int(and_docs[i]), float(s32[i])) for i in order]
+        s32 = _exact_scores(self._clauses(query), and_docs).astype(np.float32)
+        return _top_hits(and_docs, s32, k)
 
     # ------------------------------------------------- two-phase screen/verify
     def search_screen_verify(self, query: str, k: int,
@@ -1261,43 +1136,13 @@ class Searcher:
                     break
         return out
 
-    def topk_cached(self, query: str, k: int, mode: str = "bmw",
-                    after: tuple[float, int] | None = None) -> list[tuple[int, float]]:
-        """LRU-cached :meth:`topk` (Lucene ``LRUQueryCache`` analog).
-        Safe because a Searcher's generation view is IMMUTABLE — writes
-        create new generations and re-open searchers (T2/T3 design), so
-        a cached result can never go stale within one instance. Keyed on
-        (query, k, mode, after); ``result_cache_hits``/``_misses``
-        expose the hit rate the reference's warm-up protocol implies."""
-        if not hasattr(self, "_result_cache"):
-            from collections import OrderedDict
-
-            self._result_cache: "OrderedDict[tuple, list]" = OrderedDict()
-            self._result_cache_max = 256
-            self.result_cache_hits = 0
-            self.result_cache_misses = 0
-        key = (query, int(k), mode, after)
-        hit = self._result_cache.get(key)
-        if hit is not None:
-            self._result_cache.move_to_end(key)
-            self.result_cache_hits += 1
-            return list(hit)
-        self.result_cache_misses += 1
-        res = self.topk(query, k, mode=mode, after=after)
-        self._result_cache[key] = list(res)
-        if len(self._result_cache) > self._result_cache_max:
-            self._result_cache.popitem(last=False)
-        return res
-
     def topk(self, query: str, k: int, mode: str = "bmw",
              after: tuple[float, int] | None = None) -> list[tuple[int, float]]:
         """Top-k with optional search-after pagination: ``after`` is the
         ``(score, doc_id)`` of the LAST hit of the previous page; results
-        resume strictly after it in (score desc, doc_id asc) order."""
-        if mode == "bmw":
-            return self.topk_bmw(query, k, after=after)
-        if mode == "wand":
-            return self.topk_wand(query, k, after=after)
+        resume strictly after it in (score desc, doc_id asc) order.
+        ``mode`` is one of :data:`TOPK_MODES`; any other value raises."""
+        _check_topk_mode(mode)
         if mode == "phrase":
             # scored exact-phrase queries through the same distributed
             # surface (SearcherStage actor pool); no pagination — phrase
@@ -1305,7 +1150,9 @@ class Searcher:
             if after is not None:
                 raise ValueError("phrase mode does not support search-after")
             return self.topk_phrase(query, k)
-        return self.topk_exhaustive(query, k, after=after)
+        if mode == "exhaustive":
+            return self.topk_exhaustive(query, k, after=after)
+        return self.topk_bmw(query, k, after=after)
 
     # --------------------------------------------- reference-API search peers
     def search_and(self, query: str, max_hits: int | None = None) -> np.ndarray:
@@ -1368,8 +1215,8 @@ class Searcher:
         """``DisjunctionMaxQuery`` analog (the multi-field scoring rule the
         reference's MultiFieldQueryParser family rewrites into): clause =
         each DISTINCT query term (composite ``field:value`` clauses score
-        through the same cursors); ``score(doc) = max_clause_score +
-        tie * (sum_of_other_clause_scores)``.
+        through the same decode-cache entries);
+        ``score(doc) = max_clause_score + tie * (sum_of_other_clause_scores)``.
 
         Float parity with the SQL oracle: per-clause contributions are the
         per-posting BM25 weights; the segment max is order-independent, the
@@ -1377,20 +1224,11 @@ class Searcher:
         sequential below its 128-element pairwise threshold), and the final
         score is the single IEEE expression ``mx + tie * (sm - mx)``. Rank
         comparator: (float32 score desc, doc_id asc)."""
-        _, cursors = self._cursors(query)
-        parts_d, parts_w = [], []
-        for t in sorted(cursors):          # distinct clauses, ascending term
-            c = cursors[t]
-            parts_d.append(c.docs)
-            parts_w.append(c.weight_vector())
-        if not parts_d or k <= 0:
+        clauses = self._clauses(query)        # distinct, ascending term
+        if not clauses or k <= 0:
             return []
-        docs = np.concatenate(parts_d)
-        ws = np.concatenate(parts_w)
-        order = np.argsort(docs, kind="stable")
-        docs_s, ws_s = docs[order], ws[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], docs_s[1:] != docs_s[:-1]]))
+        docs_s, ws_s, starts = _sum_by_doc([p.docs for p, _ in clauses],
+                                           [p.weights for p, _ in clauses])
         mx = np.maximum.reduceat(ws_s, starts)
         sm = np.add.reduceat(ws_s, starts)
         s32 = (mx + tie * (sm - mx)).astype(np.float32)
@@ -1927,7 +1765,7 @@ class Searcher:
             if dec is None:
                 continue
             parts_d.append(dec[0])
-            parts_w.append(boost * dec[6])
+            parts_w.append(boost * dec.weights)
         return _fold_topk(parts_d, parts_w, k)
 
     def search_numeric_range(self, field: str, lo, hi, *,
@@ -1999,7 +1837,7 @@ class Searcher:
             terms.append(t)
             tfs.append(int(dec[1][i]))
             dfs.append(self.df(t))
-            ws.append(float(np.float32(dec[6][i])))
+            ws.append(float(np.float32(dec.weights[i])))
         return pa.table({
             "term": pa.array(terms, pa.string()),
             "tf": pa.array(tfs, pa.int64()),
@@ -2087,6 +1925,7 @@ class SearcherStage:
     def __init__(self, index_dir: str, mode: str = "bmw", default_k: int = 10,
                  resolve_urls: bool = True, generation: str | None = None,
                  warm_top_terms: int = 16, similarity: str = "bm25"):
+        _check_topk_mode(mode)
         # serving actor: eager residency — init cost is amortized over the
         # actor's lifetime and queries must never pay a first-probe load
         # (lazy stays the default for driver-side / one-shot searchers)
@@ -2133,6 +1972,7 @@ class ShardSearcherStage:
     def __init__(self, index_dir: str, shard_id: int, n_shards: int,
                  mode: str = "bmw", default_k: int = 10,
                  generation: str | None = None):
+        _check_topk_mode(mode)
         # serving actor: eager residency (see SearcherStage)
         self.searcher = Searcher(index_dir, generation,
                                  shard=(shard_id, n_shards),
@@ -2195,6 +2035,7 @@ def topk_sharded(
     because each global top-k doc is in its own shard's top-k (SURVEY K2).
     On a multi-node cluster each shard actor holds ~1/n of the index.
     """
+    _check_topk_mode(mode)
     ds = rd.from_arrow(queries) if isinstance(queries, pa.Table) else queries
     n_shards = max(1, min(n_shards, _n_segments(index_dir)))
     shards = [
@@ -2371,6 +2212,7 @@ def run_queries(
 ) -> rd.Dataset:
     """The ``-benchmark`` query workload rebuilt (SURVEY §3.2): queries table
     -> searcher actor pool -> (query_id, rank, doc_id, url, score)."""
+    _check_topk_mode(mode)
     if concurrency is None:
         import ray
 

@@ -91,3 +91,33 @@ def oracle_index(pages_dir):
     for url, (ts, doc_id, text) in sorted(best.items(), key=lambda kv: kv[1][1]):
         oi.add(doc_id, text)
     return oi
+
+
+@pytest.fixture(scope="session")
+def bmw_boundaries():
+    """-> ``check(searcher, queries)``: ``topk_bmw`` equals
+    ``topk_exhaustive``, float32 scores included, at every k around the
+    decode cache's per-term top-K (1, K-1, K, K+1, 500) and when paging
+    with search-after from cuts around K. Returns how many queries match
+    more than K docs, so a caller can assert the K boundary was crossed."""
+    import numpy as np
+
+    from org_rdkit_lucene_ray.pipelines.query import _TOP_K as K
+
+    def check(s, queries) -> int:
+        crossing = 0
+        for q in queries:
+            full = s.topk_exhaustive(q, 500)
+            assert all(np.float32(sc) == sc for _, sc in full), q
+            for k in (1, K - 1, K, K + 1, 500):
+                assert s.topk_bmw(q, k) == s.topk_exhaustive(q, k), (q, k)
+            for c in {0, K - 2, K - 1, K, len(full) // 2}:
+                if c < len(full):
+                    after = (full[c][1], full[c][0])
+                    for k in (1, K, K + 1):
+                        assert s.topk_bmw(q, k, after=after) == \
+                            s.topk_exhaustive(q, k, after=after), (q, c, k)
+            crossing += len(full) > K
+        return crossing
+
+    return check

@@ -1,7 +1,7 @@
 """End-to-end: distributed build + query vs the single-process oracle.
 
 The conformance layer the reference never shipped (SURVEY §5): rank-identical
-top-k doc ids AND bitwise-equal float32 BM25 scores, plus WAND == exhaustive.
+top-k doc ids AND bitwise-equal float32 BM25 scores, plus BMW == exhaustive.
 """
 
 import json
@@ -50,17 +50,16 @@ def test_score_all_bitwise_equal_oracle(searcher, oracle_index):
             assert np.float32(got[d]) == s, (q["query"], d)
 
 
-def test_topk_rank_identical_wand_and_exhaustive(searcher, oracle_index):
+def test_topk_rank_identical_bmw_and_exhaustive(searcher, oracle_index):
     queries = gen_queries().to_pylist()
     n_nonempty = 0
     for q in queries:
         k = int(q["k"])
         want = [(d, float(s)) for d, s in oracle_index.topk(q["query"], k)]
         ex = searcher.topk_exhaustive(q["query"], k)
-        wd = searcher.topk_wand(q["query"], k)
         bm = searcher.topk_bmw(q["query"], k)
         assert ex == want, f"exhaustive mismatch: {q['query']}"
-        assert wd == want, f"wand mismatch: {q['query']}"
+        assert bm == ex, f"bmw != exhaustive: {q['query']}"
         assert bm == want, f"bmw mismatch: {q['query']}"
         n_nonempty += bool(want)
     assert n_nonempty > len(queries) * 0.7
@@ -72,7 +71,7 @@ def test_search_after_pagination(searcher):
     every scoring mode."""
     for q in ["baba cece", "dodi", "baba dodi cece", "zezezeze baba"]:
         full = searcher.topk(q, 30, mode="exhaustive")
-        for mode in ("bmw", "wand", "exhaustive"):
+        for mode in ("bmw", "exhaustive"):
             pages, after = [], None
             while True:
                 page = searcher.topk(q, 7, mode=mode, after=after)
@@ -255,7 +254,7 @@ def test_point_lookup_and_url_resolution(searcher, built_index, oracle_index):
 def test_run_queries_dataset(ray_session, built_index, oracle_index):
     idx, _ = built_index
     queries = gen_queries()
-    out = run_queries(idx, queries, mode="wand", concurrency=2).to_pandas()
+    out = run_queries(idx, queries, mode="bmw", concurrency=2).to_pandas()
     assert set(out.columns) == {"query_id", "rank", "doc_id", "url", "score"}
     # spot-check one query against the oracle
     q = queries.to_pylist()[0]
@@ -588,14 +587,13 @@ def test_phrase_candidates_tf_refinement(searcher):
 # pluggable similarity, sort-by-field, SynonymQuery, query-time boosts
 def test_classic_similarity_rank_identity_across_scorers(built_index):
     """ClassicSimilarity (TF-IDF VSM) must keep every pruning path exact:
-    block bounds derive from the LIVE weight vector, so bmw/wand ==
-    exhaustive for ANY positive weight formula."""
+    block bounds and top docs derive from the LIVE weight vector, so
+    bmw == exhaustive for ANY positive weight formula."""
     idx, _ = built_index
     s = Searcher(idx, similarity="classic")
     for q in gen_queries().to_pylist():
         k = int(q["k"])
         ex = s.topk_exhaustive(q["query"], k)
-        assert s.topk_wand(q["query"], k) == ex, q["query"]
         assert s.topk_bmw(q["query"], k) == ex, q["query"]
 
 
@@ -608,10 +606,10 @@ def test_classic_similarity_weight_formula(built_index):
     idf = 1.0 + math.log((s.n_docs + 1.0) / (s.df("baba") + 1.0))
     want = (idf * idf) * np.sqrt(dec[1].astype(np.float64)) \
         / np.sqrt(dec[2].astype(np.float64))
-    np.testing.assert_array_equal(dec[6], want)
+    np.testing.assert_array_equal(dec.weights, want)
     # and it is genuinely a different ranking input than BM25
     s_bm = Searcher(idx)
-    assert not np.array_equal(s_bm._decode_term("baba")[6], dec[6])
+    assert not np.array_equal(s_bm._decode_term("baba").weights, dec.weights)
 
 
 def test_similarity_rejects_unknown(built_index):
@@ -692,7 +690,7 @@ def test_explain_matches_score(searcher, oracle_index):
             assert tf == dict(oracle_index.postings[term])[doc_id]
             dec = searcher._decode_term(term)
             i = int(np.searchsorted(dec[0], doc_id))
-            s64 += float(dec[6][i])
+            s64 += float(dec.weights[i])
         assert np.float32(s64) == np.float32(score)
     # non-matching doc id -> zero rows
     assert searcher.explain("baba", -1).num_rows == 0
@@ -800,22 +798,108 @@ def test_suggest_terms_ordering(searcher, oracle_index):
     assert got[0][1] == 1
 
 
-def test_topk_cached_lru(searcher):
-    """LRUQueryCache analog: identical results, hits counted, distinct
-    (k, after) keys don't collide, copies are defensive."""
-    a = searcher.topk_cached("baba cece", 5)
-    assert a == searcher.topk("baba cece", 5)
-    assert searcher.result_cache_misses >= 1
-    h0 = searcher.result_cache_hits
-    b = searcher.topk_cached("baba cece", 5)
-    assert b == a and searcher.result_cache_hits == h0 + 1
-    b.append(("tamper", 0))                 # defensive copy
-    assert searcher.topk_cached("baba cece", 5) == a
-    assert searcher.topk_cached("baba cece", 3) == searcher.topk("baba cece", 3)
-    if len(a) >= 2:
-        after = (a[0][1], a[0][0])
-        assert searcher.topk_cached("baba cece", 5, after=after) == \
-            searcher.topk("baba cece", 5, after=after)
+def test_topk_mode_rejects_unknown(built_index, searcher):
+    """An unknown top-k mode raises with the valid modes listed — from
+    Searcher.topk, from the serving stages at construction, and from
+    run_queries/topk_sharded before any batch runs."""
+    from org_rdkit_lucene_ray.pipelines.query import (
+        SearcherStage,
+        ShardSearcherStage,
+        topk_sharded,
+    )
+
+    idx, _ = built_index
+    for mode in ("wand", "BMW", ""):
+        with pytest.raises(ValueError, match="valid modes: bmw, exhaustive, phrase"):
+            searcher.topk("baba", 5, mode=mode)
+    queries = gen_queries(n_random=2)
+    for make in (lambda: SearcherStage(idx, mode="wand"),
+                 lambda: ShardSearcherStage(idx, 0, 2, mode="wand"),
+                 lambda: run_queries(idx, queries, mode="wand"),
+                 lambda: topk_sharded(idx, queries, mode="wand")):
+        with pytest.raises(ValueError, match="'wand'"):
+            make()
+
+
+def test_topk_bmw_boundaries_match_exhaustive(built_index, bmw_boundaries):
+    """BMW == exhaustive at the per-term top-K boundaries, with duplicate
+    query terms and search-after, under both similarities and on each
+    shard of a sharded searcher."""
+    idx, _ = built_index
+    queries = [q["query"] for q in gen_queries(n_random=8).to_pylist()] + [
+        "baba baba cece", "cece dodi cece cece"]
+    for s in (Searcher(idx), Searcher(idx, similarity="classic"),
+              *(Searcher(idx, shard=(i, 2)) for i in range(2))):
+        assert bmw_boundaries(s, queries) > 0
+
+
+def test_topk_bmw_ties_across_the_cut(ray_session, tmp_path_factory,
+                                      bmw_boundaries):
+    """Every doc is a copy of one of three pages, so the k-th float32
+    score ties with docs on both sides of the cut and only the doc-id
+    tie-break decides: a threshold not stepped below the k-th score would
+    prune the tied docs."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from org_rdkit_lucene_ray.config import IndexConfig
+    from org_rdkit_lucene_ray.pipelines.build import build_index
+    from org_rdkit_lucene_ray.pipelines.query import _TOP_K as K
+    from org_rdkit_lucene_ray.synth import gen_pages
+
+    src = gen_pages(3, seed=5, dup_url_frac=0.0, near_dup_frac=0.0)
+    pages = gen_pages(600, seed=6, dup_url_frac=0.0, near_dup_frac=0.0)
+    copy_of = pa.array(np.arange(pages.num_rows) % 3)
+    for col in ("html", "text"):
+        pages = pages.set_column(pages.schema.get_field_index(col), col,
+                                 src[col].take(copy_of))
+    d = tmp_path_factory.mktemp("tied_pages")
+    pq.write_table(pages, str(d / "frag-00000.parquet"))
+    idx = str(tmp_path_factory.mktemp("tied_idx"))
+    build_index(str(d), idx, cfg=IndexConfig(docs_per_segment=128,
+                                             term_buckets=2, block_size=16))
+    s = Searcher(idx)
+    toks = [s._query_terms(t) for t in src["text"].to_pylist()]
+    queries = [toks[0][0], f"{toks[0][0]} {toks[1][0]}",
+               f"{toks[2][-1]} {toks[2][-1]} {toks[0][1]}"]
+    assert bmw_boundaries(s, queries) == len(queries)
+    full = s.topk_exhaustive(queries[0], K + 1)
+    assert full[K - 1][1] == full[K][1]          # the K-th score ties
+
+
+def test_decode_cache_charges_top_docs(built_index, monkeypatch):
+    """Each entry is charged every array it holds, the per-term top docs
+    included; the top docs are the highest-weight postings in descending
+    weight order; a small budget evicts and holds."""
+    from org_rdkit_lucene_ray.pipelines import query as Q
+
+    idx, _ = built_index
+    s = Searcher(idx)
+    queries = [q["query"] for q in gen_queries().to_pylist()]
+    for q in queries:
+        s.topk(q, 10)
+    entries = [e for e in s._decode_cache.values() if e is not None]
+    assert any(e.docs.size > Q._TOP_K for e in entries)
+    assert s.decode_cache_bytes == sum(
+        Q._CACHE_ENTRY_BYTES + (0 if e is None else
+                                e.docs.nbytes + e.tfs.nbytes + e.dls.nbytes
+                                + e.weights.nbytes + e.blk_maxw.nbytes
+                                + e.top.nbytes)
+        for e in s._decode_cache.values())
+    for e in entries:
+        w_of = dict(zip(e.docs.tolist(), e.weights.tolist()))
+        top_w = [w_of[d] for d in e.top.tolist()]
+        assert e.top.size == min(Q._TOP_K, e.docs.size)
+        assert top_w == sorted(top_w, reverse=True)
+        assert top_w[-1] >= np.sort(e.weights)[-e.top.size]
+        assert e.max_w == top_w[0]
+    budget = s.decode_cache_bytes // 4
+    monkeypatch.setattr(Q, "DECODE_CACHE_BYTES", budget)
+    small = Searcher(idx)
+    for q in queries:
+        small.topk(q, 10)
+        assert small.decode_cache_bytes <= budget
+    assert len(small._decode_cache) < len(s._decode_cache)
 
 
 def test_lazy_residency_matches_eager(built_index, searcher, oracle_index):

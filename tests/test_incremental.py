@@ -181,19 +181,21 @@ def test_merge_rank_identical_to_oracle(incr_index):
     assert s.avgdl == pytest.approx(oi.avgdl, rel=1e-12)
     for q in gen_queries(n_random=15).to_pylist():
         want = [(d, float(sc)) for d, sc in oi.topk(q["query"], int(q["k"]))]
-        got = [(d, float(sc)) for d, sc in s.topk_wand(q["query"], int(q["k"]))]
+        got = [(d, float(sc)) for d, sc in s.topk_bmw(q["query"], int(q["k"]))]
         assert got == want, q["query"]
+        assert s.topk_bmw(q["query"], int(q["k"])) == \
+            s.topk_exhaustive(q["query"], int(q["k"])), q["query"]
 
 
 def test_pre_merge_pruning_admissible_across_avgdl_shift(
         ray_session, tmp_path_factory):
     """ADVICE r1 (high): on a multi-generation index the combined avgdl can
     exceed a generation's encode-time avgdl, making the STORED block-max
-    bounds non-admissible — topk_wand/topk_bmw could prune genuine top-k
+    bounds non-admissible — topk_bmw could prune genuine top-k
     hits between an add and a merge. Bounds are now derived at decode time
     from the live weight vector; this test plants a delta whose docs are
     much longer than the base (combined avgdl >> base encode avgdl) and
-    asserts bmw/wand == exhaustive on the pre-merge index."""
+    asserts bmw == exhaustive on the pre-merge index."""
     import pyarrow as pa
 
     from org_rdkit_lucene_ray.synth import gen_pages
@@ -221,7 +223,6 @@ def test_pre_merge_pruning_admissible_across_avgdl_shift(
     for q in gen_queries(n_random=20).to_pylist():
         want = s.topk_exhaustive(q["query"], int(q["k"]))
         assert s.topk_bmw(q["query"], int(q["k"])) == want, q["query"]
-        assert s.topk_wand(q["query"], int(q["k"])) == want, q["query"]
     # classic TF-IDF under the SAME stats shift: its weights depend on
     # the live n_docs (idf) and per-doc dl, and its bounds are derived
     # from the live vector too — pruning must stay exact pre-merge
@@ -229,7 +230,6 @@ def test_pre_merge_pruning_admissible_across_avgdl_shift(
     for q in gen_queries(n_random=12).to_pylist():
         want = sc.topk_exhaustive(q["query"], int(q["k"]))
         assert sc.topk_bmw(q["query"], int(q["k"])) == want, q["query"]
-        assert sc.topk_wand(q["query"], int(q["k"])) == want, q["query"]
 
 
 def _tree_hashes(root):
@@ -498,3 +498,20 @@ def test_delete_by_query_generation_chain(ray_session, tmp_path_factory):
     for q in gen_queries(n_random=8).to_pylist():
         assert s3.topk_bmw(q["query"], int(q["k"])) == \
             s3.topk_exhaustive(q["query"], int(q["k"])), q["query"]
+
+
+def test_topk_bmw_boundaries_on_tombstoned_generations(incr_index,
+                                                       bmw_boundaries):
+    """Per-term top docs are taken after tombstones are masked, so BMW
+    stays exact at the top-K boundaries on a multi-generation index with
+    upserted-away docs."""
+    idx, *_ = incr_index
+    # pinned: the merge test advances CURRENT past the tombstoned delta
+    s = Searcher(idx, generation="gen-000001")
+    assert s._deletes is not None and s._deletes.size
+    queries = [q["query"] for q in gen_queries(n_random=8).to_pylist()] + [
+        "baba baba cece"]
+    assert bmw_boundaries(s, queries) > 0
+    for e in s._decode_cache.values():
+        if e is not None:
+            assert not np.isin(e.top, s._deletes).any()
