@@ -105,8 +105,9 @@ class IndexConfig:
     block_size: int = 128             # postings per block-max block (Lucene BMW-style)
     # dedup pre-pass sizing (execution knobs, not on-disk format — kept out
     # of manifest_dict). Bucket count is DATA-sized, like the join-partition
-    # rule: buckets = clamp(ceil(total_rows / dedup_rows_per_bucket), 16, 65536),
-    # so no wave-2 task ever concatenates corpus/16 rows (r3 verdict #2).
+    # rule: buckets = clamp(ceil(total_rows / dedup_rows_per_bucket), 1, 65536),
+    # so a wave-2 task concatenates at most ~dedup_rows_per_bucket rows at any
+    # corpus size, and a small corpus runs one task (r3 verdict #2).
     dedup_rows_per_bucket: int = 2_000_000
     # wave-2 fan-in bounds: a (bucket, fragment-range) sub-task reads at most
     # ~dedup_max_task_rows rows and opens at most dedup_max_files_per_task

@@ -9,17 +9,20 @@ Phase DEDUP (J6, upsert/delete-by-PK analog ``ChemicalIndex.java:801``):
     storage-partitioned like Phase B — per-fragment slim scans written
     bucketed by url hash, then per-bucket last-write-wins loser detection
     (one lexsort per bucket; real urls compared, so hash collisions are
-    harmless). Tokenize workers anti-join against the loser files with
-    row-group predicate pushdown — no Ray groupby, nothing rides the
-    driver (SURVEY §2.4 J6).
+    harmless). The bucket count is sized by the data (one bucket per
+    ``dedup_rows_per_bucket`` rows, at least one), so a small corpus pays
+    for one wave-2 task, not a fixed fan-out. Tokenize workers anti-join
+    against the loser files with row-group predicate pushdown — no Ray
+    groupby, nothing rides the driver (SURVEY §2.4 J6).
 
 Phase A (tokenize; the expensive, checkpointed pass):
-    a Dataset of fragment descriptors -> ``map_batches(FragmentTokenizer)``
-    actor pool. Each fragment: row-group-streamed pruned read ->
-    ``extract_text(html)`` (byte-identity invariant verified against the
-    shipped ``text`` column) -> vectorized tokenize -> postings
-    ``(term, doc_id, tf, dl)`` + forward-index Parquet, written atomically,
-    manifest row committed last (resume = skip committed fragments).
+    a Dataset of fragment descriptors -> ``map_batches`` task pool, one
+    ``FragmentTokenizer`` per worker process. Each fragment:
+    row-group-streamed pruned read -> ``extract_text(html)`` (byte-identity
+    invariant verified against the shipped ``text`` column) -> vectorized
+    tokenize -> postings ``(term, doc_id, tf, dl)`` + forward-index
+    Parquet, written atomically, manifest row committed last (resume = skip
+    committed fragments).
     doc_id = fragment base (prefix sum over path-sorted fragments) + row
     offset — deterministic across runs and resumes (SURVEY §7.4(1)).
 
@@ -27,21 +30,22 @@ Phase B (the wide step — a STORAGE-PARTITIONED exchange, no Ray groupby):
     Phase A wrote each fragment's postings sorted by
     ``(bucket = stable_hash(term) % term_buckets, term, doc_id)`` with one
     Parquet row group per bucket; fragments own contiguous doc-id ranges,
-    so each ``(segment_id, bucket)`` encode task reads exactly its slice
-    of the few overlapping fragment files via row-group pruning, re-sorts
-    the (mostly sorted) concatenation, and writes one atomically-renamed
-    chunk file (delta+varint + block-max, vectorized across all terms).
-    The deterministic file layout IS the shuffle — it removed the 53 s
-    all-to-all sort the ``groupby(term)`` variant cost at 160k docs, and
-    makes resume = skip existing chunk files. Skew: a term's postings are
-    pre-split by doc-id range (segment), so the widest task is bounded by
-    ``docs_per_segment`` postings no matter how hot the head term is —
-    salting-by-docID-range per SURVEY §7.1(6); sub-lists stay sorted and
-    concatenable.
+    so one encode task per term bucket walks the segments in ascending
+    order, reads each ``(segment_id, bucket)`` slice of the few overlapping
+    fragment files via row-group pruning, re-sorts it, and writes one
+    atomically-renamed chunk file (delta+varint + block-max, vectorized
+    across all terms). The deterministic file layout IS the shuffle — it
+    removed the 53 s all-to-all sort the ``groupby(term)`` variant cost at
+    160k docs, and makes resume = skip existing chunk files. Skew: a
+    term's postings are pre-split by doc-id range (segment), so a task
+    holds at most ``docs_per_segment`` docs' postings at once no matter
+    how hot the head term is — salting-by-docID-range per SURVEY §7.1(6);
+    sub-lists stay sorted and concatenable.
 
-Phase C: global df table — per-bucket Arrow aggregates over that bucket's
-    chunk files (a term lives in exactly one bucket, so this too needs no
-    shuffle); one df Parquet per bucket (A4 corpus statistics).
+    The same task writes the bucket's df file (A4 corpus statistics): a
+    term lives in exactly one bucket, so its df is the sum of the
+    ``df_chunk`` values of that bucket's chunks — no shuffle and no second
+    pass over the chunk files (:func:`run_bucket_tasks`, shared with merge).
 """
 
 from __future__ import annotations
@@ -65,18 +69,10 @@ from org_rdkit_lucene_ray.state.segment import (
     atomic_write_json,
     atomic_write_table,
     gen_name,
+    read_chunk_table,
     segment_chunk_path,
     set_current_generation,
 )
-
-
-def _default_concurrency(n_units: int) -> int:
-    """Actor-pool size: min(work units, cluster CPUs). Sized so the pool does
-    not starve the read/write stages (ray_guide 'Stateful stages')."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(1, min(n_units, cpus))
 
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -163,12 +159,14 @@ def plan_fragments(input_paths: str | list[str], doc_id_base: int = 0) -> list[d
 # -------------------------------------------------------------------- dedup
 def _dedup_bucket_count(total_rows: int, cfg: IndexConfig) -> int:
     """Data-sized bucket count (r3 verdict #2): one bucket per
-    ~dedup_rows_per_bucket input rows, clamped to [16, 65536]. Deterministic
-    given the fragment plan, so resumes re-derive the same layout."""
+    ~dedup_rows_per_bucket input rows, clamped to [1, 65536] — a small
+    corpus runs one wave-2 task instead of a fixed fan-out whose tasks each
+    open every slim file. Deterministic given the fragment plan, so resumes
+    re-derive the same layout."""
     import math
 
     b = math.ceil(max(1, total_rows) / max(1, cfg.dedup_rows_per_bucket))
-    return int(min(max(16, b), 65536))
+    return int(min(max(1, b), 65536))
 
 
 def _dedup_fragment_ranges(fragments: list[dict], buckets: int,
@@ -232,8 +230,9 @@ def compute_dup_losers(fragments: list[dict], work_dir: str,
     Storage-partitioned, no shuffle (same trick as Phase B), with BOTH
     fan-in axes bounded (r3 verdict #2):
 
-    - bucket count is DATA-sized (`_dedup_bucket_count`): ~2M input rows per
-      url-hash bucket, so a bucket's slice never approaches corpus/16;
+    - bucket count is DATA-sized (`_dedup_bucket_count`): one url-hash
+      bucket per ~2M input rows (at least one), so a bucket's slice stays
+      bounded at any corpus size and a small corpus runs one bucket;
     - wave 1 (per fragment): slim (uh, url, warc_ts, doc_id) scan written
       sorted by url-hash bucket, one row group per bucket;
     - wave 2 (per bucket × fragment-range): consecutive fragments are packed
@@ -403,11 +402,12 @@ def _read_losers_in_range(losers_dir: str | None, lo: int, hi: int) -> np.ndarra
 
 # ------------------------------------------------------------------ phase A
 class FragmentTokenizer:
-    """Actor-pool stage: one __call__ processes one fragment descriptor.
+    """Tokenize stage: one __call__ processes one fragment descriptor.
 
     Reference analog T1: heavyweight per-worker state (RDKit native-lib
-    activation, ``bin/RDKit.activate:114-189``) is built once per actor in
-    ``__init__`` — here the analyzer config and compiled regex state.
+    activation, ``bin/RDKit.activate:114-189``) is built once per worker
+    process (``_TOKENIZER_STATE``) — here the analyzer config and compiled
+    regex state.
     Per-record error tolerance mirrors M12 (``ChemicalIndex.java:280-292``):
     extraction mismatches are counted per fragment, not fatal.
     """
@@ -620,9 +620,7 @@ class FragmentTokenizer:
 # Task-pool wrapper with per-worker-process state cache: a cluster-wide actor
 # pool costs ~10s of startup at 32 CPUs (measured) before the first batch;
 # a task fn reuses Ray's warm worker processes and builds the (light)
-# tokenizer state once per process. A genuinely heavy analyzer (model
-# weights) should instead pass ``tokenizer_mode="actors"`` to build_index —
-# the T1 actor-pool path.
+# tokenizer state once per process, keyed by the build's output dirs.
 _TOKENIZER_STATE: dict[tuple, FragmentTokenizer] = {}
 
 
@@ -682,23 +680,6 @@ def _write_bucketed_postings(postings: pa.Table, path: str, buckets: int) -> int
 
 
 # ------------------------------------------------------------------ phase B
-def _existing_chunks(gdir: str) -> set[tuple[int, int]]:
-    out = set()
-    seg_root = os.path.join(gdir, "segments")
-    if not os.path.isdir(seg_root):
-        return out
-    for seg in os.listdir(seg_root):
-        if not seg.startswith("seg="):
-            continue
-        sid = int(seg.split("=")[1])
-        for f in os.listdir(os.path.join(seg_root, seg)):
-            if f.startswith("bucket-") and f.endswith((".parquet", ".arrow")):
-                from org_rdkit_lucene_ray.state.segment import chunk_bucket_of
-
-                out.add((sid, chunk_bucket_of(f)))
-    return out
-
-
 def _binary_from_offsets(buf: bytes, offsets: np.ndarray) -> pa.Array:
     """Zero-copy binary array: value i = buf[offsets[i]:offsets[i+1]]."""
     return pa.Array.from_buffers(
@@ -735,11 +716,12 @@ def _term_position_streams(pos_col, term_starts: np.ndarray,
         null_count=n_null).cast(pa.binary())
 
 
-def encode_chunk_table(sorted_postings: pa.Table, gdir: str, sid: int,
-                       bucket: int, cfg: IndexConfig, avgdl: float) -> dict:
+def encode_chunk_table(sorted_postings: pa.Table, path: str, cfg: IndexConfig,
+                       avgdl: float) -> tuple[dict, pa.Table]:
     """Encode one (segment, bucket) postings slice (already sorted by
     (term, doc_id)) into its chunk file — one vectorized pass over ALL
-    terms (encode_posting_block), no per-term Python loop."""
+    terms (encode_posting_block), no per-term Python loop. Returns what
+    :func:`write_chunk` returns."""
     from org_rdkit_lucene_ray.functions.codec import encode_posting_block
 
     g = sorted_postings
@@ -752,6 +734,21 @@ def encode_chunk_table(sorted_postings: pa.Table, gdir: str, sid: int,
     enc = encode_posting_block(docs, tfs, dls, starts, avgdl=avgdl,
                                bm25=cfg.bm25, block_size=cfg.block_size)
     terms = term_dict.dictionary.take(pa.array(idx[starts])).cast(pa.string())
+    pos = (_term_position_streams(g["pos_bytes"], starts, g.num_rows)
+           if "pos_bytes" in g.column_names else None)
+    return write_chunk(terms, enc, pos, path)
+
+
+def write_chunk(terms: pa.Array, enc: dict, pos_bytes: pa.Array | None,
+                path: str) -> tuple[dict, pa.Table]:
+    """Assemble one chunk table from ``encode_posting_block`` output (plus
+    the per-term position streams, if stored) and write it atomically;
+    returns its stats and its ``(term, df_chunk)`` columns. Build and merge
+    both write chunks here. Chunk files are sorted by term -> row-group
+    stats allow term pruning (parquet); ipc chunks are mmap'd whole,
+    pruning happens at the bucket."""
+    from org_rdkit_lucene_ray.state.segment import atomic_write_chunk
+
     boff = pa.array(enc["block_offsets"].astype(np.int32), pa.int32())
     cols = {
         "term": terms,
@@ -767,43 +764,132 @@ def encode_chunk_table(sorted_postings: pa.Table, gdir: str, sid: int,
             boff, pa.array(enc["bm_max_tfn"], pa.float32())),
     }
     schema = SEGMENT_SCHEMA
-    if "pos_bytes" in g.column_names:
-        cols["pos_bytes"] = _term_position_streams(
-            g["pos_bytes"], starts, g.num_rows)
+    if pos_bytes is not None:
+        cols["pos_bytes"] = pos_bytes
         schema = SEGMENT_SCHEMA_POS
     chunk = pa.table(cols).cast(schema)
-    # chunk files are sorted by term -> row-group stats allow term pruning
-    # (parquet); ipc chunks are mmap'd whole, pruning happens at the bucket
-    from org_rdkit_lucene_ray.state.segment import atomic_write_chunk
-
-    path = segment_chunk_path(gdir, sid, bucket, cfg.chunk_format)
     nbytes = atomic_write_chunk(chunk, path, row_group_size=8192)
-    return {"segment_id": sid, "bucket": bucket, "terms": chunk.num_rows,
-            "postings": int(docs.size), "bytes_compressed": int(nbytes)}
+    return ({"terms": chunk.num_rows, "postings": int(np.sum(enc["df_chunk"])),
+             "bytes_compressed": int(nbytes)}, chunk.select(_DF_COLUMNS))
 
 
 _CHUNK_ROW_SCHEMA = pa.schema([
     ("segment_id", pa.int32()), ("bucket", pa.int32()), ("terms", pa.int64()),
     ("postings", pa.int64()), ("bytes_compressed", pa.int64()),
 ])
+# a bucket task reports its df file as one more row: segment_id = _DF_ROW,
+# terms = the file's term count
+_DF_ROW = -1
+_DF_COLUMNS = ["term", "df_chunk"]
 
 
-def encode_segments(work_dir: str, gdir: str, cfg: IndexConfig, avgdl: float) -> list[dict]:
+def df_table_path(gdir: str, bucket: int) -> str:
+    return os.path.join(gdir, "df", f"bucket-{bucket:05d}.parquet")
+
+
+def _df_row(bucket: int, n_terms: int) -> dict:
+    return {"segment_id": _DF_ROW, "bucket": bucket, "terms": n_terms,
+            "postings": 0, "bytes_compressed": 0}
+
+
+def _chunk_row(sid: int, bucket: int, path: str, t: pa.Table) -> dict:
+    """Stats row of an already-written chunk (``t`` holds its df_chunk)."""
+    return {"segment_id": sid, "bucket": bucket, "terms": t.num_rows,
+            "postings": int(pc.sum(t["df_chunk"]).as_py() or 0),
+            "bytes_compressed": os.path.getsize(path)}
+
+
+def write_bucket_df(parts: list[pa.Table], gdir: str, bucket: int) -> dict:
+    """Write one bucket's global (term, df) file (A4) from its chunks'
+    ``(term, df_chunk)`` columns, given in ascending segment order, and
+    return the bucket's df row (no file for a bucket without chunks). A
+    term lives in exactly one bucket, so its df is a per-bucket sum — no
+    shuffle, and no pass re-reads the chunk files."""
+    if not parts:
+        return _df_row(bucket, 0)
+    g = pa.concat_tables(parts).group_by("term").aggregate([("df_chunk", "sum")])
+    out = pa.table({"term": g["term"],
+                    "df": pc.cast(g["df_chunk_sum"], pa.int64())})
+    atomic_write_table(out, df_table_path(gdir, bucket))
+    return _df_row(bucket, out.num_rows)
+
+
+def run_bucket_tasks(gdir: str, chunk_format: str,
+                     sids_of: dict[int, list[int]],
+                     make_chunk) -> tuple[list[dict], int]:
+    """One Ray task per term bucket writes that bucket's chunks and then its
+    df file — the shared Phase-B shape of build and merge.
+
+    ``sids_of[bucket]`` lists the bucket's segment ids in ascending order.
+    For each, an existing chunk is read back (resume); otherwise
+    ``make_chunk(sid, bucket, path)`` writes it and returns what
+    :func:`write_chunk` returns, or None when the slice is empty. The
+    collected ``(term, df_chunk)`` columns then give the bucket's df file
+    (:func:`write_bucket_df`). A bucket whose chunks and df file all exist
+    is skipped. Returns (one stats row per chunk in (segment, bucket)
+    order, global term count)."""
+    def chunk_path(sid: int, bucket: int) -> str:
+        return segment_chunk_path(gdir, sid, bucket, chunk_format)
+
+    def bucket_task(batch: pa.Table) -> pa.Table:
+        _pin_arrow_threads()
+        out = []
+        for b in batch["bucket"].to_pylist():
+            parts = []
+            for sid in sids_of[b]:
+                path = chunk_path(sid, b)
+                if os.path.exists(path):                 # resumed run
+                    t = read_chunk_table(path, columns=_DF_COLUMNS)
+                    out.append(_chunk_row(sid, b, path, t))
+                else:
+                    got = make_chunk(sid, b, path)
+                    if got is None:
+                        continue
+                    out.append({"segment_id": sid, "bucket": b, **got[0]})
+                    t = got[1]
+                parts.append(t)
+            out.append(write_bucket_df(parts, gdir, b))
+        return pa.Table.from_pylist(out, schema=_CHUNK_ROW_SCHEMA)
+
+    complete = {b for b, sids in sids_of.items()
+                if os.path.exists(df_table_path(gdir, b))
+                and all(os.path.exists(chunk_path(sid, b)) for sid in sids)}
+    rows = [_chunk_row(sid, b, chunk_path(sid, b),
+                       read_chunk_table(chunk_path(sid, b), columns=["df_chunk"]))
+            for b in sorted(complete) for sid in sids_of[b]]
+    rows += [_df_row(b, pq.read_metadata(df_table_path(gdir, b)).num_rows)
+             for b in sorted(complete)]
+    todo = [{"bucket": b} for b in sorted(sids_of) if b not in complete]
+    if todo:
+        rows += rd.from_items(todo, override_num_blocks=len(todo)).map_batches(
+            bucket_task, batch_format="pyarrow", batch_size=1).take_all()
+    chunks = sorted((r for r in rows if r["segment_id"] != _DF_ROW),
+                    key=lambda r: (r["segment_id"], r["bucket"]))
+    return chunks, sum(int(r["terms"]) for r in rows
+                       if r["segment_id"] == _DF_ROW)
+
+
+def encode_segments(work_dir: str, gdir: str, cfg: IndexConfig,
+                    avgdl: float) -> tuple[list[dict], int]:
     """Phase B driver — storage-partitioned exchange, NO Ray groupby.
 
     Tokenize wrote each fragment's postings sorted by (bucket, term, doc_id)
     with one row group per bucket; fragments own contiguous doc-id ranges,
     so ``(segment, bucket)`` -> the bucket row groups of the few fragments
-    overlapping that segment's doc range. Each encode task reads exactly its
-    slice via Parquet row-group pruning + doc-range predicate — the
-    "shuffle" is the deterministic file layout, which (a) removes the
-    all-to-all sort the groupby did (53s of a 70s sf-scaling build), and
-    (b) makes Phase B resume = skip existing chunk files, no recompute.
-    Skew: a head term's postings are still split by doc range exactly as
-    before (segment = docID-range salt, SURVEY §7.1(6))."""
+    overlapping that segment's doc range. Each slice is read via Parquet
+    row-group pruning + doc-range predicate — the "shuffle" is the
+    deterministic file layout, which (a) removes the all-to-all sort the
+    groupby did (53s of a 70s sf-scaling build), and (b) makes resume =
+    skip existing chunk files, no recompute. Skew: a head term's postings
+    are still split by doc range exactly as before (segment = docID-range
+    salt, SURVEY §7.1(6)).
+
+    Bucket-major (:func:`run_bucket_tasks`): one task per term bucket
+    encodes the bucket's slices in ascending segment order, one slice in
+    memory at a time, then writes the bucket's df file.
+
+    Returns (one stats row per chunk, global term count)."""
     post_dir = os.path.join(work_dir, "postings")
-    done = _existing_chunks(gdir)
-    B = cfg.term_buckets
     D = cfg.docs_per_segment
 
     seg_files: dict[int, list[str]] = {}
@@ -814,122 +900,30 @@ def encode_segments(work_dir: str, gdir: str, cfg: IndexConfig, avgdl: float) ->
         base, rows = int(m["base"]), int(m["input_rows"])
         for sid in range(base // D, (base + rows - 1) // D + 1):
             seg_files.setdefault(sid, []).append(path)
-
-    tasks = [
-        {"sid": sid, "bucket": b, "files": files}
-        for sid, files in sorted(seg_files.items())
-        for b in range(B)
-        if (sid, b) not in done
-    ]
-    if not tasks:
-        return _chunk_rows_from_disk(gdir)
+    sids = sorted(seg_files)
 
     read_cols = ["term", "doc_id", "tf", "dl"]
     if cfg.store_positions:
         read_cols.append("pos_bytes")
 
-    def encode_task(batch: pa.Table) -> pa.Table:
-        _pin_arrow_threads()
-        out = []
-        for row in batch.to_pylist():
-            sid, b = int(row["sid"]), int(row["bucket"])
-            lo, hi = sid * D, (sid + 1) * D
-            tabs = [
-                pq.read_table(
-                    f, columns=read_cols,
-                    filters=[("bucket", "==", b), ("doc_id", ">=", lo),
-                             ("doc_id", "<", hi)],
-                )
-                for f in row["files"]
-            ]
-            t = pa.concat_tables(tabs)
-            if t.num_rows == 0:
-                continue
-            # per-fragment slices are hash-grouped (same-term rows adjacent,
-            # term order scrambled); one Arrow sort restores (term, doc_id)
-            order = pc.sort_indices(t, sort_keys=[("term", "ascending"),
-                                                  ("doc_id", "ascending")])
-            out.append(encode_chunk_table(t.take(order), gdir, sid, b, cfg, avgdl))
-        if not out:
-            return _CHUNK_ROW_SCHEMA.empty_table()
-        return pa.Table.from_pylist(out, schema=_CHUNK_ROW_SCHEMA)
+    def encode_slice(sid: int, b: int, path: str):
+        t = pa.concat_tables([
+            pq.read_table(f, columns=read_cols,
+                          filters=[("bucket", "==", b), ("doc_id", ">=", sid * D),
+                                   ("doc_id", "<", (sid + 1) * D)])
+            for f in seg_files[sid]
+        ])
+        if t.num_rows == 0:
+            return None
+        # per-fragment slices are hash-grouped (same-term rows adjacent,
+        # term order scrambled); one Arrow sort restores (term, doc_id)
+        order = pc.sort_indices(t, sort_keys=[("term", "ascending"),
+                                              ("doc_id", "ascending")])
+        return encode_chunk_table(t.take(order), path, cfg, avgdl)
 
-    ds = rd.from_items(tasks, override_num_blocks=len(tasks))
-    rows = ds.map_batches(encode_task, batch_format="pyarrow",
-                          batch_size=1).take_all()
-    if done:      # resumed build: merge in the already-encoded chunks' stats
-        have = {(r["segment_id"], r["bucket"]) for r in rows}
-        rows.extend(r for r in _chunk_rows_from_disk(gdir)
-                    if (r["segment_id"], r["bucket"]) not in have)
-    return rows
-
-
-def _chunk_rows_from_disk(gdir: str) -> list[dict]:
-    from org_rdkit_lucene_ray.state.segment import (
-        list_chunk_files,
-        list_segment_ids,
-        read_chunk_table,
-    )
-
-    rows = []
-    for sid in list_segment_ids(gdir):
-        for path in list_chunk_files(gdir, sid):
-            from org_rdkit_lucene_ray.state.segment import chunk_bucket_of
-
-            t = read_chunk_table(path, columns=["df_chunk"])
-            rows.append({"segment_id": sid, "bucket": chunk_bucket_of(path),
-                         "terms": t.num_rows,
-                         "postings": int(pc.sum(t["df_chunk"]).as_py() or 0),
-                         "bytes_compressed": os.path.getsize(path)})
-    return rows
-
-
-# ------------------------------------------------------------------ phase C
-def build_df_table(gdir: str) -> int:
-    """Global (term, df) table (A4) — NO shuffle: the bucket partitioning
-    already co-locates every term's chunks (term -> one bucket across all
-    segments), so df is a per-bucket Arrow aggregate over that bucket's
-    chunk files; one task per bucket, one output file per bucket."""
-    seg_root = os.path.join(gdir, "segments")
-    by_bucket: dict[int, list[str]] = {}
-    for seg in sorted(os.listdir(seg_root)):
-        if not seg.startswith("seg="):
-            continue
-        d = os.path.join(seg_root, seg)
-        for f in sorted(os.listdir(d)):
-            if f.startswith("bucket-") and f.endswith((".parquet", ".arrow")):
-                from org_rdkit_lucene_ray.state.segment import chunk_bucket_of
-
-                by_bucket.setdefault(chunk_bucket_of(f), []) \
-                    .append(os.path.join(d, f))
-
-    out_dir = os.path.join(gdir, "df")
-    os.makedirs(out_dir, exist_ok=True)
-
-    def df_of_bucket(batch: pa.Table) -> pa.Table:
-        _pin_arrow_threads()
-        counts = []
-        for row in batch.to_pylist():
-            from org_rdkit_lucene_ray.state.segment import read_chunk_table
-
-            b = int(row["bucket"])
-            tabs = [read_chunk_table(p, columns=["term", "df_chunk"])
-                    for p in row["files"]]
-            t = pa.concat_tables(tabs)
-            g = t.group_by("term").aggregate([("df_chunk", "sum")])
-            out = pa.table({"term": g["term"],
-                            "df": pc.cast(g["df_chunk_sum"], pa.int64())})
-            atomic_write_table(out, os.path.join(out_dir, f"bucket-{b:05d}.parquet"))
-            counts.append({"bucket": b, "n_terms": out.num_rows})
-        return pa.Table.from_pylist(counts, schema=pa.schema(
-            [("bucket", pa.int32()), ("n_terms", pa.int64())]))
-
-    items = [{"bucket": b, "files": fs} for b, fs in sorted(by_bucket.items())]
-    if not items:
-        return 0
-    rows = rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        df_of_bucket, batch_format="pyarrow", batch_size=1).take_all()
-    return int(sum(r["n_terms"] for r in rows))
+    return run_bucket_tasks(gdir, cfg.chunk_format,
+                            {b: sids for b in range(cfg.term_buckets)},
+                            encode_slice)
 
 
 # -------------------------------------------------------------------- driver
@@ -947,13 +941,12 @@ def build_index(
     id_column: str | None = None,
     dedup: bool = True,
     verify_extraction: bool = True,
-    concurrency: int | tuple[int, int] | None = None,
     doc_id_base: int = 0,
-    tokenizer_mode: str = "tasks",
     max_extract_errors: int | None = 100,
 ) -> dict:
     """End-to-end build. Idempotent/resumable: re-running after a crash skips
-    committed fragments (Phase A) and committed chunk files (Phase B)."""
+    committed fragments (Phase A), committed chunk files and fully written
+    buckets (Phase B)."""
     cfg = cfg or IndexConfig()
     work_dir = work_dir or os.path.join(index_dir, "work")
     os.makedirs(work_dir, exist_ok=True)
@@ -986,22 +979,12 @@ def build_index(
         ts_column=ts_column, lang_column=lang_column, id_column=id_column,
         verify_extraction=verify_extraction, max_extract_errors=max_extract_errors,
     )
-    if tokenizer_mode == "actors":
-        mani_ds = frag_ds.map_batches(
-            FragmentTokenizer,
-            fn_constructor_kwargs=ctor_kwargs,
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=concurrency or _default_concurrency(len(fragments)),
-        )
-    else:
-        mani_ds = frag_ds.map_batches(
-            _tokenize_fragments_task,
-            fn_kwargs=dict(ctor_kwargs=ctor_kwargs),
-            batch_format="pyarrow",
-            batch_size=1,
-        )
-    frag_rows = mani_ds.take_all()  # one row per fragment — small
+    frag_rows = frag_ds.map_batches(
+        _tokenize_fragments_task,
+        fn_kwargs=dict(ctor_kwargs=ctor_kwargs),
+        batch_format="pyarrow",
+        batch_size=1,
+    ).take_all()  # one row per fragment — small
     t_tokenize = time.perf_counter()
 
     n_docs = sum(r["docs"] for r in frag_rows)
@@ -1009,10 +992,8 @@ def build_index(
     n_postings = sum(r["postings"] for r in frag_rows)
     avgdl = (sum_dl / n_docs) if n_docs else 0.0
 
-    chunk_rows = encode_segments(work_dir, gdir, cfg, avgdl)
+    chunk_rows, n_terms_global = encode_segments(work_dir, gdir, cfg, avgdl)
     t_encode = time.perf_counter()
-    n_terms_global = build_df_table(gdir)
-    t_df = time.perf_counter()
 
     manifest = {
         "generation": target_gen,
@@ -1032,9 +1013,10 @@ def build_index(
         "timings_sec": {
             "dedup": t_dedup - t0,
             "tokenize": t_tokenize - t_dedup,
+            # the encode tasks also write df, so its time is in encode_shuffle
             "encode_shuffle": t_encode - t_tokenize,
-            "df_table": t_df - t_encode,
-            "total": t_df - t0,
+            "df_table": 0.0,
+            "total": t_encode - t0,
         },
         "fragments": frag_rows,
         "chunks": chunk_rows,

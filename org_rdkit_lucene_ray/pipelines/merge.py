@@ -17,11 +17,12 @@ explicit, scheduled Ray Data jobs over immutable generations:
 - :func:`merge_generations` compacts all live generations into one fresh
   generation. Because segment doc-id ranges are DISJOINT across generations
   (the ceiling alignment above), every ``(segment, bucket)`` chunk file
-  belongs to exactly one generation — so the merge is embarrassingly
-  parallel per file, with **zero shuffle**: one map task per chunk file
+  belongs to exactly one generation — so the merge needs **zero shuffle**:
+  one map task per term bucket re-encodes that bucket's chunk files
   (decode -> drop tombstoned postings -> re-encode with the recomputed
-  avgdl via the vectorized multi-term ``encode_posting_block``) and one map
-  task per forward-index fragment (filter tombstones, rewrite). All writes
+  avgdl via the vectorized multi-term ``encode_posting_block``) and writes
+  the bucket's df file, and one map task per forward-index fragment
+  filters tombstones and rewrites it. All writes
   are atomic temp+rename, so a crashed merge resumes by skipping existing
   outputs. Doc ids are preserved (stable external references; Lucene
   renumbers internally but keeps the pk — we keep both).
@@ -45,18 +46,18 @@ import ray.data as rd
 
 from org_rdkit_lucene_ray.config import AnalyzerConfig, BM25Params, IndexConfig
 from org_rdkit_lucene_ray.functions.codec import encode_posting_block, varint_decode
+from org_rdkit_lucene_ray.pipelines.build import run_bucket_tasks, write_chunk
 from org_rdkit_lucene_ray.state.segment import (
-    SEGMENT_SCHEMA,
-    SEGMENT_SCHEMA_POS,
     atomic_write_json,
     check_format,
     atomic_write_table,
+    chunk_bucket_of,
     current_generation,
     gen_name,
     list_chunk_files,
     list_segment_ids,
+    read_chunk_table,
     read_manifest,
-    segment_chunk_path,
     set_current_generation,
 )
 
@@ -304,20 +305,15 @@ def _decode_chunk_flat(t: pa.Table) -> tuple[pa.Array, np.ndarray, np.ndarray,
 
 
 def _reencode_chunk(src_path: str, out_path: str, deletes: np.ndarray,
-                    cfg: IndexConfig, avgdl: float) -> dict | None:
+                    cfg: IndexConfig,
+                    avgdl: float) -> tuple[dict, pa.Table] | None:
     """Decode one chunk file, drop tombstoned postings, re-encode with the
     recomputed avgdl (vectorized across ALL terms via encode_posting_block)
-    and write atomically. Returns the chunk stats row, or None if every
-    posting was deleted."""
+    and write atomically. Returns the chunk stats row and its
+    ``(term, df_chunk)`` columns, or None if every posting was deleted."""
     from org_rdkit_lucene_ray.functions.codec import (
         decode_position_streams,
         encode_position_streams,
-    )
-    from org_rdkit_lucene_ray.pipelines.build import _binary_from_offsets
-
-    from org_rdkit_lucene_ray.state.segment import (
-        atomic_write_chunk,
-        read_chunk_table,
     )
 
     t = read_chunk_table(src_path)
@@ -359,21 +355,7 @@ def _reencode_chunk(src_path: str, out_path: str, deletes: np.ndarray,
     term_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     enc = encode_posting_block(docs, tfs, dls, term_starts, avgdl=avgdl,
                                bm25=cfg.bm25, block_size=cfg.block_size)
-    boff = pa.array(enc["block_offsets"].astype(np.int32), pa.int32())
-    cols = {
-        "term": terms.cast(pa.string()),
-        "df_chunk": pa.array(enc["df_chunk"], pa.int32()),
-        "doc_bytes": _binary_from_offsets(enc["doc_buf"], enc["doc_off"]),
-        "tf_bytes": _binary_from_offsets(enc["tf_buf"], enc["tf_off"]),
-        "dl_bytes": _binary_from_offsets(enc["dl_buf"], enc["dl_off"]),
-        "bm_first_doc": pa.ListArray.from_arrays(
-            boff, pa.array(enc["bm_first_doc"], pa.int64())),
-        "bm_last_doc": pa.ListArray.from_arrays(
-            boff, pa.array(enc["bm_last_doc"], pa.int64())),
-        "bm_max_tfn": pa.ListArray.from_arrays(
-            boff, pa.array(enc["bm_max_tfn"], pa.float32())),
-    }
-    schema = SEGMENT_SCHEMA
+    pos = None
     if has_pos:
         v_tfs = tfs[posting_valid]
         v_starts = np.concatenate([[0], np.cumsum(v_tfs)[:-1]]).astype(np.int64)
@@ -385,17 +367,13 @@ def _reencode_chunk(src_path: str, out_path: str, deletes: np.ndarray,
         lengths = np.diff(term_offs)
         validity = np.packbits((lengths > 0).astype(np.uint8),
                                bitorder="little")
-        cols["pos_bytes"] = pa.Array.from_buffers(
+        pos = pa.Array.from_buffers(
             pa.large_binary(), int(counts.size),
             [pa.py_buffer(validity.tobytes()),
              pa.py_buffer(term_offs.tobytes()),
              pa.py_buffer(buf)],
             null_count=int((lengths == 0).sum())).cast(pa.binary())
-        schema = SEGMENT_SCHEMA_POS
-    chunk = pa.table(cols).cast(schema)
-    nbytes = atomic_write_chunk(chunk, out_path, row_group_size=8192)
-    return {"terms": chunk.num_rows, "postings": int(docs.size),
-            "bytes_compressed": int(nbytes)}
+    return write_chunk(terms.cast(pa.string()), enc, pos, out_path)
 
 
 def merge_generations(index_dir: str, *, concurrency: int | None = None) -> dict:
@@ -403,14 +381,18 @@ def merge_generations(index_dir: str, *, concurrency: int | None = None) -> dict
 
     Segment doc-id ranges are disjoint across generations (delta doc ids
     start at the parent ceiling), so each ``(segment, bucket)`` chunk file
-    is self-contained: the merge is one map task per chunk file and one per
-    forward fragment. Two waves (fwd first, because re-encode needs the
+    is self-contained: the merge is one map task per term bucket and one
+    per forward fragment. Two waves (fwd first, because re-encode needs the
     recomputed post-tombstone avgdl), both resumable by skip-if-exists:
 
     1. fwd rewrite: filter tombstones per fragment -> new generation's fwd
        dir; per-task (n_docs, sum_dl) partials -> exact global avgdl;
-    2. chunk re-encode: decode -> drop tombstones -> vectorized
-       ``encode_posting_block`` with the new avgdl -> atomic write.
+    2. chunk re-encode, bucket-major: each of the bucket's chunks in
+       ascending segment order: decode -> drop tombstones -> vectorized
+       ``encode_posting_block`` with the new avgdl -> atomic write; then
+       the bucket's df file from the re-encoded chunks (the same
+       ``write_bucket_df`` the build uses). A bucket whose chunks and df
+       file all exist is skipped; an existing chunk is read back.
 
     Replaces the r1 design (driver-side fwd rewrite + Ray groupby over
     decoded flat postings + per-term re-encode loop) per VERDICT #1.
@@ -467,51 +449,25 @@ def merge_generations(index_dir: str, *, concurrency: int | None = None) -> dict
     avgdl = sum_dl / n_docs if n_docs else 0.0
     t_fwd = time.perf_counter()
 
-    # -- wave 2: chunk re-encode (map task per chunk file; no shuffle)
-    chunk_items = []
+    # -- wave 2: chunk re-encode + df, one map task per term bucket
+    src_of: dict[tuple[int, int], str] = {}
     for g in gens:
         src_dir = os.path.join(index_dir, g)
         for sid in list_segment_ids(src_dir):
             for f in list_chunk_files(src_dir, sid):
-                from org_rdkit_lucene_ray.state.segment import chunk_bucket_of
+                src_of[(sid, chunk_bucket_of(f))] = f
+    sids_of: dict[int, list[int]] = {}
+    for sid, b in sorted(src_of):       # ascending segment order per bucket
+        sids_of.setdefault(b, []).append(sid)
 
-                chunk_items.append({"src": f, "sid": sid,
-                                    "bucket": chunk_bucket_of(f)})
+    def reencode(sid: int, b: int, path: str):
+        return _reencode_chunk(src_of[(sid, b)], path, ray.get(del_ref),
+                               cfg, avgdl)
 
-    def reencode(batch: pa.Table) -> pa.Table:
-        from org_rdkit_lucene_ray.pipelines.build import _pin_arrow_threads
-
-        _pin_arrow_threads()
-        dels = ray.get(del_ref)
-        out = []
-        for row in batch.to_pylist():
-            from org_rdkit_lucene_ray.state.segment import read_chunk_table
-
-            sid, bucket = int(row["sid"]), int(row["bucket"])
-            dst = segment_chunk_path(gdir, sid, bucket, cfg.chunk_format)
-            if os.path.exists(dst):                      # resumed merge
-                dtab = read_chunk_table(dst, columns=["df_chunk"])
-                out.append({"segment_id": sid, "bucket": bucket,
-                            "terms": dtab.num_rows,
-                            "postings": int(pc.sum(dtab["df_chunk"]).as_py() or 0),
-                            "bytes_compressed": os.path.getsize(dst)})
-                continue
-            stats = _reencode_chunk(row["src"], dst, dels, cfg, avgdl)
-            if stats is not None:
-                out.append({"segment_id": sid, "bucket": bucket, **stats})
-        schema = pa.schema([
-            ("segment_id", pa.int32()), ("bucket", pa.int32()),
-            ("terms", pa.int64()), ("postings", pa.int64()),
-            ("bytes_compressed", pa.int64())])
-        return pa.Table.from_pylist(out, schema=schema)
-
-    chunk_rows = rd.from_items(chunk_items, override_num_blocks=max(1, len(chunk_items))) \
-        .map_batches(reencode, batch_format="pyarrow", batch_size=4).take_all()
+    chunk_rows, n_terms = run_bucket_tasks(gdir, cfg.chunk_format, sids_of,
+                                           reencode)
     t_enc = time.perf_counter()
 
-    from org_rdkit_lucene_ray.pipelines.build import build_df_table
-
-    n_terms = build_df_table(gdir)
     out = {
         "generation": new_gen,
         "includes": [new_gen],
@@ -529,9 +485,10 @@ def merge_generations(index_dir: str, *, concurrency: int | None = None) -> dict
         },
         "timings_sec": {
             "fwd_rewrite": t_fwd - t0,
+            # the re-encode tasks also write df
             "chunk_reencode": t_enc - t_fwd,
-            "df_table": time.perf_counter() - t_enc,
-            "total": time.perf_counter() - t0,
+            "df_table": 0.0,
+            "total": t_enc - t0,
         },
         "chunks": chunk_rows,
     }

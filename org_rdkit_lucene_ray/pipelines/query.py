@@ -528,8 +528,14 @@ class Searcher:
         self.decode_misses += 1
         dec = self._decode_term_uncached(term)
         if dec is not None:
-            docs, tfs, dls = dec
-            weights = self._weight_arrays(self._sim_idf(term),
+            docs, tfs, dls, df = dec
+            if self._gdf_vals is None:
+                # unsharded: the chunks just probed hold every posting, so
+                # their summed df_chunk IS the term's df — no second lookup
+                self._df_cache[term] = df
+            else:
+                df = self.df(term)      # sharded: the global df table
+            weights = self._weight_arrays(self._sim_idf_of_df(df),
                                           tfs.astype(np.float64),
                                           dls.astype(np.float64))
             blk_maxw = np.maximum.reduceat(
@@ -551,6 +557,8 @@ class Searcher:
     def _decode_term_uncached(self, term: str):
         """Concatenate this term's chunks across segments (ascending sid);
         only the term's own bucket is probed (one binary search per chunk).
+        -> ``(docs, tfs, dls, df)`` with ``df`` the summed ``df_chunk``
+        before the tombstone mask, or None if no live posting.
 
         One varint pass per term: the term's doc, tf and dl byte slices
         from every chunk are joined into ONE stream (varints are
@@ -582,7 +590,7 @@ class Searcher:
                 docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
                 if docs.size == 0:
                     return None
-        return (docs, tfs, dls)
+        return (docs, tfs, dls, n)
 
     def _query_terms(self, query: str) -> list[str]:
         """Tokenize a query, honoring ``field:value`` composite terms for

@@ -347,7 +347,8 @@ def test_dedup_bounded_fanin_matches_single_range(ray_session, pages_dir, tmp_pa
     assert m1["ranges"] == 1
     assert m2["ranges"] == len(frags), "split config must force one range per fragment"
     # ceiling: no sub-task read more than one fragment's share of one bucket
-    # (skew allowance: <= the largest fragment, far below total/buckets_of_16)
+    # (skew allowance: <= the largest fragment; the single-range path reads
+    # the whole corpus in its one bucket)
     assert m2["max_task_rows"] <= max(f["rows"] for f in frags)
     assert m2["max_task_rows"] < m1["max_task_rows"]
 
@@ -355,6 +356,49 @@ def test_dedup_bounded_fanin_matches_single_range(ray_session, pages_dir, tmp_pa
     l2 = _read_losers_in_range(d2, 0, total)
     assert l1.size > 0, "fixture must contain url dups"
     assert l1.tolist() == l2.tolist()
+
+
+def test_dedup_bucket_count_is_data_sized():
+    """One url-hash bucket per dedup_rows_per_bucket rows, at least one and
+    at most 65,536: a small corpus runs a single wave-2 task."""
+    from org_rdkit_lucene_ray.config import IndexConfig
+    from org_rdkit_lucene_ray.pipelines.build import _dedup_bucket_count
+
+    cfg = IndexConfig()
+    assert _dedup_bucket_count(0, cfg) == 1
+    assert _dedup_bucket_count(16_000, cfg) == 1
+    assert _dedup_bucket_count(2_000_000, cfg) == 1
+    assert _dedup_bucket_count(2_000_001, cfg) == 2
+    assert _dedup_bucket_count(5_000_000, cfg) == 3
+    assert _dedup_bucket_count(10 ** 12, cfg) == 65_536
+    tiny = IndexConfig(dedup_rows_per_bucket=1)
+    assert _dedup_bucket_count(65_535, tiny) == 65_535
+    assert _dedup_bucket_count(1_000_000, tiny) == 65_536
+
+
+def test_dedup_losers_independent_of_bucket_count(ray_session, pages_dir,
+                                                  tmp_path):
+    """The one-bucket layout the default sizing gives a test corpus and a
+    forced many-bucket layout emit the same loser set."""
+    from org_rdkit_lucene_ray.config import IndexConfig
+    from org_rdkit_lucene_ray.pipelines.build import (
+        _read_losers_in_range,
+        compute_dup_losers,
+        plan_fragments,
+    )
+
+    frags = plan_fragments(pages_dir)
+    total = sum(f["rows"] for f in frags)
+    metas, losers = [], []
+    for name, cfg in (("one", IndexConfig()),
+                      ("many", IndexConfig(dedup_rows_per_bucket=100))):
+        d = compute_dup_losers(frags, str(tmp_path / name), cfg=cfg)
+        metas.append(json.load(open(os.path.join(d, "dedup_meta.json"))))
+        losers.append(_read_losers_in_range(d, 0, total).tolist())
+    assert metas[0]["buckets"] == 1
+    assert metas[1]["buckets"] == -(-total // 100) > 1
+    assert losers[0], "fixture must contain url dups"
+    assert losers[0] == losers[1]
 
 
 def test_index_format_version_guard(built_index):
@@ -1055,6 +1099,42 @@ def test_decode_cache_byte_budget(built_index, searcher, monkeypatch):
     hits, misses = warm.decode_hits, warm.decode_misses
     warm.topk("baba cece", 10)
     assert warm.decode_misses == misses and warm.decode_hits > hits
+
+
+def test_decode_miss_probes_each_chunk_once(built_index, oracle_index,
+                                            monkeypatch):
+    """A decode miss binary-searches its term once per chunk of its
+    bucket: an unsharded searcher weights the term with the df those same
+    lookups summed, and BMW still equals the exhaustive scorer."""
+    from org_rdkit_lucene_ray.pipelines import query as Q
+
+    idx, _ = built_index
+    s = Searcher(idx)
+    calls = []
+    find = Q._SortedTermIndex.find
+
+    def counting_find(self, term):
+        calls.append(term)
+        return find(self, term)
+
+    monkeypatch.setattr(Q._SortedTermIndex, "find", counting_find)
+    terms = sorted({t for q in gen_queries().to_pylist()
+                    for t in s._query_terms(q["query"])})
+    decoded = 0
+    for term in terms:
+        n_chunks = len(s._bucket_chunks(s._term_bucket(term)))
+        assert n_chunks > 1, "fixture must spread a bucket over segments"
+        calls.clear()
+        got = s._decode_term(term)
+        assert calls == [term] * n_chunks, term
+        if got is not None:
+            assert s._df_cache[term] == oracle_index.df(term), term
+            decoded += 1
+    assert decoded > 5
+    monkeypatch.undo()
+    for q in gen_queries().to_pylist():
+        query, k = q["query"], int(q["k"])
+        assert s.topk_bmw(query, k) == s.topk_exhaustive(query, k), query
 
 
 def test_expansions_keep_colon_text_tokens(ray_session, tmp_path_factory):

@@ -144,6 +144,8 @@ def test_one_pass_decode_matches_per_chunk_reference(incr_index):
         if got is not None:
             for g, w in zip(got, want):
                 assert g.dtype == np.int64 and np.array_equal(g, w), term
+            # the df before the tombstone mask, from the same lookups
+            assert got[3] == s.df(term), term
         multi_chunk += sum(tix.find(term) is not None for _, _, tix in
                            s._bucket_chunks(s._term_bucket(term))) > 1
     assert multi_chunk, "queries must hit terms spanning several chunks"
@@ -242,16 +244,23 @@ def _tree_hashes(root):
     return out
 
 
+def _index_hashes(gdir):
+    """Per-file hashes of a generation's segment chunks and df files."""
+    return {sub: _tree_hashes(os.path.join(gdir, sub))
+            for sub in ("segments", "df")}
+
+
 def test_crash_resume_byte_identical(ray_session, pages_dir, tmp_path_factory):
     idx1 = str(tmp_path_factory.mktemp("resume_ctrl"))
     m1 = build_index(pages_dir, idx1, cfg=CFG)
     gdir1 = os.path.join(idx1, m1["generation"])
-    control = _tree_hashes(os.path.join(gdir1, "segments"))
+    control = _index_hashes(gdir1)
+    assert control["df"], "control build must write df files"
 
     # "crashed" run: complete build, then destroy a slice of its outputs —
     # two fragment manifests (+ their postings), three segment chunks, the
     # df table — and rerun. The rerun must skip committed work and reproduce
-    # byte-identical segments.
+    # byte-identical segments and df files.
     idx2 = str(tmp_path_factory.mktemp("resume_crash"))
     m2 = build_index(pages_dir, idx2, cfg=CFG)
     gdir2 = os.path.join(idx2, m2["generation"])
@@ -272,12 +281,21 @@ def test_crash_resume_byte_identical(ray_session, pages_dir, tmp_path_factory):
     m2b = build_index(pages_dir, idx2, cfg=CFG)
     assert m2b["stats"]["n_docs"] == m1["stats"]["n_docs"]
     assert m2b["stats"]["n_postings"] == m1["stats"]["n_postings"]
+    assert m2b["stats"]["n_terms"] == m1["stats"]["n_terms"]
     # resumed fragments are marked; untouched ones were skipped
     resumed = {r["fragment_id"]: bool(r.get("resumed_skip"))
                for r in m2b["fragments"]}
     assert not resumed[2] and not resumed[5]      # re-processed
     assert resumed[3] and resumed[0]              # skipped from checkpoint
-    assert _tree_hashes(os.path.join(gdir2, "segments")) == control
+    assert _index_hashes(gdir2) == control
+
+    # crash inside one bucket's encode task: every chunk of the bucket is
+    # written, its df file is not. The rerun must rewrite that file.
+    os.remove(os.path.join(gdir2, "df", "bucket-00003.parquet"))
+    m2c = build_index(pages_dir, idx2, cfg=CFG)
+    assert m2c["stats"]["n_terms"] == m1["stats"]["n_terms"]
+    assert m2c["chunks"] == m1["chunks"]
+    assert _index_hashes(gdir2) == control
 
 
 def test_chained_deltas_three_generations(ray_session, pages_dir, tmp_path_factory):
@@ -361,16 +379,22 @@ def test_merge_crash_resume(ray_session, pages_dir, tmp_path_factory):
     add_documents(idx, str(ddir))
     control = merge_generations(idx)
     gdir = os.path.join(idx, control["generation"])
-    # "crash": drop the manifest, two chunk files and one fwd fragment,
-    # and point CURRENT back at the pre-merge generation
+    control_hashes = _index_hashes(gdir)
+    # "crash": drop the manifest, two chunk files, the df file of a bucket
+    # whose chunks are all written, and one fwd fragment, and point
+    # CURRENT back at the pre-merge generation
     os.remove(os.path.join(gdir, "manifest.json"))
     seg_root = os.path.join(gdir, "segments")
-    removed = 0
+    removed = []
     for seg in sorted(os.listdir(seg_root)):
         for f in sorted(os.listdir(os.path.join(seg_root, seg))):
-            if removed < 2:
+            if len(removed) < 2:
                 os.remove(os.path.join(seg_root, seg, f))
-                removed += 1
+                removed.append(f.split(".")[0])
+    df_dir = os.path.join(gdir, "df")
+    lost_df = [f for f in sorted(os.listdir(df_dir))
+               if f.split(".")[0] not in removed][-1]
+    os.remove(os.path.join(df_dir, lost_df))
     fwd = os.path.join(gdir, "fwd")
     os.remove(os.path.join(fwd, sorted(os.listdir(fwd))[0]))
     from org_rdkit_lucene_ray.state.segment import set_current_generation
@@ -382,6 +406,8 @@ def test_merge_crash_resume(ray_session, pages_dir, tmp_path_factory):
     assert resumed["stats"]["n_docs"] == control["stats"]["n_docs"]
     assert resumed["stats"]["n_postings"] == control["stats"]["n_postings"]
     assert resumed["stats"]["n_terms"] == control["stats"]["n_terms"]
+    assert resumed["chunks"] == control["chunks"]
+    assert _index_hashes(gdir) == control_hashes
     s = Searcher(idx)
     assert s.n_docs == control["stats"]["n_docs"]
     assert len(s.topk("baba", 5)) == 5
