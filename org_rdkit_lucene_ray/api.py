@@ -100,11 +100,11 @@ class Engine:
 
         return delete_by_query(self.index_dir, query, mode=mode)
 
-    def merge(self, **kw) -> dict:
+    def merge(self) -> dict:
         """Compact all live generations (``close(true)`` merge analog)."""
         from org_rdkit_lucene_ray.pipelines.merge import merge_generations
 
-        return merge_generations(self.index_dir, **kw)
+        return merge_generations(self.index_dir)
 
     # ------------------------------------------------------------ searcher
     def searcher(self):

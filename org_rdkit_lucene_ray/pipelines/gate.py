@@ -3886,7 +3886,7 @@ def q_vocab_growth(sf_dir: str) -> pa.Table:
     exchange, then a driver-side threshold count over the vocab-sized
     result. The corpus-analysis statistic tokenizer/ dedup planning
     reads first."""
-    from org_rdkit_lucene_ray.util import append_bucket_column
+    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
 
     def partial(t: pa.Table) -> pa.Table:
         toks = tokenize_column(t["text"].combine_chunks(),
@@ -3901,17 +3901,14 @@ def q_vocab_growth(sf_dir: str) -> pa.Table:
                          "first_doc": g["first_doc_min"]})
 
     def merge(g: pa.Table) -> pa.Table:
-        gg = g.drop_columns(["_bkt"]).group_by("term").aggregate(
-            [("first_doc", "min")])
+        gg = g.group_by("term").aggregate([("first_doc", "min")])
         return pa.table({"term": gg["term"],
                          "first_doc": gg["first_doc_min"]})
 
-    folded = (_docs(sf_dir, columns=["doc_id", "text"])
-              .map_batches(partial, batch_format="pyarrow")
-              .map_batches(lambda t: append_bucket_column(t, "term"),
-                           batch_format="pyarrow")
-              .groupby("_bkt")
-              .map_groups(merge, batch_format="pyarrow"))
+    folded = bucket_fold(_docs(sf_dir, columns=["doc_id", "text"])
+                         .map_batches(partial, batch_format="pyarrow")
+                         .map_batches(lambda t: append_bucket_column(t, "term"),
+                                      batch_format="pyarrow"), merge)
     firsts = np.concatenate(
         [t["first_doc"].to_numpy(zero_copy_only=False).astype(np.int64)
          for t in folded.iter_batches(batch_format="pyarrow")] or

@@ -376,7 +376,7 @@ def _reencode_chunk(src_path: str, out_path: str, deletes: np.ndarray,
     return write_chunk(terms.cast(pa.string()), enc, pos, out_path)
 
 
-def merge_generations(index_dir: str, *, concurrency: int | None = None) -> dict:
+def merge_generations(index_dir: str) -> dict:
     """Compact all live generations into one fresh generation — NO shuffle.
 
     Segment doc-id ranges are disjoint across generations (delta doc ids

@@ -378,7 +378,7 @@ def embedding_dup_pairs_lsh(ds: rd.Dataset, *, threshold: float = 0.95,
 
     Scale shape: the hyperplane matrix broadcasts once; each vector
     ships only ``n_bits/band_bits`` FIXED-SIZE (band, key, id) rows —
-    ~24 B each, never the embedding — into one groupby; distinct
+    ~24 B each, never the embedding — into one bucket fold; distinct
     candidate pairs come back bounded, and the verify pass looks up
     just the CANDIDATE vectors (a filtered streamed read + broadcast
     LUT, the MinHash-verify pattern). Candidate-id volume is bounded by
@@ -433,23 +433,19 @@ def embedding_dup_pairs_lsh(ds: rd.Dataset, *, threshold: float = 0.95,
 
     from org_rdkit_lucene_ray.stages.dedup import (_distinct_pairs,
                                                    _per_band_segments)
-    from org_rdkit_lucene_ray.util import append_bucket_column
+    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
 
-    cand = (
+    # composite (band, sign-key) segmentation via the shared LSH
+    # dispatcher; the sign-key domain never reaches a Ray sort
+    cand = bucket_fold(
         ds.map_batches(band_rows, batch_format="pyarrow",
                        concurrency=concurrency or auto_concurrency())
         .map_batches(lambda t: append_bucket_column(t, "key"),
-                     batch_format="pyarrow")
-        .groupby("_bkt")
-        # composite (band, sign-key) segmentation via the shared LSH
-        # dispatcher; the sign-key domain never reaches a Ray sort
-        .map_groups(lambda g: _per_band_segments(
-            g.drop_columns(["_bkt"]), pairs_in_bucket, hash_col="key"),
-            batch_format="pyarrow")
-    )
+                     batch_format="pyarrow"),
+        lambda g: _per_band_segments(g, pairs_in_bucket, hash_col="key"))
 
-    # drop the zero-column blocks Ray map_groups emits for empty sort
-    # splits (the candidate set is fold-backed) before concat
+    # drop the zero-column blocks Ray emits for empty exchange partitions
+    # (the candidate set is fold-backed) before concat
     pair_tabs = [t for t in _ray.get(
         _distinct_pairs(cand)
         .map_batches(lambda t: t.select(["a", "b"]),

@@ -62,8 +62,8 @@ def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
 
     Shape: map_batches(md5 fingerprint — the content hash shuffles, never
     the full text; per-batch partial (fp, min-id, count) combine first) ->
-    bucket fold: the exchange sorts on 64 int hash buckets, the real
-    min/count merge is an Arrow hash-aggregate inside ``map_groups`` —
+    :func:`util.bucket_fold` on a hash of the fingerprint, the real
+    min/count merge an Arrow hash-aggregate per data-sized partition —
     never a global sort over the corpus-sized digest domain. Shuffle
     payload stays ~50 B/row regardless of document size."""
 
@@ -77,7 +77,7 @@ def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
                          "keep_id": g[f"{id_col}_min"],
                          "n": pc.cast(g["fp_count"], pa.int64())})
 
-    from org_rdkit_lucene_ray.util import append_bucket_column
+    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
 
     def merge(g: pa.Table) -> pa.Table:
         gg = g.group_by("fp").aggregate([("keep_id", "min"), ("n", "sum")])
@@ -86,11 +86,11 @@ def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
             "n_copies": pc.cast(gg["n_sum"], pa.int64()),
         })
 
-    return (docs.map_batches(fingerprint_partial, batch_format="pyarrow")
-                .map_batches(lambda t: append_bucket_column(t, "fp"),
-                             batch_format="pyarrow")
-                .groupby("_bkt")
-                .map_groups(merge, batch_format="pyarrow"))
+    return bucket_fold(
+        docs.map_batches(fingerprint_partial, batch_format="pyarrow")
+            .map_batches(lambda t: append_bucket_column(t, "fp"),
+                         batch_format="pyarrow"),
+        merge)
 
 
 def _fnv1a_tokens(tokens: list[str]) -> np.ndarray:
@@ -273,43 +273,32 @@ def _simhash_task(t: pa.Table, *, text_col: str) -> pa.Table:
 _MAX_LSH_BUCKET = 20_000
 
 
-def _pairs_of_group(group: pa.Table) -> pa.Table:
-    ids = np.unique(group["doc_id"].to_numpy())
-    if ids.size < 2:
-        return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    if ids.size > _MAX_LSH_BUCKET:
-        # a MinHash band bucket this large means huge identical-signature
-        # clusters (mass exact/near-exact duplication): the candidate set
-        # is quadratic by construction. Fail loudly with guidance rather
-        # than silently flooding the object store.
-        raise ValueError(
-            f"LSH band bucket holds {ids.size:,} docs "
-            f"(> {_MAX_LSH_BUCKET:,}): the corpus carries mass-duplicated "
-            "content — run exact dedup first (exact_dedup_groups), then "
-            "near-dup detection on the distinct survivors.")
-    ii, jj = np.triu_indices(ids.size, k=1)
-    return pa.table({"a": pa.array(ids[ii]), "b": pa.array(ids[jj])})
+def _multi_row_segments(band: np.ndarray, bh: np.ndarray):
+    """(starts, ends) of the runs of equal (band, hash) in sorted arrays
+    that hold more than one row — a one-row LSH bucket has no pair."""
+    seg = np.concatenate(
+        [[True], (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])])
+    starts = np.flatnonzero(seg)
+    ends = np.concatenate([starts[1:], [band.size]])
+    multi = ends - starts > 1
+    return starts[multi], ends[multi]
 
 
 def _pairs_of_bucket_groups(g: pa.Table) -> pa.Table:
-    """Multi-bucket variant of :func:`_pairs_of_group`: one 64-way hash
-    bucket group holds MANY (band, band_hash) LSH buckets — segment by
-    the composite key after one lexsort, emit each segment's triu pairs.
-    Same per-bucket candidate ceiling, same output schema."""
-    empty = pa.table({"a": pa.array([], pa.int64()),
-                      "b": pa.array([], pa.int64())})
-    if g.num_rows == 0:
-        return empty
+    """Candidate pairs of every (band, band_hash) LSH bucket in one fold
+    partition: segment by the composite key after one lexsort, emit each
+    segment's triu pairs. One-row segments (most of them: a doc with no
+    near-duplicate is alone in each of its band buckets) are masked out
+    before the per-segment loop. A bucket past ``_MAX_LSH_BUCKET``
+    distinct docs raises: its candidate set is quadratic by construction
+    (mass duplication)."""
     band = g["band"].to_numpy(zero_copy_only=False).astype(np.int64)
     bh = g["band_hash"].to_numpy(zero_copy_only=False).astype(np.int64)
     doc = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.lexsort((doc, bh, band))
     band, bh, doc = band[order], bh[order], doc[order]
-    seg = np.concatenate(
-        [[True], (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])])
-    bounds = np.concatenate([np.flatnonzero(seg), [doc.size]])
     outs_a, outs_b = [], []
-    for s, e in zip(bounds[:-1], bounds[1:]):
+    for s, e in zip(*_multi_row_segments(band, bh)):
         ids = np.unique(doc[s:e])          # doc-sorted slice: cheap unique
         if ids.size < 2:
             continue
@@ -324,7 +313,7 @@ def _pairs_of_bucket_groups(g: pa.Table) -> pa.Table:
         outs_a.append(ids[ii])
         outs_b.append(ids[jj])
     if not outs_a:
-        return empty
+        return _empty_pairs()
     return pa.table({"a": pa.array(np.concatenate(outs_a)),
                      "b": pa.array(np.concatenate(outs_b))})
 
@@ -357,12 +346,15 @@ def _bcast(ref):
 
 def _distinct_pairs(pairs_ds: rd.Dataset) -> rd.Dataset:
     """Dedupe candidate pairs across bands: per-batch distinct combine,
-    then a 64-int bucket exchange with the real (a, b) aggregation as an
-    Arrow hash-aggregate inside map_groups — the shuffle moves ~24 B per
-    per-batch-distinct pair, never document content, and never sorts the
-    pair domain. MATERIALIZED: the result is the (small) candidate set,
-    consumed twice (id collection + verify); without this the whole LSH
-    chain would re-execute per consumer."""
+    then :func:`util.bucket_fold` on a hash of (a, b) with the real
+    aggregation as an Arrow hash-aggregate per partition — the shuffle
+    moves ~24 B per per-batch-distinct pair, never document content, and
+    never sorts the pair domain. MATERIALIZED: the result is the (small)
+    candidate set, consumed twice (id collection + verify); without this
+    the whole LSH chain would re-execute per consumer."""
+    from org_rdkit_lucene_ray.util import bucket_fold, fold_buckets
+
+    n_buckets = np.uint64(fold_buckets())
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by(["a", "b"]).aggregate([("a", "count")])
@@ -374,20 +366,17 @@ def _distinct_pairs(pairs_ds: rd.Dataset) -> rd.Dataset:
         b = t["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
         with np.errstate(over="ignore"):
             bkt = ((a * np.uint64(0x9E3779B97F4A7C15) ^ b)
-                   % np.uint64(64)).astype(np.int64)
+                   % n_buckets).astype(np.int64)
         return t.append_column("_bkt", pa.array(bkt, pa.int64()))
 
     def merge(g: pa.Table) -> pa.Table:
-        gg = g.drop_columns(["_bkt"]).group_by(["a", "b"]).aggregate(
-            [("n", "sum")])
+        gg = g.group_by(["a", "b"]).aggregate([("n", "sum")])
         return pa.table({"a": gg["a"], "b": gg["b"],
                          "n_bands": pc.cast(gg["n_sum"], pa.int64())})
 
-    return (pairs_ds.map_batches(partial, batch_format="pyarrow")
-            .map_batches(with_bucket, batch_format="pyarrow")
-            .groupby("_bkt")
-            .map_groups(merge, batch_format="pyarrow")
-            .materialize())
+    return bucket_fold(pairs_ds.map_batches(partial, batch_format="pyarrow")
+                       .map_batches(with_bucket, batch_format="pyarrow"),
+                       merge).materialize()
 
 
 def _candidate_ids(pairs_ds: rd.Dataset) -> list[int]:
@@ -446,10 +435,10 @@ def _verify_pairs_distributed(sh_ds: rd.Dataset, pairs_ds: rd.Dataset,
     EMPTY blob but is never null), a request row by ``other`` set. The
     driver holds only the final verified pairs.
 
-    Both exchanges ride the 64-int bucket sort (hash-partition by doc
-    key; whole keys land in one bucket group) and each bucket group
-    folds ALL its resident keys in one vectorized segmentation pass —
-    the doc-id domain never reaches a Ray sort."""
+    Both exchanges are :func:`util.bucket_fold` on a hash of the doc key
+    (whole keys land in one bucket, whole buckets in one partition) and
+    each partition folds ALL its resident keys in one vectorized
+    segmentation pass — the doc-id domain never reaches a Ray sort."""
     def reqs_a(t: pa.Table) -> pa.Table:
         return pa.table({
             "key": pc.cast(t["a"], pa.int64()),
@@ -473,8 +462,6 @@ def _verify_pairs_distributed(sh_ds: rd.Dataset, pairs_ds: rd.Dataset,
         return is_sh, order, seg_id, sh_row
 
     def attach_a(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _ATTACH_SCHEMA.empty_table()
         is_sh, order, seg_id, sh_row = _segment(g)
         req_pos = np.flatnonzero(~is_sh[order])
         if req_pos.size == 0:
@@ -492,8 +479,6 @@ def _verify_pairs_distributed(sh_ds: rd.Dataset, pairs_ds: rd.Dataset,
         }, schema=_ATTACH_SCHEMA)
 
     def finish_b(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _VERIFIED_SCHEMA.empty_table()
         is_sh, order, seg_id, sh_row = _segment(g)
         req_pos = np.flatnonzero(~is_sh[order])
         if req_pos.size == 0:
@@ -524,14 +509,12 @@ def _verify_pairs_distributed(sh_ds: rd.Dataset, pairs_ds: rd.Dataset,
             "jaccard": pa.array(jacs, pa.float64()),
         }, schema=_VERIFIED_SCHEMA)
 
-    from org_rdkit_lucene_ray.util import append_bucket_column
+    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
 
     def bucketed(ds: rd.Dataset, fold) -> rd.Dataset:
-        return (ds.map_batches(lambda t: append_bucket_column(t, "key"),
-                               batch_format="pyarrow")
-                .groupby("_bkt")
-                .map_groups(lambda g: fold(g.drop_columns(["_bkt"])),
-                            batch_format="pyarrow"))
+        return bucket_fold(
+            ds.map_batches(lambda t: append_bucket_column(t, "key"),
+                           batch_format="pyarrow"), fold)
 
     stage1 = (
         bucketed(sh_ds.union(pairs_ds.map_batches(
@@ -587,14 +570,12 @@ def minhash_dup_pairs(
                                    id_col=id_col)),
         batch_format="pyarrow",
     )
-    from org_rdkit_lucene_ray.util import append_bucket_column
+    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
 
-    pairs_ds = _distinct_pairs(
+    pairs_ds = _distinct_pairs(bucket_fold(
         band_ds.map_batches(lambda t: append_bucket_column(t, "band_hash"),
-                            batch_format="pyarrow")
-        .groupby("_bkt")
-        .map_groups(lambda g: _pairs_of_bucket_groups(
-            g.drop_columns(["_bkt"])), batch_format="pyarrow"))
+                            batch_format="pyarrow"),
+        _pairs_of_bucket_groups))
     need = _candidate_ids(pairs_ds)
     logger.info("minhash-lsh: %d candidate docs in distinct pairs", len(need))
     empty = _VERIFIED_SCHEMA.empty_table()
@@ -704,23 +685,20 @@ class SimHashStage:
 def _per_band_segments(g: pa.Table, fold, *,
                        hash_col: str = "band_hash") -> pa.Table:
     """Run a single-(band, hash)-bucket fold over every LSH bucket
-    resident in one 64-way hash bucket group: sort once by the composite
-    key, slice per segment, concat the folds' (schema-stable) outputs.
-    Lets complex per-bucket folds (simhash star-compression, the
-    embedding-LSH pair generator) ride the 64-int exchange unchanged."""
-    if g.num_rows == 0:
-        return fold(g)
+    resident in one fold partition: sort once by the composite key, slice
+    per segment, concat the folds' (schema-stable) outputs. One-row
+    segments hold no pair and are skipped; when every segment is skipped
+    the output is ``fold`` of an empty slice. Lets complex per-bucket
+    folds (simhash star-compression, the embedding-LSH pair generator)
+    ride :func:`util.bucket_fold` unchanged."""
     order = pc.sort_indices(g, sort_keys=[("band", "ascending"),
                                           (hash_col, "ascending")])
     g = g.take(order)
     band = g["band"].to_numpy(zero_copy_only=False).astype(np.int64)
     bh = g[hash_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    seg = np.concatenate(
-        [[True], (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])])
-    bounds = np.concatenate([np.flatnonzero(seg), [g.num_rows]])
     outs = [fold(g.slice(int(s), int(e - s)))
-            for s, e in zip(bounds[:-1], bounds[1:])]
-    return pa.concat_tables(outs)
+            for s, e in zip(*_multi_row_segments(band, bh))]
+    return pa.concat_tables(outs) if outs else fold(g.slice(0, 0))
 
 
 def _simhash_group_pairs(group: pa.Table, *, max_hamming: int,
@@ -793,9 +771,6 @@ class _PairBudget:
 
     def refund(self, n: int) -> None:
         self.left += n
-
-
-_EMPTY_PAIRS = None
 
 
 def _empty_pairs() -> pa.Table:
@@ -957,16 +932,14 @@ def simhash_dup_pairs(docs: rd.Dataset, *, max_hamming: int = 3,
 
     import ray
 
-    from org_rdkit_lucene_ray.util import append_bucket_column
+    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
 
     fold = functools.partial(_simhash_group_pairs, max_hamming=max_hamming)
-    pairs_ds = _distinct_pairs(
+    pairs_ds = _distinct_pairs(bucket_fold(
         sig.map_batches(to_bands, batch_format="pyarrow")
         .map_batches(lambda t: append_bucket_column(t, "band_hash"),
-                     batch_format="pyarrow")
-        .groupby("_bkt")
-        .map_groups(lambda g: _per_band_segments(
-            g.drop_columns(["_bkt"]), fold), batch_format="pyarrow"))
+                     batch_format="pyarrow"),
+        lambda g: _per_band_segments(g, fold)))
     need = _candidate_ids(pairs_ds)
     logger.info("simhash: %d candidate docs in distinct pairs", len(need))
     empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
@@ -1068,12 +1041,12 @@ def paragraph_dedup_stats(docs: rd.Dataset, *, text_col: str = "text",
 
     Scale shape: paragraphs are fingerprinted in ``map_batches`` and only
     ``(md5-as-2xint64, packed-position)`` rows (~28 B, all numeric) ever
-    ride a shuffle — text never does. Both wide steps are 64-way
-    hash-bucket ``groupby(bucket).map_groups`` exchanges whose bodies are
-    one numpy lexsort + run-length reduce per bucket (a fingerprint lives
-    in exactly one fp bucket, a doc in exactly one doc bucket) — NOT
-    whole-key-sorted Ray aggregates, which measured 70 s apiece on an
-    8M-paragraph corpus vs ~4 s for the bucket fold. The occurrence table
+    ride a shuffle — text never does. Every wide step is a 64-bucket
+    :func:`util.bucket_fold` whose fold is one numpy lexsort + run-length
+    reduce per partition (a fingerprint lives in exactly one fp bucket, a
+    doc in exactly one doc bucket) — NOT whole-key-sorted Ray aggregates,
+    which measured 70 s apiece on an 8M-paragraph corpus vs ~4 s for the
+    bucket fold. The occurrence table
     is materialized because it has two consumers (winners + totals); at
     cluster scale it would be written hash-partitioned to Parquet once
     and read twice — same two consumers, same row size.
@@ -1081,6 +1054,8 @@ def paragraph_dedup_stats(docs: rd.Dataset, *, text_col: str = "text",
     Reference analog: the upsert anti-join's first-wins discipline (J6,
     ``ChemicalIndex.java:801``) applied at paragraph granularity.
     """
+    from org_rdkit_lucene_ray.util import bucket_fold, md5_digest64_column
+
     shift = np.int64(1 << _PARA_IDX_BITS)
     mult = np.uint64(0x9E3779B97F4A7C15)
     bshift = np.uint64(64 - 6)          # 64 buckets per exchange
@@ -1106,12 +1081,10 @@ def paragraph_dedup_stats(docs: rd.Dataset, *, text_col: str = "text",
             raise ValueError(
                 f"doc exceeds {1 << _PARA_IDX_BITS:,} paragraphs; raise "
                 "_PARA_IDX_BITS (packed-position layout)")
-        from org_rdkit_lucene_ray.util import md5_digest64_column
-
         dd = md5_digest64_column(flat)
         return pa.table({
-            "b": pa.array((dd[:, 0].view(np.uint64) >> bshift)
-                          .astype(np.int32)),
+            "_bkt": pa.array((dd[:, 0].view(np.uint64) >> bshift)
+                             .astype(np.int32)),
             "d1": pa.array(dd[:, 0], pa.int64()),
             "d2": pa.array(dd[:, 1], pa.int64()),
             "packed": pa.array(ids[parents] * shift + idx, pa.int64()),
@@ -1135,7 +1108,7 @@ def paragraph_dedup_stats(docs: rd.Dataset, *, text_col: str = "text",
         uniq, cnt = np.unique(w, return_counts=True)
         return pa.table({id_col: pa.array(uniq, pa.int64()),
                          "k": pa.array(cnt.astype(np.int64)),
-                         "b2": pa.array(_doc_bucket(uniq))})
+                         "_bkt": pa.array(_doc_bucket(uniq))})
 
     def kept_fold(g: pa.Table) -> pa.Table:
         """Sum per-fp-bucket kept counts into one row per doc."""
@@ -1153,7 +1126,7 @@ def paragraph_dedup_stats(docs: rd.Dataset, *, text_col: str = "text",
             "k": pa.array(np.add.reduceat(sk, starts)
                           if starts.size else np.zeros(0, np.int64)),
             "p": pa.array(np.zeros(starts.size, np.int64)),
-            "b3": pa.array(_doc_bucket(si[starts])),
+            "_bkt": pa.array(_doc_bucket(si[starts])),
         })
 
     def total_rows(t: pa.Table) -> pa.Table:
@@ -1165,10 +1138,9 @@ def paragraph_dedup_stats(docs: rd.Dataset, *, text_col: str = "text",
         return pa.table({id_col: pa.array(uniq, pa.int64()),
                          "k": pa.array(np.zeros(uniq.size, np.int64)),
                          "p": pa.array(cnt.astype(np.int64)),
-                         "b3": pa.array(_doc_bucket(uniq))})
+                         "_bkt": pa.array(_doc_bucket(uniq))})
 
-    kept = (occ.groupby("b").map_groups(win_fold, batch_format="pyarrow")
-            .groupby("b2").map_groups(kept_fold, batch_format="pyarrow"))
+    kept = bucket_fold(bucket_fold(occ, win_fold, 64), kept_fold, 64)
     # kept + totals are both one-row-per-doc now: the closing exchange
     # rides ~2 rows/doc, not one row per (doc, fp-bucket) pair
     unioned = kept.union(occ.map_batches(total_rows, batch_format="pyarrow"))
@@ -1194,8 +1166,7 @@ def paragraph_dedup_stats(docs: rd.Dataset, *, text_col: str = "text",
 
     # output row order is unspecified (hash-bucket-major); consumers
     # needing doc order sort the (one-row-per-doc) result
-    return unioned.groupby("b3").map_groups(final_fold,
-                                            batch_format="pyarrow")
+    return bucket_fold(unioned, final_fold, 64)
 
 
 # -------------------------------------------------- duplicate-substring spans
@@ -1211,29 +1182,26 @@ def duplicate_span_stats(docs: rd.Dataset, *, k: int = 5,
     ``covered_tokens`` is the union length of the duplicated [pos, pos+k)
     intervals — the mass Lee et al. cut out.
 
-    Shape: two bucket-keyed exchanges with BOUNDED group counts (the
-    ``groupby(bucket).map_groups`` bodies are fully vectorized — sort +
-    run-length inside one bucket, never per-gram Python):
+    Shape: two :func:`util.bucket_fold` exchanges (the folds are fully
+    vectorized — sort + run-length inside one partition, never per-gram
+    Python):
 
-    1. gram occurrences -> ``groupby(gram-hash bucket)``: run-length mark
+    1. gram occurrences -> fold on a gram-hash bucket: run-length mark
        grams with global count >= 2. Gram identity is a 128-bit NUMERIC
        key — two independent 64-bit polynomial folds over the per-token
        FNV hashes (the gram string is never built): expected collisions
        over G grams ~ G^2/2^129, i.e. astronomically unlikely to perturb a
        count (a corpus-wide string exchange measured 2.5x slower end to
        end for strictly bit-equal verdicts absent such a collision);
-    2. duplicated occurrences -> ``groupby(doc-id bucket)``: per-doc
+    2. duplicated occurrences -> fold on a doc-id bucket: per-doc
        fixed-length interval union via lexsort + clipped deltas.
     """
     from org_rdkit_lucene_ray.functions.analyze import _list_counts_offsets
     from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
-    from org_rdkit_lucene_ray.util import fold_buckets
+    from org_rdkit_lucene_ray.util import bucket_fold, fold_buckets
 
     n_buckets = fold_buckets(n_buckets)
     cfg = REGISTRY["standard"]
-    out_schema = pa.schema([(id_col, pa.int64()), ("n_tokens", pa.int64()),
-                            ("dup_grams", pa.int64()),
-                            ("covered_tokens", pa.int64())])
     B1 = np.uint64(1099511628211)
     B2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
@@ -1257,7 +1225,7 @@ def duplicate_span_stats(docs: rd.Dataset, *, k: int = 5,
         n_grams = np.maximum(counts - k + 1, 0)
         total = int(n_grams.sum())
         if total == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
+            return pa.table({"_bkt": pa.array([], pa.int64()),
                              "h1": pa.array([], pa.int64()),
                              "h2": pa.array([], pa.int64()),
                              id_col: pa.array([], pa.int64()),
@@ -1279,7 +1247,7 @@ def duplicate_span_stats(docs: rd.Dataset, *, k: int = 5,
                 h1 = (h1 * B1) ^ th[gpos + j]
                 h2 = (h2 * B2) ^ th2[gpos + j]
         return pa.table({
-            "bucket": pa.array((h1 % np.uint64(n_buckets)).astype(np.int64)),
+            "_bkt": pa.array((h1 % np.uint64(n_buckets)).astype(np.int64)),
             "h1": pa.array(h1.view(np.int64), pa.int64()),
             "h2": pa.array(h2.view(np.int64), pa.int64()),
             id_col: pa.array(ids[gram_doc]),
@@ -1288,11 +1256,6 @@ def duplicate_span_stats(docs: rd.Dataset, *, k: int = 5,
         })
 
     def mark_dups(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "pos": pa.array([], pa.int64()),
-                             "dl": pa.array([], pa.int64()),
-                             "b2": pa.array([], pa.int64())})
         h1 = g["h1"].to_numpy(zero_copy_only=False)
         h2 = g["h2"].to_numpy(zero_copy_only=False)
         o = np.lexsort((h2, h1))
@@ -1311,12 +1274,10 @@ def duplicate_span_stats(docs: rd.Dataset, *, k: int = 5,
             id_col: kept[id_col],
             "pos": kept["pos"],
             "dl": kept["dl"],
-            "b2": pa.array(d % n_buckets),
+            "_bkt": pa.array(d % n_buckets),
         })
 
     def cover(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return out_schema.empty_table()
         d = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         p = g["pos"].to_numpy(zero_copy_only=False).astype(np.int64)
         dl = g["dl"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1340,5 +1301,5 @@ def duplicate_span_stats(docs: rd.Dataset, *, k: int = 5,
         })
 
     occ = docs.map_batches(occurrences, batch_format="pyarrow")
-    dups = occ.groupby("bucket").map_groups(mark_dups, batch_format="pyarrow")
-    return dups.groupby("b2").map_groups(cover, batch_format="pyarrow")
+    return bucket_fold(bucket_fold(occ, mark_dups, n_buckets), cover,
+                       n_buckets)

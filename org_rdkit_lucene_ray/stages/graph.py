@@ -101,7 +101,7 @@ _EMPTY_SPARSE = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 @ray.remote
 def _deg_task(block: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-    # Ray map_groups emits zero-column blocks for empty sort splits;
+    # bucket folds emit zero-column blocks for empty exchange partitions;
     # fold-backed edge datasets (keyword_textrank) carry them through
     # to_arrow_refs, so raw per-block tasks must tolerate them.
     if block.num_rows == 0 or "src" not in block.column_names:
@@ -216,7 +216,7 @@ def _pagerank_join(edges: rd.Dataset, n_nodes: int, n_iter: int,
         })
 
     for _ in range(n_iter):
-        # the per-sweep mass fold rides the 64-int bucket exchange (the
+        # the per-sweep mass fold rides the bucket-fold exchange (the
         # dst vertex domain never reaches a Ray sort); partial sums are
         # int64 so any combine order is exact
         agg = fold_grouped_counts(

@@ -254,7 +254,8 @@ def _pair_partial(t: pa.Table, cfg, text_col: str) -> pa.Table:
 
 def _exact_pair_counts(docs: rd.Dataset, cfg, text_col: str) -> rd.Dataset:
     """Global (pair, c) counts — per-batch partials through the shared
-    64-int bucket fold (never a sort over the pair-string domain)."""
+    bucket fold, :func:`util.fold_grouped_counts` (never a sort over the
+    pair-string domain)."""
     from org_rdkit_lucene_ray.util import fold_grouped_counts
 
     return fold_grouped_counts(

@@ -3,10 +3,9 @@
 Ray Data has no event-time watermarks (SURVEY §2.9 notes the reference has
 no streaming concerns either); windows are expressed batch-first per the
 ray_guide pattern: tumbling windows as partial-aggregate ``map_batches`` +
-a small ``groupby`` combine; sessionization as ``groupby(key).map_groups``
-over ts-sorted groups. Ordering assumption: rows of one key fit one group
-and are sorted inside the group fn — at 100 TB the key-partitioned shuffle
-provides exactly that.
+a small bucket-fold combine; sessionization as a bucket fold over
+ts-sorted keys. Every exchange is :func:`util.bucket_fold`: all rows of one
+key land in one partition, which the fold sorts and segments itself.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ def _composite_window_bucket(t: pa.Table, key_col: str,
     composite bucketing for every windowed exchange (windows of one key
     spread across buckets, so a small key domain still parallelizes).
     ``n_buckets`` defaults to :func:`util.fold_buckets` (64 on one node,
-    2x CPUs on a cluster)."""
+    2x CPUs on a cluster), the ceiling on the fold's partition count."""
     from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
     from org_rdkit_lucene_ray.util import fold_buckets
 
@@ -43,17 +42,15 @@ def _composite_window_bucket(t: pa.Table, key_col: str,
 
 def _window_bucket_combine(parts: rd.Dataset, key_col: str) -> rd.Dataset:
     """Shared final combine for the window aggregates: the per-batch
-    partial rows ride a fold_buckets-int exchange bucketed on the COMPOSITE
+    partial rows ride :func:`util.bucket_fold` bucketed on the COMPOSITE
     (key, window) hash (windows of one key spread across buckets, so a
     small key domain still parallelizes), with the real (key, window)
-    merge as an Arrow hash-aggregate inside map_groups — never a sort
-    over the keys x windows domain."""
-
-    def with_bucket(t: pa.Table) -> pa.Table:
-        return _composite_window_bucket(t, key_col)
+    merge as an Arrow hash-aggregate per partition — never a sort over
+    the keys x windows domain."""
+    from org_rdkit_lucene_ray.util import bucket_fold
 
     def merge(g: pa.Table) -> pa.Table:
-        gg = g.drop_columns(["_bkt"]).group_by([key_col, "window"]).aggregate(
+        gg = g.group_by([key_col, "window"]).aggregate(
             [("n_part", "sum"), ("sum_part", "sum"),
              ("min_part", "min"), ("max_part", "max")])
         return pa.table({
@@ -65,9 +62,9 @@ def _window_bucket_combine(parts: rd.Dataset, key_col: str) -> rd.Dataset:
             "max_value": gg["max_part_max"],
         })
 
-    return (parts.map_batches(with_bucket, batch_format="pyarrow")
-            .groupby("_bkt")
-            .map_groups(merge, batch_format="pyarrow"))
+    return bucket_fold(parts.map_batches(
+        lambda t: _composite_window_bucket(t, key_col),
+        batch_format="pyarrow"), merge)
 
 
 def tumbling_window_agg(events: rd.Dataset, width_secs: int = 3600,
@@ -75,7 +72,7 @@ def tumbling_window_agg(events: rd.Dataset, width_secs: int = 3600,
                         value_col: str = "value",
                         value_decimals: int | None = None) -> rd.Dataset:
     """count/sum/min/max of ``value`` per (key, window). Pre-aggregated per
-    batch before the groupby so the shuffle moves one row per (key, window,
+    batch before the exchange so it moves one row per (key, window,
     batch), not one per event.
 
     ``value_decimals``: when the value column is a d-dp decimal stored as
@@ -145,7 +142,7 @@ def hopping_window_agg(events: rd.Dataset, width_secs: int = 3600,
 
     Same partial+final shape: events explode into their covering window
     ids INSIDE ``map_batches`` (a vectorized ``np.repeat``), pre-aggregate
-    per (key, window) per batch, tiny ``groupby`` combine — the shuffle
+    per (key, window) per batch, tiny bucket-fold combine — the shuffle
     moves one row per (key, window, batch), so the width/hop expansion
     factor never rides the exchange. Exact fixed-point sums via
     ``value_decimals`` (the orders_by_segment lesson)."""
@@ -218,27 +215,19 @@ def sessionize(events: rd.Dataset, gap_secs: int = 1800,
     """Per-key session stats: a new session starts when the gap from the
     previous event exceeds ``gap_secs``.
 
-    Shape: the exchange sorts on 64 int hash buckets (never the user-id
-    domain); each bucket group folds EVERY resident user in one
-    vectorized sort + segmented reduceat pass. Only (key, ts) rides the
-    shuffle — the other event columns are projected away first."""
+    Shape: :func:`util.bucket_fold` on a hash of the key (never a sort
+    over the user-id domain); each partition folds EVERY resident user in
+    one vectorized sort + segmented reduceat pass. Only (key, ts) rides
+    the shuffle — the other event columns are projected away first."""
 
     gap_us = gap_secs * 1_000_000
 
     def fold(g: pa.Table) -> pa.Table:
-        # one VECTORIZED pass over every user in the bucket: sort by
+        # one VECTORIZED pass over every user in the partition: sort by
         # (key, ts), segment by key, count per-segment gap breaks.
         # gaps compared in MICROSECONDS: the SQL oracle's epoch keeps
         # fractional seconds, so flooring to whole seconds could flip a
         # session boundary for a gap in (gap_secs, gap_secs + 1)
-        if g.num_rows == 0:
-            return pa.table({
-                key_col: g[key_col],
-                "n_events": pa.array([], pa.int64()),
-                "n_sessions": pa.array([], pa.int64()),
-                "first_ts": pa.array([], pa.timestamp("us")),
-                "last_ts": pa.array([], pa.timestamp("us")),
-            })
         order = pc.sort_indices(g, sort_keys=[(key_col, "ascending"),
                                               (ts_col, "ascending")])
         g = g.take(order)
@@ -262,14 +251,11 @@ def sessionize(events: rd.Dataset, gap_secs: int = 1800,
                 pa.timestamp("us")),
         })
 
-    from org_rdkit_lucene_ray.util import append_bucket_column
+    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
 
-    return (events.select_columns([key_col, ts_col])
-            .map_batches(lambda t: append_bucket_column(t, key_col),
-                         batch_format="pyarrow")
-            .groupby("_bkt")
-            .map_groups(lambda g: fold(g.drop_columns(["_bkt"])),
-                        batch_format="pyarrow"))
+    return bucket_fold(events.select_columns([key_col, ts_col])
+                       .map_batches(lambda t: append_bucket_column(t, key_col),
+                                    batch_format="pyarrow"), fold)
 
 
 def grouped_topn(events: rd.Dataset, n: int = 2, key_col: str = "event_type",
@@ -279,7 +265,7 @@ def grouped_topn(events: rd.Dataset, n: int = 2, key_col: str = "event_type",
 
     A PARTIAL top-n runs inside ``map_batches`` before the shuffle (the
     same partial+final shape as ``tumbling_window_agg``): at most
-    n x keys x batches rows reach the groupby instead of every event —
+    n x keys x batches rows reach the exchange instead of every event —
     a batch row outside its batch's per-key top-n can't be in the global
     top-n. The final per-group top-n is Arrow-native."""
 
@@ -303,16 +289,14 @@ def grouped_topn(events: rd.Dataset, n: int = 2, key_col: str = "event_type",
 
     partial = events.map_batches(
         lambda t: keep_topn(t, False), batch_format="pyarrow")
-    # final fold rides a 64-int bucket sort (hash-partition by key), not a
+    # final fold is a bucket fold (hash-partition by key), not a
     # sort-shuffle over the key domain — keep_topn already segments
-    # multiple keys per block, so whole-key bucket groups fold correctly
-    from org_rdkit_lucene_ray.util import append_bucket_column
+    # multiple keys per block, so partitions of whole keys fold correctly
+    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
 
-    return (partial.map_batches(
-        lambda t: append_bucket_column(t, key_col), batch_format="pyarrow")
-        .groupby("_bkt")
-        .map_groups(lambda g: keep_topn(g.drop_columns(["_bkt"]), True),
-                    batch_format="pyarrow"))
+    return bucket_fold(partial.map_batches(
+        lambda t: append_bucket_column(t, key_col), batch_format="pyarrow"),
+        lambda g: keep_topn(g, True))
 
 
 def funnel_steps(events: rd.Dataset, steps: list[str], *,
@@ -326,9 +310,9 @@ def funnel_steps(events: rd.Dataset, steps: list[str], *,
     search, decided greedily (earliest match per step, which is exact
     for subsequence existence).
 
-    Scale shape: the (key, ts, id, type) projection rides a 64-int
-    hash-bucket exchange (never a sort over the user domain); each
-    bucket group sorts once by (key, ts, id) and walks every resident
+    Scale shape: the (key, ts, id, type) projection rides
+    :func:`util.bucket_fold` (never a sort over the user domain); each
+    partition sorts once by (key, ts, id) and walks every resident
     user's greedy step chain over per-step position arrays. Emits
     ``(user_id, steps_completed)``; callers aggregate the per-step
     conversion counts (a K-row table).
@@ -336,9 +320,6 @@ def funnel_steps(events: rd.Dataset, steps: list[str], *,
     step_list = list(steps)
 
     def fold(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({key_col: g[key_col],
-                             "steps_completed": pa.array([], pa.int64())})
         order = pc.sort_indices(g, sort_keys=[(key_col, "ascending"),
                                               (ts_col, "ascending"),
                                               (id_col, "ascending")])
@@ -370,31 +351,28 @@ def funnel_steps(events: rd.Dataset, steps: list[str], *,
             "steps_completed": pa.array(done),
         })
 
-    from org_rdkit_lucene_ray.util import append_bucket_column
+    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
 
     proj = events.select_columns([key_col, ts_col, id_col, type_col])
-    return (proj.map_batches(lambda t: append_bucket_column(t, key_col),
-                             batch_format="pyarrow")
-            .groupby("_bkt")
-            .map_groups(lambda g: fold(g.drop_columns(["_bkt"])),
-                        batch_format="pyarrow"))
+    return bucket_fold(proj.map_batches(
+        lambda t: append_bucket_column(t, key_col), batch_format="pyarrow"),
+        fold)
 
 
 def tumbling_distinct(events: rd.Dataset, width_secs: int = 3600,
                       ts_col: str = "ts", key_col: str = "event_type",
                       user_col: str = "user_id") -> rd.Dataset:
     """EXACT distinct-actor counts per (key, window) — the streaming
-    "unique users per hour per type" rollup. Two cheap exchanges, both
-    bucket-sorted:
+    "unique users per hour per type" rollup. One exchange, two steps:
 
     1. per-batch DISTINCT (key, window, user) triples (Arrow group_by
-       inside the batch) ride a 64-int exchange bucketed on the
-       composite hash; each bucket group re-distincts its residents —
-       after this pass each (key, window, user) triple exists exactly
-       once, and all of one (key, window)'s triples share a bucket.
-    2. the per-bucket distinct counts are final (a (key, window) lives
-       in exactly one bucket), so stage 2 is a plain vectorized segment
-       count inside the same map_groups — nothing user-sized leaves it.
+       inside the batch) ride :func:`util.bucket_fold` bucketed on the
+       composite hash; each partition re-distincts its residents —
+       after this step each (key, window, user) triple exists exactly
+       once, and all of one (key, window)'s triples share a partition.
+    2. the per-partition distinct counts are final (a (key, window)
+       lives in exactly one bucket), so step 2 is a plain vectorized
+       segment count inside the same fold — nothing user-sized leaves it.
 
     Approximate-at-scale variant: :func:`stages.sketch.hll_distinct_by`
     trades exactness for fixed-size registers when the per-window user
@@ -410,16 +388,8 @@ def tumbling_distinct(events: rd.Dataset, width_secs: int = 3600,
              .group_by([key_col, "window", "user"]).aggregate([]))
         return g
 
-    def with_bucket(t: pa.Table) -> pa.Table:
-        return _composite_window_bucket(t, key_col)
-
     def count_distinct(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({key_col: g[key_col],
-                             "window_start": pa.array([], pa.timestamp("us")),
-                             "n_users": pa.array([], pa.int64())})
-        gg = g.drop_columns(["_bkt"]).group_by(
-            [key_col, "window", "user"]).aggregate([])
+        gg = g.group_by([key_col, "window", "user"]).aggregate([])
         gc = gg.group_by([key_col, "window"]).aggregate([("user", "count")])
         return pa.table({
             key_col: gc[key_col],
@@ -428,8 +398,10 @@ def tumbling_distinct(events: rd.Dataset, width_secs: int = 3600,
             "n_users": pc.cast(gc["user_count"], pa.int64()),
         })
 
-    return (events.select_columns([key_col, ts_col, user_col])
-            .map_batches(partial, batch_format="pyarrow")
-            .map_batches(with_bucket, batch_format="pyarrow")
-            .groupby("_bkt")
-            .map_groups(count_distinct, batch_format="pyarrow"))
+    from org_rdkit_lucene_ray.util import bucket_fold
+
+    return bucket_fold(events.select_columns([key_col, ts_col, user_col])
+                       .map_batches(partial, batch_format="pyarrow")
+                       .map_batches(lambda t: _composite_window_bucket(t, key_col),
+                                    batch_format="pyarrow"),
+                       count_distinct)

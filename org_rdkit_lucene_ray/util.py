@@ -1,4 +1,5 @@
-"""Small shared utilities (driver-side log hygiene)."""
+"""Small shared utilities: driver-side log hygiene, md5 columns and the
+bucket-fold exchange (:func:`bucket_fold`)."""
 
 from __future__ import annotations
 
@@ -110,20 +111,22 @@ def md5_digest64_column(arr) -> "np.ndarray":
     return np.frombuffer(digs, np.int64).reshape(-1, 2)
 
 
+# Target input bytes of one fold call; see :func:`fold_partitions`.
+FOLD_PARTITION_BYTES = 64 << 20
+
+
 def fold_buckets(n_buckets=None) -> int:
-    """Resolve the bucket count for a hash-bucket fold exchange.
+    """Resolve the bucket domain of a hash-bucket fold exchange.
 
     An explicit ``n_buckets`` wins; otherwise ``ORL_FOLD_BUCKETS`` (env),
-    otherwise ``max(64, 2 x cluster CPUs)``. A fixed 64 was the r1-r4
-    default everywhere, which caps a fold at 64 ``map_groups`` tasks and
-    makes each task materialize ~1/64 of the whole exchange as one Arrow
-    table — fine on one 32-cpu node (where this resolves to exactly 64,
-    keeping bench numbers comparable), a parallelism and per-task-memory
-    ceiling on a 256-node cluster (ADVICE r4). Per-bucket memory bound =
-    total exchange bytes / n_buckets: at 2x cluster CPUs each core folds
-    ~2 tasks and a 100 TB-scale exchange of B bytes needs
-    B / (2 x CPUs) <= worker heap, so raise ORL_FOLD_BUCKETS further for
-    very large exchanges on small clusters."""
+    otherwise ``max(64, 2 x cluster CPUs)`` (64 on one node up to 32 CPUs,
+    so bench numbers stay comparable). The domain is the CEILING on the
+    fold's partition count, not the count itself: :func:`bucket_fold`
+    runs ``P`` = :func:`fold_partitions` partitions, each a contiguous
+    range of whole buckets, so one fold call reads about
+    ``max(FOLD_PARTITION_BYTES, exchange bytes / n_buckets)`` (bucket
+    skew aside). Raise ``ORL_FOLD_BUCKETS`` when exchange bytes /
+    n_buckets would outgrow a worker's heap."""
     if n_buckets:
         return int(n_buckets)
     import os
@@ -141,13 +144,20 @@ def fold_buckets(n_buckets=None) -> int:
     return max(64, 2 * cpus)
 
 
-def append_bucket_column(t, key_col: str, n_buckets: int | None = None,
-                         out_col: str = "_bkt"):
-    """Append an int64 hash-bucket column over ``key_col`` (FNV for
-    strings, identity-mod for integers) — the shared front half of every
-    bucket-fold exchange: sort-shuffle on a few-dozen-to-few-thousand int
-    bucket domain (:func:`fold_buckets`) instead of the key domain, real
-    work inside ``map_groups``."""
+def fold_partitions(exchange_bytes: int, n_buckets: int) -> int:
+    """Partition count of a bucket-fold exchange: one partition per
+    :data:`FOLD_PARTITION_BYTES` of exchanged rows, clamped to
+    ``[1, n_buckets]`` so a bucket is never split across partitions.
+    Sized by the data, not by the upstream block count (Ray's sort
+    shuffle would give one partition per input block)."""
+    return max(1, min(n_buckets, -(-exchange_bytes // FOLD_PARTITION_BYTES)))
+
+
+def append_bucket_column(t, key_col: str, n_buckets: int | None = None):
+    """Append ``_bkt``, an int64 hash bucket of ``key_col`` (FNV for
+    strings, identity-mod for integers) in ``[0, fold_buckets(n_buckets))``
+    — the front half of :func:`bucket_fold`: all rows of one key share a
+    bucket, and the exchange moves whole buckets."""
     import numpy as np
     import pyarrow as pa
 
@@ -161,28 +171,53 @@ def append_bucket_column(t, key_col: str, n_buckets: int | None = None,
         from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
 
         b = (stable_term_hash(keys) % np.uint64(n_buckets)).astype(np.int64)
-    return t.append_column(out_col, pa.array(b, pa.int64()))
+    return t.append_column("_bkt", pa.array(b, pa.int64()))
+
+
+def bucket_fold(ds, fold, n_buckets: int | None = None):
+    """The bucket-fold exchange: rows carrying a ``_bkt`` column in
+    ``[0, fold_buckets(n_buckets))`` -> ``fold`` called once per
+    partition of whole buckets, ``_bkt`` dropped before the call.
+
+    1. materialize the bucketed rows (the exchange is a full barrier
+       anyway), so their byte size is known metadata;
+    2. ``P`` = :func:`fold_partitions` of that size;
+    3. range-partition on ``_bkt`` at fixed boundaries ``nb*i//P`` — no
+       sampling pass, no aggregator actors; ``P`` = 1 is one
+       ``repartition(1)`` block;
+    4. ``map_batches(fold, batch_size=None)``: one call per partition.
+
+    ``fold`` must be correct on any union of whole buckets — i.e. segment
+    by its real key (Arrow ``group_by`` or a lexsort) — and return a
+    schema-stable table. Empty partitions never reach it (Ray emits them
+    as zero-column blocks). The materialized rows stay referenced by the
+    returned Dataset's plan until it is dropped."""
+    n_buckets = fold_buckets(n_buckets)
+    parts = ds.materialize()
+    p = fold_partitions(parts.size_bytes(), n_buckets)
+    if p == 1:
+        exchanged = parts.repartition(1)   # boundaries=[] would sample
+    else:
+        exchanged = parts.sort(
+            "_bkt", boundaries=[n_buckets * i // p for i in range(1, p)])
+    return exchanged.map_batches(lambda t: fold(t.drop_columns(["_bkt"])),
+                                 batch_format="pyarrow", batch_size=None)
 
 
 def fold_grouped_counts(parts, key_col: str, count_cols: list[str],
                         n_buckets: int | None = None):
-    """Global sum of per-batch partial count rows WITHOUT a sort-based
-    key shuffle: bucket each row by a hash of its key (FNV for string
-    keys, identity-mod for integers), ``groupby(bucket)`` over the tiny
-    int bucket domain, and run the real (hash-table) aggregation inside
-    ``map_groups`` with Arrow's vectorized ``group_by``.
+    """Global sum of per-batch partial count rows through
+    :func:`bucket_fold`: rows bucket by a hash of their key, and each
+    partition (``P`` data-sized, about ``max(FOLD_PARTITION_BYTES,
+    bytes / n_buckets)`` of input per fold call) sums its keys with
+    Arrow's vectorized ``group_by``.
 
     Ray's ``groupby(key).sum`` is a sort-based shuffle over every
-    partial row — measured ~10x the cost of this bucket fold on this
-    repo's vocabulary-sized exchanges (BASELINE r3); the bucket sort key
-    domain is :func:`fold_buckets` ints regardless of vocabulary size.
-    Output: one (key, *count_cols) row per distinct key,
-    bucket-partitioned.
+    partial row — measured ~10x the cost of the bucket fold on this
+    repo's vocabulary-sized exchanges (BASELINE r3). Output: one
+    (key, *count_cols) row per distinct key, bucket-partitioned.
     """
     import pyarrow as pa
-
-    def with_bucket(t: pa.Table) -> pa.Table:
-        return append_bucket_column(t, key_col, n_buckets)
 
     def fold(g: pa.Table) -> pa.Table:
         gg = g.group_by(key_col).aggregate(
@@ -192,6 +227,8 @@ def fold_grouped_counts(parts, key_col: str, count_cols: list[str],
             cols[c] = gg[f"{c}_sum"].cast(pa.int64())
         return pa.table(cols)
 
-    return (parts.map_batches(with_bucket, batch_format="pyarrow")
-                 .groupby("_bkt")
-                 .map_groups(fold, batch_format="pyarrow"))
+    return bucket_fold(
+        parts.map_batches(
+            lambda t: append_bucket_column(t, key_col, n_buckets),
+            batch_format="pyarrow"),
+        fold, n_buckets)

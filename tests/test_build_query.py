@@ -544,6 +544,8 @@ def test_engine_facade(ray_session, built_index, oracle_index, pages_dir,
     assert pre["n_docs"] > n_before                # reopened automatically
     assert e2._searcher_gen != gen_before
     e2.merge()                                     # close(true) analog
+    with pytest.raises(TypeError):                 # merge takes no sizing
+        e2.merge(concurrency=4)
     # compaction drops tombstones physically; doc arithmetic must reconcile
     assert e2.stats()["n_docs"] == pre["n_docs"] - pre.get("n_deletes", 0)
 

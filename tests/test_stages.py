@@ -94,6 +94,91 @@ def test_simhash_pairs(docs_ds):
         assert 0 <= h <= 6
 
 
+def test_fold_partitions_is_data_sized():
+    """The bucket-fold partition count follows the exchange's bytes: a
+    tiny exchange is one partition, a huge one clamps at the bucket
+    domain (a bucket is never split)."""
+    from org_rdkit_lucene_ray.util import (
+        FOLD_PARTITION_BYTES,
+        fold_buckets,
+        fold_partitions,
+    )
+
+    nb = fold_buckets()
+    assert fold_partitions(0, nb) == 1
+    assert fold_partitions(4096, nb) == 1
+    assert fold_partitions(FOLD_PARTITION_BYTES, nb) == 1
+    assert fold_partitions(3 * FOLD_PARTITION_BYTES + 1, nb) == 4
+    assert fold_partitions(10 ** 15, nb) == nb
+    assert fold_partitions(10 ** 15, 7) == 7
+
+
+def test_bucket_fold_keeps_buckets_whole(ray_session, monkeypatch):
+    """At P = fold_buckets() every key still folds in exactly one call:
+    each key's rows, spread over 8 input blocks, come back as ONE row
+    with the full count, and the exchange really ran P partitions."""
+    import pyarrow.compute as pc
+
+    from org_rdkit_lucene_ray import util
+
+    nb = util.fold_buckets()
+    keys = np.arange(3000, dtype=np.int64) % 500
+    t = pa.table({"key": pa.array(keys), "_bkt": pa.array(keys % nb)})
+    ds = rd.from_arrow([t.slice(i, 375) for i in range(0, 3000, 375)])
+
+    def fold(g: pa.Table) -> pa.Table:
+        assert "_bkt" not in g.column_names
+        gg = g.group_by("key").aggregate([("key", "count")])
+        return pa.table({"key": gg["key"],
+                         "n": pc.cast(gg["key_count"], pa.int64())})
+
+    for part_bytes, want_blocks in ((util.FOLD_PARTITION_BYTES, 1), (1, nb)):
+        monkeypatch.setattr(util, "FOLD_PARTITION_BYTES", part_bytes)
+        out = util.bucket_fold(ds, fold).materialize()
+        assert out.num_blocks() == want_blocks
+        got = out.to_pandas().sort_values("key")
+        assert got["key"].tolist() == list(range(500))
+        assert set(got["n"].tolist()) == {6}
+
+
+def test_bucket_fold_answers_independent_of_partition_count(ray_session,
+                                                            monkeypatch):
+    """Exact dedup, MinHash pairs, adjacent-pair counts and exact
+    distinct counts are identical at P = 1 and at P = fold_buckets()
+    (FOLD_PARTITION_BYTES forced to 1 byte): every fold is correct on
+    any union of whole buckets."""
+    from org_rdkit_lucene_ray import synth, util
+    from org_rdkit_lucene_ray.stages.lm import top_adjacent_pairs
+    from org_rdkit_lucene_ray.stages.window import tumbling_distinct
+
+    texts = synth.gen_pages(600, seed=5)["text"].to_pylist()
+    for dst in range(0, 600, 40):              # exact copies across blocks
+        texts[dst] = texts[(dst * 7 + 13) % 600]
+    t = pa.table({"doc_id": pa.array(range(600), pa.int64()),
+                  "text": pa.array(texts, pa.string())})
+    docs = rd.from_arrow([t.slice(i, 75) for i in range(0, 600, 75)])
+    events = rd.from_pandas(_events_df()).repartition(8)
+
+    def answers():
+        groups = sorted((r["doc_id"], r["n_copies"])
+                        for r in exact_dedup_groups(docs).take_all())
+        mh = minhash_dup_pairs(docs, threshold=0.5)
+        pairs = top_adjacent_pairs(docs, k=30, method="exact")
+        distinct = (tumbling_distinct(events, width_secs=600).to_pandas()
+                    .sort_values(["event_type", "window_start"])
+                    .reset_index(drop=True))
+        return groups, mh, pairs, distinct
+
+    one = answers()
+    monkeypatch.setattr(util, "FOLD_PARTITION_BYTES", 1)
+    many = answers()
+    assert any(n > 1 for _, n in one[0])
+    assert one[0] == many[0]
+    assert one[1].num_rows > 0 and one[1].equals(many[1])
+    assert one[2].equals(many[2])
+    pd.testing.assert_frame_equal(one[3], many[3])
+
+
 # --------------------------------------------------------------------- ann
 def _emb_table(n=64, d=16, seed=7) -> pa.Table:
     rng = np.random.default_rng(seed)
@@ -496,14 +581,16 @@ def test_dedup_degeneracy_guards():
     from org_rdkit_lucene_ray.stages.dedup import (
         _MAX_LSH_BUCKET,
         _PairBudget,
-        _pairs_of_group,
+        _pairs_of_bucket_groups,
         _refine_pairs,
     )
 
-    big = pa.table({"doc_id": pa.array(
-        np.arange(_MAX_LSH_BUCKET + 1, dtype=np.int64))})
+    n = _MAX_LSH_BUCKET + 1                    # one (band, band_hash) bucket
+    big = pa.table({"band": pa.array(np.zeros(n, np.int32)),
+                    "band_hash": pa.array(np.full(n, 7, np.int64)),
+                    "doc_id": pa.array(np.arange(n, dtype=np.int64))})
     with pytest.raises(ValueError, match="exact dedup first"):
-        _pairs_of_group(big)
+        _pairs_of_bucket_groups(big)
 
     ids = np.arange(100, dtype=np.int64)
     h = np.full(100, 7, dtype=np.uint64)       # identical: 99 star pairs
