@@ -26,7 +26,10 @@ from dataclasses import dataclass, field, asdict
 # codec-version check on segment open. Bump FORMAT_VERSION whenever bucket
 # assignment, the posting codec, or the manifest layout changes
 # incompatibly. (version 2 = FNV-1a bucket hash, r2; version 1 indexes used
-# pandas siphash and are refused.)
+# pandas siphash and are refused.) Dropping the three stored block-max list
+# columns from chunks did NOT bump it: no reader ever touched them, so
+# version-2 chunks with or without them open under old and new code alike —
+# readers address columns by name, as with ``pos_bytes``.
 FORMAT_VERSION = 2
 TERM_HASH_FN = "fnv1a64"
 
@@ -102,7 +105,7 @@ class IndexConfig:
 
     docs_per_segment: int = 1 << 20   # 1M docs per segment at scale
     term_buckets: int = 32            # groupby salt: (segment, hash(term)%B) groups
-    block_size: int = 128             # postings per block-max block (Lucene BMW-style)
+    block_size: int = 128             # postings per query-time block-max block (Lucene BMW-style)
     # dedup pre-pass sizing (execution knobs, not on-disk format — kept out
     # of manifest_dict). Bucket count is DATA-sized, like the join-partition
     # rule: buckets = clamp(ceil(total_rows / dedup_rows_per_bucket), 1, 65536),

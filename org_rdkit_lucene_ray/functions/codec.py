@@ -1,4 +1,4 @@
-"""Posting-list codec: delta + varint doc ids, varint tfs/dls, block-max.
+"""Posting-list codec: delta + varint doc ids, varint tfs/dls, positions.
 
 This is the explicit rebuild of the black box the reference delegates to
 Lucene (segment postings format; ``IndexWriter`` via default config,
@@ -11,22 +11,15 @@ strictly increasing (Lucene keeps docID-sorted postings and all collectors
 exploit it — ``SubstructureScoreDocCollector.java:62-94``; delta-encoding and
 WAND both require it).
 
-Block-max metadata (Lucene BMW analog): per block of ``block_size`` postings,
-``(first_doc, last_doc, max_tfn)`` where ``max_tfn`` is the exact maximum of
-the BM25 term-frequency component  tf / (tf + k1*(1 - b + b*dl/avgdl))
-over the block, rounded UP to float32 so the bound stays admissible.
-The block upper bound at query time is  idf * (k1+1) * max_tfn  — exact given
-idf is constant per term, and independent of df at encode time (so encoding
-needs only the global avgdl, not the global df table).
+Encoding depends on no corpus statistic: no block-max metadata is stored.
+The searcher derives exact block-max bounds from each decoded term's live
+weights (``pipelines/query.py``), since any encode-time bound would be tied
+to one generation's avgdl and stop being admissible once a delta shifts it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from org_rdkit_lucene_ray.config import BM25Params
-
-_MAX_VARINT_BYTES = 10  # enough for uint64
 
 
 # ------------------------------------------------------------------- varints
@@ -35,18 +28,7 @@ def varint_encode(values: np.ndarray) -> bytes:
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
         return b""
-    # byte length per value: ceil(bits/7), min 1
-    bits = np.zeros(v.shape, dtype=np.int64)
-    nz = v > 0
-    # bit_length via log2 is unsafe for large ints; use frexp on float is
-    # lossy >2^53. Compute by shifting in 7-bit steps instead.
-    lengths = np.ones(v.shape, dtype=np.int64)
-    shifted = v >> np.uint64(7)
-    while shifted.any():
-        grow = shifted > 0
-        lengths[grow] += 1
-        shifted = shifted >> np.uint64(7)
-    del bits, nz
+    lengths = varint_lengths(v)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     total = int(offsets[-1])
     out = np.zeros(total, dtype=np.uint8)
@@ -63,6 +45,21 @@ def varint_encode(values: np.ndarray) -> bytes:
         alive = alive[more]
         k += 1
     return out.tobytes()
+
+
+def varint_lengths(values: np.ndarray) -> np.ndarray:
+    """LEB128 byte length per value (vectorized; shared with varint_encode).
+
+    Shifts in 7-bit steps: a float log2 / frexp bit length is lossy above
+    2**53."""
+    v = np.ascontiguousarray(values, dtype=np.uint64)
+    lengths = np.ones(v.shape, dtype=np.int64)
+    shifted = v >> np.uint64(7)
+    while shifted.any():
+        grow = shifted > 0
+        lengths[grow] += 1
+        shifted = shifted >> np.uint64(7)
+    return lengths
 
 
 def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarray:
@@ -87,25 +84,13 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
 
 
 # --------------------------------------------------------------- posting list
-def tf_norm(tf: np.ndarray, dl: np.ndarray, avgdl: float, bm25: BM25Params) -> np.ndarray:
-    """BM25 term-frequency component in float64: tf/(tf + k1*(1-b+b*dl/avgdl))."""
-    tf = tf.astype(np.float64)
-    K = bm25.k1 * (1.0 - bm25.b + bm25.b * dl.astype(np.float64) / float(avgdl))
-    return tf / (tf + K)
+def encode_posting_list(doc_ids: np.ndarray, tfs: np.ndarray,
+                        dls: np.ndarray) -> dict:
+    """Encode one docID-sorted posting-list chunk: the per-term reference
+    that :func:`encode_posting_block` must match byte for byte.
 
-
-def encode_posting_list(
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    dls: np.ndarray,
-    avgdl: float,
-    bm25: BM25Params,
-    block_size: int,
-) -> dict:
-    """Encode one docID-sorted posting-list chunk.
-
-    Returns a dict with the binary payload + block-max arrays + section sizes,
-    ready to become one row of the segment table (state/segment.py).
+    Returns a dict with the binary payload and ``df_chunk``, ready to
+    become one row of the segment table (state/segment.py).
     """
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
     n = doc_ids.size
@@ -117,44 +102,12 @@ def encode_posting_list(
     deltas[0] = np.uint64(doc_ids[0])
     if n > 1:
         deltas[1:] = np.diff(doc_ids).astype(np.uint64)
-    doc_bytes = varint_encode(deltas)
-    tf_bytes = varint_encode(tfs.astype(np.uint64))
-    dl_bytes = varint_encode(dls.astype(np.uint64))
-
-    # block-max metadata
-    nblocks = (n + block_size - 1) // block_size
-    tfn = tf_norm(np.asarray(tfs), np.asarray(dls), avgdl, bm25)
-    first_doc = doc_ids[::block_size].copy()
-    last_doc = doc_ids[np.minimum(np.arange(1, nblocks + 1) * block_size, n) - 1]
-    max_tfn = np.zeros(nblocks, dtype=np.float32)
-    for i in range(nblocks):  # nblocks is small (n/128); cheap
-        m = tfn[i * block_size:(i + 1) * block_size].max()
-        # round UP to float32 to keep the bound admissible
-        f32 = np.float32(m)
-        if float(f32) < m:
-            f32 = np.nextafter(f32, np.float32(np.inf))
-        max_tfn[i] = f32
     return {
         "df_chunk": n,
-        "doc_bytes": doc_bytes,
-        "tf_bytes": tf_bytes,
-        "dl_bytes": dl_bytes,
-        "bm_first_doc": first_doc,
-        "bm_last_doc": last_doc,
-        "bm_max_tfn": max_tfn,
+        "doc_bytes": varint_encode(deltas),
+        "tf_bytes": varint_encode(tfs.astype(np.uint64)),
+        "dl_bytes": varint_encode(dls.astype(np.uint64)),
     }
-
-
-def varint_lengths(values: np.ndarray) -> np.ndarray:
-    """LEB128 byte length per value (vectorized; shared with varint_encode)."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    lengths = np.ones(v.shape, dtype=np.int64)
-    shifted = v >> np.uint64(7)
-    while shifted.any():
-        grow = shifted > 0
-        lengths[grow] += 1
-        shifted = shifted >> np.uint64(7)
-    return lengths
 
 
 def encode_posting_block(
@@ -162,9 +115,6 @@ def encode_posting_block(
     tfs: np.ndarray,
     dls: np.ndarray,
     term_starts: np.ndarray,
-    avgdl: float,
-    bm25: BM25Params,
-    block_size: int,
 ) -> dict:
     """Encode MANY terms' posting lists in one vectorized pass.
 
@@ -174,12 +124,11 @@ def encode_posting_block(
     per-term varint streams are slices of one whole-array encoding, and
     LEB128 is self-contained per value), ~10x less per-call overhead.
 
-    Returns dict of per-term lists/arrays aligned with ``term_starts``:
-    ``df_chunk, doc_bytes, tf_bytes, dl_bytes`` plus flattened block-max
-    arrays with ``block_offsets`` (for ListArray construction).
+    Returns dict of per-term arrays aligned with ``term_starts``:
+    ``df_chunk`` plus, per stream, one byte buffer and its offsets at the
+    term boundaries (``doc_buf``/``doc_off``, ``tf_*``, ``dl_*``).
     """
     n = doc_ids.size
-    m = term_starts.size
     bounds = np.concatenate([term_starts, [n]])
     counts = np.diff(bounds)
     if (counts <= 0).any():
@@ -202,31 +151,11 @@ def encode_posting_block(
     doc_buf, doc_off = _stream(deltas)
     tf_buf, tf_off = _stream(tfs.astype(np.uint64))
     dl_buf, dl_off = _stream(dls.astype(np.uint64))
-
-    # ---- block-max, all terms at once
-    nblocks = (counts + block_size - 1) // block_size
-    block_offsets = np.concatenate([[0], np.cumsum(nblocks)])
-    total_blocks = int(block_offsets[-1])
-    # start index of every block: term_start + j*block_size
-    reps = np.repeat(term_starts, nblocks)
-    intra = (np.arange(total_blocks) - np.repeat(block_offsets[:-1], nblocks))
-    block_starts = reps + intra * block_size
-    block_ends = np.minimum(block_starts + block_size, np.repeat(bounds[1:], nblocks))
-    tfn = tf_norm(np.asarray(tfs), np.asarray(dls), avgdl, bm25)
-    maxes = np.maximum.reduceat(tfn, block_starts)
-    f32 = maxes.astype(np.float32)
-    under = f32.astype(np.float64) < maxes
-    if under.any():
-        f32[under] = np.nextafter(f32[under], np.float32(np.inf))
     return {
         "df_chunk": counts.astype(np.int32),
         "doc_buf": doc_buf, "doc_off": doc_off,
         "tf_buf": tf_buf, "tf_off": tf_off,
         "dl_buf": dl_buf, "dl_off": dl_off,
-        "bm_first_doc": doc_ids[block_starts],
-        "bm_last_doc": doc_ids[block_ends - 1],
-        "bm_max_tfn": f32,
-        "block_offsets": block_offsets,
     }
 
 

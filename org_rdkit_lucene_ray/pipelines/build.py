@@ -33,7 +33,7 @@ Phase B (the wide step — a STORAGE-PARTITIONED exchange, no Ray groupby):
     so one encode task per term bucket walks the segments in ascending
     order, reads each ``(segment_id, bucket)`` slice of the few overlapping
     fragment files via row-group pruning, re-sorts it, and writes one
-    atomically-renamed chunk file (delta+varint + block-max, vectorized
+    atomically-renamed chunk file (delta+varint, vectorized
     across all terms). The deterministic file layout IS the shuffle — it
     removed the 53 s all-to-all sort the ``groupby(term)`` variant cost at
     160k docs, and makes resume = skip existing chunk files. Skew: a
@@ -688,36 +688,29 @@ def _binary_from_offsets(buf: bytes, offsets: np.ndarray) -> pa.Array:
     )
 
 
-def _term_position_streams(pos_col, term_starts: np.ndarray,
-                           n_rows: int) -> pa.Array:
-    """Fold the per-POSTING position blobs (already in (term, doc) order)
-    into one stream per TERM, zero-copy: each posting's blob is a
-    self-contained delta+varint run, so a term's stream is the byte
-    concatenation of its postings' blobs — per-term offsets into the SAME
-    values buffer, no bytes moved. Null per-posting blobs (fielded
-    ``col:value`` terms carry no positions) yield a NULL term stream; text
-    and fielded terms never mix under one term (fielded terms contain
-    ``:``, analyzer tokens cannot)."""
-    arr = pos_col.combine_chunks()
-    arr = pc.fill_null(arr, b"")        # null offsets -> well-defined empties
-    offs = np.frombuffer(arr.buffers()[1], np.int32)[
-        arr.offset: arr.offset + n_rows + 1].astype(np.int64)
-    bounds = np.concatenate([term_starts, [n_rows]])
-    term_offs = offs[bounds]
+def term_position_streams(data: pa.Buffer, posting_offs: np.ndarray,
+                          term_starts: np.ndarray) -> pa.Array:
+    """Fold per-POSTING position runs (in (term, doc) order) into one stream
+    per TERM, zero-copy: ``data[posting_offs[i]:posting_offs[i + 1]]`` is
+    posting i's self-contained delta+varint run, so a term's stream is the
+    byte concatenation of its postings' runs — per-term offsets into the
+    SAME buffer, no bytes moved. A term whose postings hold no bytes
+    (fielded ``col:value`` terms carry no positions) gets a NULL stream;
+    text and fielded terms never mix under one term (fielded terms contain
+    ``:``, analyzer tokens cannot). Build and merge both assemble here."""
+    bounds = np.concatenate([term_starts, [posting_offs.size - 1]])
+    term_offs = posting_offs[bounds].astype(np.int64)
     lengths = np.diff(term_offs)
     validity = np.packbits((lengths > 0).astype(np.uint8), bitorder="little")
-    n_null = int((lengths == 0).sum())
-    data_buf = arr.buffers()[2] or pa.py_buffer(b"")
     return pa.Array.from_buffers(
         pa.large_binary(), term_starts.size,
-        [pa.py_buffer(validity.tobytes()),
-         pa.py_buffer(term_offs.astype(np.int64).tobytes()),
-         data_buf],
-        null_count=n_null).cast(pa.binary())
+        [pa.py_buffer(validity.tobytes()), pa.py_buffer(term_offs.tobytes()),
+         data],
+        null_count=int((lengths == 0).sum())).cast(pa.binary())
 
 
-def encode_chunk_table(sorted_postings: pa.Table, path: str, cfg: IndexConfig,
-                       avgdl: float) -> tuple[dict, pa.Table]:
+def encode_chunk_table(sorted_postings: pa.Table,
+                       path: str) -> tuple[dict, pa.Table]:
     """Encode one (segment, bucket) postings slice (already sorted by
     (term, doc_id)) into its chunk file — one vectorized pass over ALL
     terms (encode_posting_block), no per-term Python loop. Returns what
@@ -731,11 +724,16 @@ def encode_chunk_table(sorted_postings: pa.Table, path: str, cfg: IndexConfig,
     tfs = g["tf"].to_numpy()
     dls = g["dl"].to_numpy()
     starts = np.concatenate([[0], np.flatnonzero(idx[1:] != idx[:-1]) + 1])
-    enc = encode_posting_block(docs, tfs, dls, starts, avgdl=avgdl,
-                               bm25=cfg.bm25, block_size=cfg.block_size)
+    enc = encode_posting_block(docs, tfs, dls, starts)
     terms = term_dict.dictionary.take(pa.array(idx[starts])).cast(pa.string())
-    pos = (_term_position_streams(g["pos_bytes"], starts, g.num_rows)
-           if "pos_bytes" in g.column_names else None)
+    pos = None
+    if "pos_bytes" in g.column_names:
+        # null per-posting blobs -> empty runs
+        arr = pc.fill_null(g["pos_bytes"].combine_chunks(), b"")
+        offs = np.frombuffer(arr.buffers()[1], np.int32)[
+            arr.offset: arr.offset + g.num_rows + 1]
+        pos = term_position_streams(arr.buffers()[2] or pa.py_buffer(b""),
+                                    offs, starts)
     return write_chunk(terms, enc, pos, path)
 
 
@@ -749,19 +747,12 @@ def write_chunk(terms: pa.Array, enc: dict, pos_bytes: pa.Array | None,
     pruning happens at the bucket."""
     from org_rdkit_lucene_ray.state.segment import atomic_write_chunk
 
-    boff = pa.array(enc["block_offsets"].astype(np.int32), pa.int32())
     cols = {
         "term": terms,
         "df_chunk": pa.array(enc["df_chunk"], pa.int32()),
         "doc_bytes": _binary_from_offsets(enc["doc_buf"], enc["doc_off"]),
         "tf_bytes": _binary_from_offsets(enc["tf_buf"], enc["tf_off"]),
         "dl_bytes": _binary_from_offsets(enc["dl_buf"], enc["dl_off"]),
-        "bm_first_doc": pa.ListArray.from_arrays(
-            boff, pa.array(enc["bm_first_doc"], pa.int64())),
-        "bm_last_doc": pa.ListArray.from_arrays(
-            boff, pa.array(enc["bm_last_doc"], pa.int64())),
-        "bm_max_tfn": pa.ListArray.from_arrays(
-            boff, pa.array(enc["bm_max_tfn"], pa.float32())),
     }
     schema = SEGMENT_SCHEMA
     if pos_bytes is not None:
@@ -869,8 +860,8 @@ def run_bucket_tasks(gdir: str, chunk_format: str,
                        if r["segment_id"] == _DF_ROW)
 
 
-def encode_segments(work_dir: str, gdir: str, cfg: IndexConfig,
-                    avgdl: float) -> tuple[list[dict], int]:
+def encode_segments(work_dir: str, gdir: str,
+                    cfg: IndexConfig) -> tuple[list[dict], int]:
     """Phase B driver — storage-partitioned exchange, NO Ray groupby.
 
     Tokenize wrote each fragment's postings sorted by (bucket, term, doc_id)
@@ -919,7 +910,7 @@ def encode_segments(work_dir: str, gdir: str, cfg: IndexConfig,
         # term order scrambled); one Arrow sort restores (term, doc_id)
         order = pc.sort_indices(t, sort_keys=[("term", "ascending"),
                                               ("doc_id", "ascending")])
-        return encode_chunk_table(t.take(order), path, cfg, avgdl)
+        return encode_chunk_table(t.take(order), path)
 
     return run_bucket_tasks(gdir, cfg.chunk_format,
                             {b: sids for b in range(cfg.term_buckets)},
@@ -990,9 +981,8 @@ def build_index(
     n_docs = sum(r["docs"] for r in frag_rows)
     sum_dl = sum(r["sum_dl"] for r in frag_rows)
     n_postings = sum(r["postings"] for r in frag_rows)
-    avgdl = (sum_dl / n_docs) if n_docs else 0.0
 
-    chunk_rows, n_terms_global = encode_segments(work_dir, gdir, cfg, avgdl)
+    chunk_rows, n_terms_global = encode_segments(work_dir, gdir, cfg)
     t_encode = time.perf_counter()
 
     manifest = {
@@ -1001,7 +991,7 @@ def build_index(
         "stats": {
             "n_docs": n_docs,
             "sum_dl": sum_dl,
-            "avgdl": avgdl,
+            "avgdl": (sum_dl / n_docs) if n_docs else 0.0,
             "n_postings": n_postings,
             "n_terms": n_terms_global,
             "n_fragments": len(fragments),

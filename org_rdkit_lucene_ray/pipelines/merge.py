@@ -19,8 +19,8 @@ explicit, scheduled Ray Data jobs over immutable generations:
   (the ceiling alignment above), every ``(segment, bucket)`` chunk file
   belongs to exactly one generation — so the merge needs **zero shuffle**:
   one map task per term bucket re-encodes that bucket's chunk files
-  (decode -> drop tombstoned postings -> re-encode with the recomputed
-  avgdl via the vectorized multi-term ``encode_posting_block``) and writes
+  (decode -> drop tombstoned postings -> re-encode via the vectorized
+  multi-term ``encode_posting_block``) and writes
   the bucket's df file, and one map task per forward-index fragment
   filters tombstones and rewrites it. All writes
   are atomic temp+rename, so a crashed merge resumes by skipping existing
@@ -46,7 +46,11 @@ import ray.data as rd
 
 from org_rdkit_lucene_ray.config import AnalyzerConfig, BM25Params, IndexConfig
 from org_rdkit_lucene_ray.functions.codec import encode_posting_block, varint_decode
-from org_rdkit_lucene_ray.pipelines.build import run_bucket_tasks, write_chunk
+from org_rdkit_lucene_ray.pipelines.build import (
+    run_bucket_tasks,
+    term_position_streams,
+    write_chunk,
+)
 from org_rdkit_lucene_ray.state.segment import (
     atomic_write_json,
     check_format,
@@ -304,13 +308,12 @@ def _decode_chunk_flat(t: pa.Table) -> tuple[pa.Array, np.ndarray, np.ndarray,
     return t["term"].combine_chunks(), counts, docs, tfs, dls
 
 
-def _reencode_chunk(src_path: str, out_path: str, deletes: np.ndarray,
-                    cfg: IndexConfig,
-                    avgdl: float) -> tuple[dict, pa.Table] | None:
-    """Decode one chunk file, drop tombstoned postings, re-encode with the
-    recomputed avgdl (vectorized across ALL terms via encode_posting_block)
-    and write atomically. Returns the chunk stats row and its
-    ``(term, df_chunk)`` columns, or None if every posting was deleted."""
+def _reencode_chunk(src_path: str, out_path: str,
+                    deletes: np.ndarray) -> tuple[dict, pa.Table] | None:
+    """Decode one chunk file, drop tombstoned postings, re-encode
+    (vectorized across ALL terms via encode_posting_block) and write
+    atomically. Returns the chunk stats row and its ``(term, df_chunk)``
+    columns, or None if every posting was deleted."""
     from org_rdkit_lucene_ray.functions.codec import (
         decode_position_streams,
         encode_position_streams,
@@ -353,26 +356,17 @@ def _reencode_chunk(src_path: str, out_path: str, deletes: np.ndarray,
     if docs.size == 0:
         return None
     term_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    enc = encode_posting_block(docs, tfs, dls, term_starts, avgdl=avgdl,
-                               bm25=cfg.bm25, block_size=cfg.block_size)
+    enc = encode_posting_block(docs, tfs, dls, term_starts)
     pos = None
     if has_pos:
         v_tfs = tfs[posting_valid]
         v_starts = np.concatenate([[0], np.cumsum(v_tfs)[:-1]]).astype(np.int64)
         buf, p_offs = encode_position_streams(pos_flat, v_starts)
-        # posting index -> count of valid postings before it -> byte offset
+        # posting i's run starts after the valid postings before it; an
+        # invalid posting's run is empty
         vcum = np.concatenate([[0], np.cumsum(posting_valid)])
-        term_bounds = np.concatenate([term_starts, [docs.size]])
-        term_offs = p_offs[vcum[term_bounds]].astype(np.int64)
-        lengths = np.diff(term_offs)
-        validity = np.packbits((lengths > 0).astype(np.uint8),
-                               bitorder="little")
-        pos = pa.Array.from_buffers(
-            pa.large_binary(), int(counts.size),
-            [pa.py_buffer(validity.tobytes()),
-             pa.py_buffer(term_offs.tobytes()),
-             pa.py_buffer(buf)],
-            null_count=int((lengths == 0).sum())).cast(pa.binary())
+        pos = term_position_streams(pa.py_buffer(buf), p_offs[vcum],
+                                    term_starts)
     return write_chunk(terms.cast(pa.string()), enc, pos, out_path)
 
 
@@ -382,14 +376,15 @@ def merge_generations(index_dir: str) -> dict:
     Segment doc-id ranges are disjoint across generations (delta doc ids
     start at the parent ceiling), so each ``(segment, bucket)`` chunk file
     is self-contained: the merge is one map task per term bucket and one
-    per forward fragment. Two waves (fwd first, because re-encode needs the
-    recomputed post-tombstone avgdl), both resumable by skip-if-exists:
+    per forward fragment. Two waves, both resumable by skip-if-exists;
+    encoding reads no corpus statistic, so the fwd wave only supplies the
+    manifest stats:
 
     1. fwd rewrite: filter tombstones per fragment -> new generation's fwd
-       dir; per-task (n_docs, sum_dl) partials -> exact global avgdl;
+       dir; per-task (n_docs, sum_dl) partials -> the manifest stats;
     2. chunk re-encode, bucket-major: each of the bucket's chunks in
        ascending segment order: decode -> drop tombstones -> vectorized
-       ``encode_posting_block`` with the new avgdl -> atomic write; then
+       ``encode_posting_block`` -> atomic write; then
        the bucket's df file from the re-encoded chunks (the same
        ``write_bucket_df`` the build uses). A bucket whose chunks and df
        file all exist is skipped; an existing chunk is read back.
@@ -446,7 +441,6 @@ def merge_generations(index_dir: str) -> dict:
         .map_batches(rewrite_fwd, batch_format="pyarrow").take_all()
     n_docs = sum(r["n_docs"] for r in fwd_rows)
     sum_dl = sum(r["sum_dl"] for r in fwd_rows)
-    avgdl = sum_dl / n_docs if n_docs else 0.0
     t_fwd = time.perf_counter()
 
     # -- wave 2: chunk re-encode + df, one map task per term bucket
@@ -461,8 +455,7 @@ def merge_generations(index_dir: str) -> dict:
         sids_of.setdefault(b, []).append(sid)
 
     def reencode(sid: int, b: int, path: str):
-        return _reencode_chunk(src_of[(sid, b)], path, ray.get(del_ref),
-                               cfg, avgdl)
+        return _reencode_chunk(src_of[(sid, b)], path, ray.get(del_ref))
 
     chunk_rows, n_terms = run_bucket_tasks(gdir, cfg.chunk_format, sids_of,
                                            reencode)
@@ -475,7 +468,7 @@ def merge_generations(index_dir: str) -> dict:
         "stats": {
             "n_docs": n_docs,
             "sum_dl": sum_dl,
-            "avgdl": avgdl,
+            "avgdl": sum_dl / n_docs if n_docs else 0.0,
             "n_postings": sum(r["postings"] for r in chunk_rows),
             "n_terms": n_terms,
             "n_segments": len({r["segment_id"] for r in chunk_rows}),

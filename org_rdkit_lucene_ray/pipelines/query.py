@@ -82,10 +82,10 @@ class _Postings(NamedTuple):
     ``weights`` is the per-posting float64 weight under the searcher's
     similarity. ``blk_maxw[j]`` is the EXACT maximum of ``weights`` over
     postings ``j * block_size`` to ``(j + 1) * block_size - 1``, derived
-    from the live weights, NOT the encode-time ``bm_max_tfn``: stored
-    bounds are relative to the encoding generation's avgdl, and on a
-    multi-generation index the query-time avgdl can exceed it, making
-    them non-admissible (true weights above the bound => block-max pruning
+    from the live weights; chunks store no bounds. A bound fixed at
+    encode time would be relative to that generation's avgdl, and on a
+    multi-generation index the query-time avgdl can exceed it, making it
+    non-admissible (true weights above the bound => block-max pruning
     could drop genuine top-k hits). ``top`` holds the doc ids of the
     ``_TOP_K`` largest weights in descending weight order, ``max_w`` the
     largest weight."""
@@ -506,11 +506,11 @@ class Searcher:
 
         - the float64 weight vector under the active similarity;
         - LIVE block-max bounds, one ``np.maximum.reduceat`` over the
-          weights. The stored ``bm_max_tfn`` is not read: it was encoded
-          with its generation's own avgdl and is not admissible once a
-          delta generation shifts the combined avgdl (it also stays stale
-          across tombstones). Live bounds are exact for the (avgdl,
-          deletes) pair, and tighter;
+          weights (nothing is stored: an encode-time bound would carry its
+          generation's own avgdl, stop being admissible once a delta
+          generation shifts the combined avgdl, and go stale across
+          tombstones). Live bounds are exact for the (avgdl, deletes)
+          pair;
         - the doc ids of the ``_TOP_K`` largest weights, by one
           ``argpartition`` and a sort of ``_TOP_K`` items, from which
           :meth:`topk_bmw` scores its pruning threshold.

@@ -23,8 +23,12 @@ Segment table schema (one row = one term's posting-list chunk within one
 doc-id-range segment)::
 
     term:string, df_chunk:int32, doc_bytes:binary, tf_bytes:binary,
-    dl_bytes:binary, bm_first_doc:list<int64>, bm_last_doc:list<int64>,
-    bm_max_tfn:list<float32>
+    dl_bytes:binary
+
+It stores only what a query reads. Block-max bounds are not stored: the
+searcher derives them from each term's live weights. Chunks from earlier
+writers, which carry three more (block-max) list columns after these, still
+open: readers address columns by name and never touch the extra ones.
 """
 
 from __future__ import annotations
@@ -42,9 +46,6 @@ SEGMENT_SCHEMA = pa.schema([
     ("doc_bytes", pa.binary()),
     ("tf_bytes", pa.binary()),
     ("dl_bytes", pa.binary()),
-    ("bm_first_doc", pa.list_(pa.int64())),
-    ("bm_last_doc", pa.list_(pa.int64())),
-    ("bm_max_tfn", pa.list_(pa.float32())),
 ])
 
 # positional layout (IndexConfig.store_positions): one extra nullable

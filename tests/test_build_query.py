@@ -932,6 +932,7 @@ def test_decode_cache_charges_top_docs(built_index, monkeypatch):
                                 + e.weights.nbytes + e.blk_maxw.nbytes
                                 + e.top.nbytes)
         for e in s._decode_cache.values())
+    bs = s.block_size
     for e in entries:
         w_of = dict(zip(e.docs.tolist(), e.weights.tolist()))
         top_w = [w_of[d] for d in e.top.tolist()]
@@ -939,6 +940,10 @@ def test_decode_cache_charges_top_docs(built_index, monkeypatch):
         assert top_w == sorted(top_w, reverse=True)
         assert top_w[-1] >= np.sort(e.weights)[-e.top.size]
         assert e.max_w == top_w[0]
+        # block bounds are the exact live block maxima (chunks store none)
+        assert e.blk_maxw.size == -(-e.docs.size // bs)
+        for j in range(e.blk_maxw.size):
+            assert e.blk_maxw[j] == e.weights[j * bs:(j + 1) * bs].max()
     budget = s.decode_cache_bytes // 4
     monkeypatch.setattr(Q, "DECODE_CACHE_BYTES", budget)
     small = Searcher(idx)
@@ -946,6 +951,62 @@ def test_decode_cache_charges_top_docs(built_index, monkeypatch):
         small.topk(q, 10)
         assert small.decode_cache_bytes <= budget
     assert len(small._decode_cache) < len(s._decode_cache)
+
+
+def test_chunks_store_only_what_a_query_reads(built_index, tmp_path):
+    """A built chunk holds exactly the columns a query reads. An index
+    whose chunks still carry the three block-max list columns earlier
+    writers stored answers identically, and a merge drops those columns."""
+    import glob
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from org_rdkit_lucene_ray.pipelines.merge import merge_generations
+    from org_rdkit_lucene_ray.state.segment import SEGMENT_SCHEMA
+
+    read_cols = ["term", "df_chunk", "doc_bytes", "tf_bytes", "dl_bytes"]
+    assert SEGMENT_SCHEMA.names == read_cols
+
+    def chunk_files(idx):
+        return glob.glob(os.path.join(idx, "gen-*", "segments", "seg=*",
+                                      "bucket-*"))
+
+    idx, _ = built_index
+    assert chunk_files(idx)
+    for f in chunk_files(idx):
+        assert pq.read_schema(f).names == read_cols
+
+    old = str(tmp_path / "old_layout")
+    shutil.copytree(idx, old)
+    for f in chunk_files(old):
+        t = pq.read_table(f)
+        first = [[0]] * t.num_rows
+        t = (t.append_column("bm_first_doc", pa.array(first, pa.list_(pa.int64())))
+              .append_column("bm_last_doc", pa.array(first, pa.list_(pa.int64())))
+              .append_column("bm_max_tfn",
+                             pa.array([[1.0]] * t.num_rows, pa.list_(pa.float32()))))
+        pq.write_table(t, f)
+    assert all(pq.read_schema(f).names[-1] == "bm_max_tfn"
+               for f in chunk_files(old))
+
+    queries = [q["query"] for q in gen_queries().to_pylist()][:20]
+    s_new = Searcher(idx)
+
+    def assert_same_answers(s):
+        for q in queries:
+            assert s.topk(q, 10) == s_new.topk(q, 10)
+            assert np.array_equal(s.search_or(q), s_new.search_or(q))
+
+    assert_same_answers(Searcher(old))
+    m = merge_generations(old)
+    merged = glob.glob(os.path.join(old, m["generation"], "segments",
+                                    "seg=*", "bucket-*"))
+    assert merged
+    for f in merged:
+        assert pq.read_schema(f).names == read_cols
+    assert_same_answers(Searcher(old))
 
 
 def test_lazy_residency_matches_eager(built_index, searcher, oracle_index):

@@ -4,7 +4,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from org_rdkit_lucene_ray.config import AnalyzerConfig, BM25Params
+from org_rdkit_lucene_ray.config import AnalyzerConfig
 from org_rdkit_lucene_ray.functions import html as H
 from org_rdkit_lucene_ray.functions.analyze import (
     REGISTRY,
@@ -15,7 +15,6 @@ from org_rdkit_lucene_ray.functions.analyze import (
 from org_rdkit_lucene_ray.functions.codec import (
     decode_posting_list,
     encode_posting_list,
-    tf_norm,
     varint_decode,
     varint_encode,
 )
@@ -154,33 +153,20 @@ def test_varint_roundtrip_property():
     assert (varint_decode(varint_encode(big)) == big).all()
 
 
-def test_posting_list_roundtrip_and_blockmax():
+def test_posting_list_roundtrip():
     rng = np.random.default_rng(1)
-    bm25 = BM25Params()
     for n in (1, 5, 128, 129, 1000):
         docs = np.cumsum(rng.integers(1, 100, size=n)).astype(np.int64)
         tfs = rng.integers(1, 30, size=n).astype(np.int64)
         dls = rng.integers(5, 500, size=n).astype(np.int64)
-        row = encode_posting_list(docs, tfs, dls, avgdl=100.0, bm25=bm25, block_size=128)
+        row = encode_posting_list(docs, tfs, dls)
         d, t, l = decode_posting_list(row)
         assert (d == docs).all() and (t == tfs).all() and (l == dls).all()
-        # block-max is an admissible upper bound and tight per block
-        tfn = tf_norm(tfs, dls, 100.0, bm25)
-        nb = len(row["bm_max_tfn"])
-        for b in range(nb):
-            blk = tfn[b * 128:(b + 1) * 128]
-            assert float(row["bm_max_tfn"][b]) >= blk.max()
-            assert float(row["bm_max_tfn"][b]) <= blk.max() * (1 + 1e-6)
-            assert row["bm_first_doc"][b] == docs[b * 128]
-            assert row["bm_last_doc"][b] == docs[min((b + 1) * 128, n) - 1]
 
 
 def test_encode_rejects_unsorted():
     with pytest.raises(ValueError):
-        encode_posting_list(
-            np.array([3, 2]), np.array([1, 1]), np.array([1, 1]),
-            avgdl=1.0, bm25=BM25Params(), block_size=8,
-        )
+        encode_posting_list(np.array([3, 2]), np.array([1, 1]), np.array([1, 1]))
 
 
 def test_analyzer_config_fingerprint_changes():
@@ -194,14 +180,12 @@ def test_encode_posting_block_matches_per_term():
     """Vectorized multi-term encoder is byte-identical to per-term encoding."""
     import numpy as np
 
-    from org_rdkit_lucene_ray.config import BM25Params
     from org_rdkit_lucene_ray.functions.codec import (
         encode_posting_block,
         encode_posting_list,
     )
 
     rng = np.random.default_rng(3)
-    bm = BM25Params()
     starts_list, docs_l, tfs_l, dls_l = [], [], [], []
     pos = 0
     for n in [1, 2, 5, 300, 127, 128, 129, 1000]:
@@ -215,20 +199,15 @@ def test_encode_posting_block_matches_per_term():
     tfs = np.concatenate(tfs_l)
     dls = np.concatenate(dls_l)
     starts = np.asarray(starts_list)
-    blk = encode_posting_block(docs, tfs, dls, starts, avgdl=87.3, bm25=bm, block_size=128)
+    blk = encode_posting_block(docs, tfs, dls, starts)
     bounds = np.concatenate([starts, [docs.size]])
     for i in range(starts.size):
         s, e = bounds[i], bounds[i + 1]
-        ref = encode_posting_list(docs[s:e], tfs[s:e], dls[s:e],
-                                  avgdl=87.3, bm25=bm, block_size=128)
+        ref = encode_posting_list(docs[s:e], tfs[s:e], dls[s:e])
         assert blk["df_chunk"][i] == ref["df_chunk"]
         assert bytes(blk["doc_buf"][blk["doc_off"][i]:blk["doc_off"][i + 1]]) == ref["doc_bytes"]
         assert bytes(blk["tf_buf"][blk["tf_off"][i]:blk["tf_off"][i + 1]]) == ref["tf_bytes"]
         assert bytes(blk["dl_buf"][blk["dl_off"][i]:blk["dl_off"][i + 1]]) == ref["dl_bytes"]
-        bo = blk["block_offsets"]
-        np.testing.assert_array_equal(blk["bm_first_doc"][bo[i]:bo[i + 1]], ref["bm_first_doc"])
-        np.testing.assert_array_equal(blk["bm_last_doc"][bo[i]:bo[i + 1]], ref["bm_last_doc"])
-        np.testing.assert_array_equal(blk["bm_max_tfn"][bo[i]:bo[i + 1]], ref["bm_max_tfn"])
 
 
 def test_record_serialize_round_trip():

@@ -59,7 +59,8 @@ def test_chunk_files_carry_pos_streams(pos_index):
     seg0 = sorted(os.listdir(os.path.join(gdir, "segments")))[0]
     f = sorted(os.listdir(os.path.join(gdir, "segments", seg0)))[0]
     t = pq.read_table(os.path.join(gdir, "segments", seg0, f))
-    assert "pos_bytes" in t.column_names
+    assert t.column_names == ["term", "df_chunk", "doc_bytes", "tf_bytes",
+                              "dl_bytes", "pos_bytes"]
     # every text-term stream is non-null and its position count == sum(tf)
     from org_rdkit_lucene_ray.functions.codec import (
         decode_position_streams, varint_decode)
