@@ -25,9 +25,17 @@ import numpy as np
 # ------------------------------------------------------------------- varints
 def varint_encode(values: np.ndarray) -> bytes:
     """LEB128-encode a uint64 array (vectorized, no Python loop over values)."""
+    return _varint_encode_offsets(values)[0]
+
+
+def _varint_encode_offsets(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """:func:`varint_encode` plus each value's byte offset in the output
+    (len = n + 1, the last entry is the total length) — the offsets come
+    from the same length pass the encoder needs, so callers slicing the
+    stream at term or posting boundaries do not measure it a second time."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
-        return b""
+        return b"", np.zeros(1, dtype=np.int64)
     lengths = varint_lengths(v)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     total = int(offsets[-1])
@@ -44,7 +52,7 @@ def varint_encode(values: np.ndarray) -> bytes:
         remaining[alive] = remaining[alive] >> np.uint64(7)
         alive = alive[more]
         k += 1
-    return out.tobytes()
+    return out.tobytes(), offsets
 
 
 def varint_lengths(values: np.ndarray) -> np.ndarray:
@@ -143,10 +151,8 @@ def encode_posting_block(
         raise ValueError("doc_ids must be strictly increasing within a term")
 
     def _stream(vals: np.ndarray) -> tuple[bytes, np.ndarray]:
-        buf = varint_encode(vals)
-        lens = varint_lengths(vals)
-        cum = np.concatenate([[0], np.cumsum(lens)])
-        return buf, cum[bounds]          # byte offset at each term boundary
+        buf, offs = _varint_encode_offsets(vals)
+        return buf, offs[bounds]         # byte offset at each term boundary
 
     doc_buf, doc_off = _stream(deltas)
     tf_buf, tf_off = _stream(tfs.astype(np.uint64))
@@ -195,11 +201,8 @@ def encode_position_streams(positions: np.ndarray,
     within[posting_starts] = False
     if n > 1 and not (np.diff(positions)[within[1:]] > 0).all():
         raise ValueError("positions must be strictly increasing within a posting")
-    buf = varint_encode(deltas)
-    lens = varint_lengths(deltas)
-    cum = np.concatenate([[0], np.cumsum(lens)])
-    bounds = np.concatenate([posting_starts, [n]])
-    return buf, cum[bounds]
+    buf, offs = _varint_encode_offsets(deltas)
+    return buf, offs[np.concatenate([posting_starts, [n]])]
 
 
 def decode_position_streams(buf: bytes | np.ndarray,

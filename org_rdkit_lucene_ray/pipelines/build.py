@@ -6,10 +6,11 @@ single-threaded SDF loop -> canonicalize -> fingerprint -> addDocument.
 Here the same computation is three Ray Data phases over Parquet pages:
 
 Phase DEDUP (J6, upsert/delete-by-PK analog ``ChemicalIndex.java:801``):
-    storage-partitioned like Phase B — per-fragment slim scans written
-    bucketed by url hash, then per-bucket last-write-wins loser detection
-    (one lexsort per bucket; real urls compared, so hash collisions are
-    harmless). The bucket count is sized by the data (one bucket per
+    storage-partitioned like Phase B — per-fragment slim scans spilled as
+    one record batch per url-hash bucket (:func:`write_bucket_batches`),
+    then per-bucket last-write-wins loser detection over the memory-mapped
+    batches (one lexsort per bucket; real urls compared, so hash collisions
+    are harmless). The bucket count is sized by the data (one bucket per
     ``dedup_rows_per_bucket`` rows, at least one), so a small corpus pays
     for one wave-2 task, not a fixed fan-out. Tokenize workers anti-join
     against the loser files with row-group predicate pushdown — no Ray
@@ -20,23 +21,27 @@ Phase A (tokenize; the expensive, checkpointed pass):
     ``FragmentTokenizer`` per worker process. Each fragment:
     row-group-streamed pruned read -> ``extract_text(html)`` (byte-identity
     invariant verified against the shipped ``text`` column) -> vectorized
-    tokenize -> postings ``(term, doc_id, tf, dl)`` + forward-index
+    tokenize -> postings ``(term, doc_id, tf, dl)`` spilled as one Arrow
+    IPC file per fragment (one record batch per term bucket) + forward-index
     Parquet, written atomically, manifest row committed last (resume = skip
     committed fragments).
     doc_id = fragment base (prefix sum over path-sorted fragments) + row
     offset — deterministic across runs and resumes (SURVEY §7.4(1)).
 
 Phase B (the wide step — a STORAGE-PARTITIONED exchange, no Ray groupby):
-    Phase A wrote each fragment's postings sorted by
-    ``(bucket = stable_hash(term) % term_buckets, term, doc_id)`` with one
-    Parquet row group per bucket; fragments own contiguous doc-id ranges,
-    so one encode task per term bucket walks the segments in ascending
-    order, reads each ``(segment_id, bucket)`` slice of the few overlapping
-    fragment files via row-group pruning, re-sorts it, and writes one
-    atomically-renamed chunk file (delta+varint, vectorized
-    across all terms). The deterministic file layout IS the shuffle — it
-    removed the 53 s all-to-all sort the ``groupby(term)`` variant cost at
-    160k docs, and makes resume = skip existing chunk files. Skew: a
+    Phase A spilled each fragment's postings as an uncompressed Arrow IPC
+    file whose record batch *b* holds term bucket *b*
+    (``stable_hash(term) % term_buckets``), rows in ``(hash, doc_id)``
+    order; fragments own contiguous doc-id ranges, so one encode task per
+    term bucket walks the segments in ascending order, memory-maps batch
+    *b* of the few fragment files overlapping each segment (a numpy mask
+    cuts the doc range of a fragment that straddles a segment boundary),
+    re-sorts the slice, and writes one atomically-renamed chunk file
+    (delta+varint, vectorized across all terms). Nothing is decoded and no
+    file statistics are evaluated per slice. The deterministic file layout
+    IS the shuffle — it removed the 53 s all-to-all sort the
+    ``groupby(term)`` variant cost at 160k docs, and makes resume = skip
+    existing chunk files. Skew: a
     term's postings are pre-split by doc-id range (segment), so a task
     holds at most ``docs_per_segment`` docs' postings at once no matter
     how hot the head term is — salting-by-docID-range per SURVEY §7.1(6);
@@ -156,6 +161,43 @@ def plan_fragments(input_paths: str | list[str], doc_id_base: int = 0) -> list[d
     return frags
 
 
+# -------------------------------------------------------------------- spill
+def write_bucket_batches(table: pa.Table, bucket: np.ndarray, buckets: int,
+                         path: str) -> int:
+    """Write ``table``, whose rows are sorted by ``bucket`` (each row's
+    bucket id in ``[0, buckets)``), as one Arrow IPC file with ONE RECORD
+    BATCH PER BUCKET: the batch index is the bucket, and an empty bucket is
+    an empty batch. The write side of the build's storage-partitioned
+    exchanges (the tokenize posting spill and the dedup slim spill).
+    Uncompressed, so :func:`read_bucket_batch` maps a bucket without
+    decoding a byte. Atomic (temp + rename); returns the file's size."""
+    import uuid
+
+    cuts = np.searchsorted(bucket, np.arange(buckets + 1))
+    batch = pa.record_batch([c.combine_chunks() for c in table.columns],
+                            schema=table.schema)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{uuid.uuid4().hex}")
+    with pa.OSFile(tmp, "wb") as f, pa.ipc.new_file(f, batch.schema) as w:
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            w.write_batch(batch.slice(lo, hi - lo))
+    size = os.path.getsize(tmp)
+    os.replace(tmp, path)
+    return size
+
+
+def read_bucket_batch(path: str, bucket: int, columns: list[str]) -> pa.RecordBatch:
+    """Bucket ``bucket`` of a :func:`write_bucket_batches` file, memory-mapped:
+    the batch's buffers point into the mapping (which they keep alive)."""
+    with pa.memory_map(path) as src:
+        return pa.ipc.open_file(src).get_batch(bucket).select(columns)
+
+
+def spill_path(work_dir: str, fragment_id: int) -> str:
+    """A fragment's posting spill file."""
+    return os.path.join(work_dir, "postings", f"frag-{fragment_id:06d}.arrow")
+
+
 # -------------------------------------------------------------------- dedup
 def _dedup_bucket_count(total_rows: int, cfg: IndexConfig) -> int:
     """Data-sized bucket count (r3 verdict #2): one bucket per
@@ -187,37 +229,32 @@ def _dedup_fragment_ranges(fragments: list[dict], buckets: int,
     return ranges
 
 
+def _slim_path(slim_dir: str, fragment_id: int) -> str:
+    return os.path.join(slim_dir, f"frag-{fragment_id:06d}.arrow")
+
+
 def _slim_bucketed_write(batch: pa.Table, *, slim_dir: str,
                          buckets: int) -> pa.Table:
-    """Wave 1: per-fragment slim scan written sorted by (bucket, uh) with
-    one row group per url-hash bucket — the dedup side of the
-    storage-partitioned exchange (no Ray groupby anywhere in dedup)."""
-    import uuid
-
+    """Wave 1: per-fragment slim scan sorted by (bucket, uh) and spilled as
+    one record batch per url-hash bucket (:func:`write_bucket_batches`) —
+    the dedup side of the storage-partitioned exchange (no Ray groupby
+    anywhere in dedup)."""
     _pin_arrow_threads()
     out_rows = []
     for row in batch.to_pylist():
         t = pq.read_table(row["path"], columns=["url", "warc_ts"])
         n = t.num_rows
         uh = stable_term_hash(t["url"]).astype(np.int64)
+        bucket = uh % buckets
+        order = np.lexsort((uh, bucket))
         slim = pa.table({
-            "bucket": pa.array((uh % buckets).astype(np.int32)),
             "uh": pa.array(uh),
             "url": t["url"],
             "warc_ts_us": pc.cast(t["warc_ts"], pa.int64()),
             "doc_id": pa.array(row["base"] + np.arange(n, dtype=np.int64)),
-        })
-        order = pc.sort_indices(slim, sort_keys=[("bucket", "ascending"),
-                                                 ("uh", "ascending")])
-        slim = slim.take(order)
-        path = os.path.join(slim_dir, f"frag-{int(row['fragment_id']):06d}.parquet")
-        tmp = os.path.join(slim_dir, f".tmp-{uuid.uuid4().hex}")
-        bk = slim["bucket"].to_numpy()
-        starts = np.concatenate([[0], np.flatnonzero(bk[1:] != bk[:-1]) + 1, [n]])
-        with pq.ParquetWriter(tmp, slim.schema) as w:
-            for i in range(len(starts) - 1):
-                w.write_table(slim.slice(starts[i], starts[i + 1] - starts[i]))
-        os.replace(tmp, path)
+        }).take(pa.array(order))
+        write_bucket_batches(slim, bucket[order], buckets,
+                             _slim_path(slim_dir, int(row["fragment_id"])))
         out_rows.append({"fragment_id": int(row["fragment_id"]), "rows": n})
     return pa.Table.from_pylist(out_rows, schema=pa.schema(
         [("fragment_id", pa.int32()), ("rows", pa.int64())]))
@@ -233,14 +270,15 @@ def compute_dup_losers(fragments: list[dict], work_dir: str,
     - bucket count is DATA-sized (`_dedup_bucket_count`): one url-hash
       bucket per ~2M input rows (at least one), so a bucket's slice stays
       bounded at any corpus size and a small corpus runs one bucket;
-    - wave 1 (per fragment): slim (uh, url, warc_ts, doc_id) scan written
-      sorted by url-hash bucket, one row group per bucket;
+    - wave 1 (per fragment): slim (uh, url, warc_ts, doc_id) scan spilled
+      as one Arrow IPC file, one record batch per url-hash bucket;
     - wave 2 (per bucket × fragment-range): consecutive fragments are packed
       into ranges (`_dedup_fragment_ranges`) so one sub-task reads
-      ≲ dedup_max_task_rows rows and opens ≤ dedup_max_files_per_task files.
-      Each sub-task lexsorts its slice, emits local last-write-wins LOSERS
-      immediately and — when more than one range exists — its per-url local
-      WINNER rows (one row per distinct url in the slice);
+      ≲ dedup_max_task_rows rows and maps ≤ dedup_max_files_per_task files,
+      reading batch *b* of each. Each sub-task lexsorts its slice, emits
+      local last-write-wins LOSERS immediately and — when more than one
+      range exists — its per-url local WINNER rows (one row per distinct
+      url in the slice);
     - combine (per bucket, only when ranges > 1): fold the bucket's winner
       rows across ranges (≤ distinct-urls-per-range × ranges rows, tiny) and
       emit the sub-winners that lose globally. Last-write-wins is an
@@ -271,9 +309,6 @@ def compute_dup_losers(fragments: list[dict], work_dir: str,
         _slim_bucketed_write, fn_kwargs=dict(slim_dir=slim_dir, buckets=buckets),
         batch_format="pyarrow", batch_size=None).take_all()
 
-    def slim_path(frag: dict) -> str:
-        return os.path.join(slim_dir, f"frag-{int(frag['fragment_id']):06d}.parquet")
-
     _task_schema = pa.schema([("bucket", pa.int32()), ("range_id", pa.int32()),
                               ("rows_read", pa.int64()), ("losers", pa.int64())])
 
@@ -283,11 +318,10 @@ def compute_dup_losers(fragments: list[dict], work_dir: str,
         for row in batch.to_pylist():
             b, rid = int(row["bucket"]), int(row["range_id"])
             lo, hi = ranges[rid]
-            tabs = [pq.read_table(slim_path(fr),
-                                  columns=["uh", "url", "warc_ts_us", "doc_id"],
-                                  filters=[("bucket", "==", b)])
-                    for fr in fragments[lo:hi]]
-            t = pa.concat_tables(tabs)
+            t = pa.Table.from_batches([
+                read_bucket_batch(_slim_path(slim_dir, int(fr["fragment_id"])),
+                                  b, ["uh", "url", "warc_ts_us", "doc_id"])
+                for fr in fragments[lo:hi]])
             if t.num_rows == 0:
                 continue
             losers = _last_write_wins_losers(t)
@@ -582,17 +616,19 @@ class FragmentTokenizer:
                 "corpus and extractor disagree (M12 abort-threshold analog)")
         postings_tbl = pa.concat_tables(post_parts) if post_parts else None
         fwd_tbl = pa.concat_tables(fwd_parts)
-        nbytes = 0
-        post_path = os.path.join(self.work_dir, "postings", f"frag-{fid:06d}.parquet")
+        spill_bytes, spill_s = 0, 0.0
         if postings_tbl is not None and postings_tbl.num_rows:
-            nbytes += _write_bucketed_postings(postings_tbl, post_path,
-                                              self.cfg.term_buckets)
+            t_spill = time.perf_counter()
+            spill_bytes = _write_bucketed_postings(
+                postings_tbl, spill_path(self.work_dir, fid), self.cfg.term_buckets)
+            spill_s = time.perf_counter() - t_spill
         # url bloom in the fragment footer -> lookup_pk opens O(1) files
         # instead of every fwd fragment (J1 at web scale, state/bloom.py)
         from org_rdkit_lucene_ray.state.bloom import attach_url_bloom
 
-        nbytes += atomic_write_table(attach_url_bloom(fwd_tbl),
-                                     os.path.join(self.fwd_dir, f"frag-{fid:06d}.parquet"))
+        nbytes = spill_bytes + atomic_write_table(
+            attach_url_bloom(fwd_tbl),
+            os.path.join(self.fwd_dir, f"frag-{fid:06d}.parquet"))
         row = {
             "input_fragment": path,
             "base": base,
@@ -603,6 +639,8 @@ class FragmentTokenizer:
             "dedup_dropped": int(rows - fwd_tbl.num_rows),
             "extract_mismatches": mismatches,
             "bytes": int(nbytes),
+            "spill_bytes": int(spill_bytes),
+            "spill_s": spill_s,
             "seconds": sw.secs(),
             "resumed_skip": False,
         }
@@ -612,8 +650,8 @@ class FragmentTokenizer:
         rows = [self._process_fragment(f) for f in batch.to_pylist()]
         keys = ["fragment_id", "input_fragment", "base", "input_rows", "docs",
                 "postings", "sum_dl", "dedup_dropped", "extract_mismatches",
-                "bytes", "seconds", "docs_per_sec", "postings_per_sec",
-                "resumed_skip"]
+                "bytes", "spill_bytes", "spill_s", "seconds", "docs_per_sec",
+                "postings_per_sec", "resumed_skip"]
         return pa.table({k: [r.get(k) for r in rows] for k in keys})
 
 
@@ -646,37 +684,26 @@ def _tokenize_fragments_task(batch: pa.Table, *, ctor_kwargs: dict) -> pa.Table:
 
 
 def _write_bucketed_postings(postings: pa.Table, path: str, buckets: int) -> int:
-    """Write a fragment's postings clustered by bucket with ONE ROW GROUP
-    PER BUCKET — the write side of the storage-partitioned exchange that
-    replaces the groupby-term shuffle (encode tasks read one bucket via
-    row-group statistics pruning). Atomic: temp + rename.
+    """Spill a fragment's postings with ONE RECORD BATCH PER TERM BUCKET
+    (:func:`write_bucket_batches`) — the write side of the
+    storage-partitioned exchange that replaces the groupby-term shuffle
+    (an encode task memory-maps batch *b* of each overlapping fragment).
+    Atomic: temp + rename; returns the file's size in bytes.
 
     Within a bucket, rows are ordered by (term-HASH, doc_id), not by the
     term string: bucket contiguity is all the layout contract requires
     (encode re-sorts its slice by (term, doc_id) anyway, and same-term
     rows stay adjacent under the hash), while a 3-key numeric np.lexsort
     is ~4x faster than the Arrow string sort it replaces."""
-    import uuid
-
     # hash the DICTIONARY (distinct terms, ~2 orders of magnitude fewer
     # than posting rows), then scatter through the indices
     td = pc.dictionary_encode(postings["term"].combine_chunks())
     idx = td.indices.to_numpy(zero_copy_only=False)
     h = stable_term_hash(td.dictionary)[idx]
     bucket = (h % buckets).astype(np.int32)
-    postings = postings.append_column("bucket", pa.array(bucket))
     order = np.lexsort((postings["doc_id"].to_numpy(), h, bucket))
-    postings = postings.take(pa.array(order))
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = os.path.join(os.path.dirname(path), f".tmp-{uuid.uuid4().hex}")
-    bk = postings["bucket"].to_numpy()
-    starts = np.concatenate([[0], np.flatnonzero(bk[1:] != bk[:-1]) + 1, [len(bk)]])
-    with pq.ParquetWriter(tmp, postings.schema, compression="zstd") as w:
-        for i in range(len(starts) - 1):
-            w.write_table(postings.slice(starts[i], starts[i + 1] - starts[i]))
-    size = os.path.getsize(tmp)
-    os.replace(tmp, path)
-    return size
+    return write_bucket_batches(postings.take(pa.array(order)), bucket[order],
+                                buckets, path)
 
 
 # ------------------------------------------------------------------ phase B
@@ -860,37 +887,74 @@ def run_bucket_tasks(gdir: str, chunk_format: str,
                        if r["segment_id"] == _DF_ROW)
 
 
+def segment_spills(work_dir: str,
+                   docs_per_segment: int) -> dict[int, list[tuple[str, bool]]]:
+    """Segment id -> ``(spill file, straddles)`` for each committed fragment
+    whose doc range overlaps the segment's; ``straddles`` is True when the
+    fragment spans more than one segment, so its rows must be cut to the
+    segment's range.
+
+    A committed fragment with postings but no spill file raises (a lost
+    file, or a work dir written by an older spill format): leaving it out
+    would silently drop its documents from the index."""
+    D = docs_per_segment
+    out: dict[int, list[tuple[str, bool]]] = {}
+    for m in ckpt.list_fragment_manifests(work_dir):
+        if not int(m["postings"]):
+            continue          # fragment produced no postings, spilled nothing
+        fid = int(m["fragment_id"])
+        path = spill_path(work_dir, fid)
+        if not os.path.exists(path):
+            raise FileNotFoundError(
+                f"fragment {fid} ({m['input_fragment']}) is committed with "
+                f"{m['postings']} postings but its spill file {path} is missing "
+                "(lost, or left by a build with another spill format); delete "
+                f"{ckpt.fragment_manifest_path(work_dir, fid)} to re-tokenize "
+                f"that fragment, or delete the work dir {work_dir} to rebuild")
+        base, rows = int(m["base"]), int(m["input_rows"])
+        first, last = base // D, (base + rows - 1) // D
+        for sid in range(first, last + 1):
+            out.setdefault(sid, []).append((path, first != last))
+    return out
+
+
+def read_segment_slice(spills: list[tuple[str, bool]], bucket: int,
+                       lo: int, hi: int, columns: list[str]) -> pa.Table:
+    """One ``(segment, bucket)`` slice: batch ``bucket`` of each of the
+    segment's spill files (:func:`segment_spills`), memory-mapped; a
+    straddling fragment's batch is cut to doc ids ``[lo, hi)`` with a numpy
+    mask. Rows keep the spill's per-fragment ``(hash, doc_id)`` order."""
+    parts = []
+    for path, straddles in spills:
+        rb = read_bucket_batch(path, bucket, columns)
+        if straddles:
+            d = rb.column("doc_id").to_numpy()
+            rb = rb.filter(pa.array((d >= lo) & (d < hi)))
+        parts.append(rb)
+    return pa.Table.from_batches(parts)
+
+
 def encode_segments(work_dir: str, gdir: str,
                     cfg: IndexConfig) -> tuple[list[dict], int]:
     """Phase B driver — storage-partitioned exchange, NO Ray groupby.
 
-    Tokenize wrote each fragment's postings sorted by (bucket, term, doc_id)
-    with one row group per bucket; fragments own contiguous doc-id ranges,
-    so ``(segment, bucket)`` -> the bucket row groups of the few fragments
-    overlapping that segment's doc range. Each slice is read via Parquet
-    row-group pruning + doc-range predicate — the "shuffle" is the
-    deterministic file layout, which (a) removes the all-to-all sort the
-    groupby did (53s of a 70s sf-scaling build), and (b) makes resume =
-    skip existing chunk files, no recompute. Skew: a head term's postings
-    are still split by doc range exactly as before (segment = docID-range
-    salt, SURVEY §7.1(6)).
+    Tokenize spilled each fragment's postings as one record batch per term
+    bucket; fragments own contiguous doc-id ranges, so ``(segment, bucket)``
+    -> batch *bucket* of the few fragment files overlapping that segment's
+    doc range (:func:`read_segment_slice`: memory-mapped, nothing decoded).
+    The "shuffle" is the deterministic file layout, which (a) removes the
+    all-to-all sort the groupby did (53s of a 70s sf-scaling build), and
+    (b) makes resume = skip existing chunk files, no recompute. Skew: a
+    head term's postings are still split by doc range exactly as before
+    (segment = docID-range salt, SURVEY §7.1(6)).
 
     Bucket-major (:func:`run_bucket_tasks`): one task per term bucket
     encodes the bucket's slices in ascending segment order, one slice in
     memory at a time, then writes the bucket's df file.
 
     Returns (one stats row per chunk, global term count)."""
-    post_dir = os.path.join(work_dir, "postings")
     D = cfg.docs_per_segment
-
-    seg_files: dict[int, list[str]] = {}
-    for m in ckpt.list_fragment_manifests(work_dir):
-        path = os.path.join(post_dir, f"frag-{int(m['fragment_id']):06d}.parquet")
-        if not os.path.exists(path):
-            continue          # fragment produced no postings
-        base, rows = int(m["base"]), int(m["input_rows"])
-        for sid in range(base // D, (base + rows - 1) // D + 1):
-            seg_files.setdefault(sid, []).append(path)
+    seg_files = segment_spills(work_dir, D)
     sids = sorted(seg_files)
 
     read_cols = ["term", "doc_id", "tf", "dl"]
@@ -898,12 +962,8 @@ def encode_segments(work_dir: str, gdir: str,
         read_cols.append("pos_bytes")
 
     def encode_slice(sid: int, b: int, path: str):
-        t = pa.concat_tables([
-            pq.read_table(f, columns=read_cols,
-                          filters=[("bucket", "==", b), ("doc_id", ">=", sid * D),
-                                   ("doc_id", "<", (sid + 1) * D)])
-            for f in seg_files[sid]
-        ])
+        t = read_segment_slice(seg_files[sid], b, sid * D, (sid + 1) * D,
+                               read_cols)
         if t.num_rows == 0:
             return None
         # per-fragment slices are hash-grouped (same-term rows adjacent,

@@ -8,8 +8,8 @@ without rescanning them (FIXTURES.md §5 manifest schema).
 
 Metrics recorded per fragment (IndexListener analog, T6 /
 ``LuceneBenchmark.java:603-619``): docs, postings, sum_dl, bytes written,
-seconds, docs/sec, postings/sec — the north rule's per-partition lineage +
-metrics requirement.
+the posting spill's bytes and seconds, seconds, docs/sec, postings/sec —
+the north rule's per-partition lineage + metrics requirement.
 """
 
 from __future__ import annotations

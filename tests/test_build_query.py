@@ -401,6 +401,148 @@ def test_dedup_losers_independent_of_bucket_count(ray_session, pages_dir,
     assert losers[0] == losers[1]
 
 
+def _spill_postings(rng, doc_ids, vocab):
+    """A fragment's postings table: a few distinct terms per doc."""
+    import pyarrow as pa
+
+    terms, docs = [], []
+    for d in doc_ids:
+        for t in rng.choice(vocab, size=int(rng.integers(1, 6)), replace=False):
+            terms.append(t)
+            docs.append(int(d))
+    n = len(docs)
+    return pa.table({"term": pa.array(terms, pa.string()),
+                     "doc_id": pa.array(docs, pa.int64()),
+                     "tf": pa.array(rng.integers(1, 9, n), pa.int32()),
+                     "dl": pa.array(rng.integers(5, 90, n), pa.int32())})
+
+
+def test_posting_spill_one_batch_per_bucket(tmp_path):
+    """The posting spill holds ONE record batch per term bucket: batch b is
+    exactly the rows whose stable_term_hash % buckets == b, in (hash,
+    doc_id) order, and an empty bucket is an empty batch, so the batch
+    index is the bucket."""
+    import pyarrow as pa
+
+    from org_rdkit_lucene_ray.pipelines.build import (
+        _write_bucketed_postings,
+        read_bucket_batch,
+        stable_term_hash,
+    )
+
+    rng = np.random.default_rng(7)
+    vocab = np.array([f"t{i}" for i in range(12)])
+    post = _spill_postings(rng, rng.permutation(200), vocab)
+    buckets = 64                     # 12 terms over 64 buckets: most empty
+    path = str(tmp_path / "postings" / "frag-000000.arrow")
+    size = _write_bucketed_postings(post, path, buckets)
+    assert size == os.path.getsize(path)
+    assert os.listdir(tmp_path / "postings") == ["frag-000000.arrow"]
+    with pa.memory_map(path) as src:
+        assert pa.ipc.open_file(src).num_record_batches == buckets
+
+    want_bucket = stable_term_hash(post["term"]) % buckets
+    cols = ["term", "doc_id", "tf", "dl"]
+    seen, empty = 0, 0
+    for b in range(buckets):
+        rb = read_bucket_batch(path, b, cols)
+        assert rb.schema.names == cols
+        want = post.filter(pa.array(want_bucket == b))
+        h = stable_term_hash(rb.column("term"))
+        d = rb.column("doc_id").to_numpy()
+        assert (h % buckets == b).all()
+        assert np.array_equal(np.lexsort((d, h)), np.arange(rb.num_rows))
+        got = sorted(zip(*(rb.column(c).to_pylist() for c in cols)))
+        assert got == sorted(zip(*(want[c].to_pylist() for c in cols)))
+        seen += rb.num_rows
+        empty += rb.num_rows == 0
+    assert seen == post.num_rows
+    assert empty >= buckets - len(vocab)
+
+
+def test_segment_slices_partition_straddling_fragment(tmp_path):
+    """Each spilled row lands in exactly one (segment, bucket) slice — the
+    one its doc id and term hash name — including the rows of a fragment
+    that straddles a segment boundary (cut by the doc-range mask)."""
+    from org_rdkit_lucene_ray.pipelines.build import (
+        _write_bucketed_postings,
+        read_segment_slice,
+        segment_spills,
+        spill_path,
+        stable_term_hash,
+    )
+    from org_rdkit_lucene_ray.state import checkpoint as ckpt
+
+    rng = np.random.default_rng(11)
+    vocab = np.array([f"w{i}" for i in range(40)])
+    work, D, buckets = str(tmp_path), 128, 4
+    # fragment 1 covers docs [100, 300): segments 0, 1 and 2
+    frags = [(0, 0, 100), (1, 100, 200), (2, 300, 20)]
+    want = set()
+    for fid, base, rows in frags:
+        post = _spill_postings(rng, base + rng.permutation(rows), vocab)
+        _write_bucketed_postings(post, spill_path(work, fid), buckets)
+        ckpt.commit_fragment_manifest(work, fid, {
+            "input_fragment": f"f{fid}", "base": base, "input_rows": rows,
+            "postings": post.num_rows, "seconds": 1.0})
+        want |= set(zip(post["term"].to_pylist(), post["doc_id"].to_pylist()))
+
+    spills = segment_spills(work, D)
+    assert sorted(spills) == [0, 1, 2]
+    assert [s for _, s in spills[1]] == [True]           # only fragment 1
+    assert [s for _, s in spills[2]] == [True, False]
+    got = []
+    for sid, files in spills.items():
+        for b in range(buckets):
+            t = read_segment_slice(files, b, sid * D, (sid + 1) * D,
+                                   ["term", "doc_id"])
+            d = t["doc_id"].to_numpy()
+            assert ((d >= sid * D) & (d < (sid + 1) * D)).all()
+            assert (stable_term_hash(t["term"]) % buckets == b).all()
+            got += list(zip(t["term"].to_pylist(), t["doc_id"].to_pylist()))
+    assert len(got) == len(set(got)) == len(want)
+    assert set(got) == want
+
+
+def test_missing_spill_file_raises(ray_session, pages_dir, tmp_path):
+    """A committed fragment whose spill file is gone (lost, or written by an
+    older spill format) must stop the build, naming the fragment and its
+    manifest — not silently leave its documents out of the index."""
+    import glob
+    import shutil
+
+    from org_rdkit_lucene_ray.config import IndexConfig
+    from org_rdkit_lucene_ray.pipelines.build import build_index
+
+    cfg = IndexConfig(docs_per_segment=256, term_buckets=8, block_size=32)
+    idx = str(tmp_path / "idx")
+    m = build_index(pages_dir, idx, cfg=cfg)
+    work = os.path.join(idx, "work")
+    spill = glob.glob(os.path.join(work, "postings", "frag-000003.*"))
+    assert len(spill) == 1
+    os.remove(spill[0])
+    shutil.rmtree(os.path.join(idx, m["generation"], "segments"))
+    shutil.rmtree(os.path.join(idx, m["generation"], "df"))
+    with pytest.raises(FileNotFoundError,
+                       match=r"fragment 3 .*manifest/frag-000003\.json"):
+        build_index(pages_dir, idx, cfg=cfg)
+
+
+def test_spill_counters_in_lineage_rows(built_index):
+    """Every fragment row records its spill bytes and seconds; the bytes
+    sum to the size of the postings spill on disk, and ``bytes`` still
+    counts the spill plus the forward-index file."""
+    idx, manifest = built_index
+    post = os.path.join(idx, "work", "postings")
+    on_disk = sum(os.path.getsize(os.path.join(post, f))
+                  for f in os.listdir(post))
+    rows = manifest["fragments"]
+    assert sum(r["spill_bytes"] for r in rows) == on_disk > 0
+    for r in rows:
+        assert r["spill_bytes"] > 0 and r["spill_s"] > 0
+        assert r["bytes"] > r["spill_bytes"]
+
+
 def test_index_format_version_guard(built_index):
     """An index written under a different on-disk format / term-bucket hash
     must be refused loudly (the searcher probes only the computed bucket, so

@@ -267,7 +267,7 @@ def test_crash_resume_byte_identical(ray_session, pages_dir, tmp_path_factory):
     work = os.path.join(idx2, "work")
     for fid in (2, 5):
         os.remove(os.path.join(work, "manifest", f"frag-{fid:06d}.json"))
-        os.remove(os.path.join(work, "postings", f"frag-{fid:06d}.parquet"))
+        os.remove(os.path.join(work, "postings", f"frag-{fid:06d}.arrow"))
         os.remove(os.path.join(gdir2, "fwd", f"frag-{fid:06d}.parquet"))
     seg_root = os.path.join(gdir2, "segments")
     removed = 0

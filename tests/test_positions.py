@@ -379,7 +379,7 @@ def test_crash_resume_byte_identical_positional_ipc(ray_session, pages_dir,
     gdir2 = os.path.join(idx2, m2["generation"])
     work = os.path.join(idx2, "work")
     os.remove(os.path.join(work, "manifest", "frag-000002.json"))
-    os.remove(os.path.join(work, "postings", "frag-000002.parquet"))
+    os.remove(os.path.join(work, "postings", "frag-000002.arrow"))
     os.remove(os.path.join(gdir2, "fwd", "frag-000002.parquet"))
     seg_root = os.path.join(gdir2, "segments")
     removed = 0
