@@ -2182,7 +2182,7 @@ def q_pagerank(sf_dir: str) -> rd.Dataset:
                          "dst": pa.array(pairs[:, 1], pa.int64())})
 
     edges = docs.map_batches(mk_edges, batch_format="pyarrow")
-    return pagerank(edges, n, n_iter=PAGERANK_ITER, num_partitions=4)
+    return pagerank(edges, n, n_iter=PAGERANK_ITER)
 
 
 def _pagerank_sql() -> str:
@@ -2936,11 +2936,14 @@ def q_snapshot_diff(sf_dir: str) -> rd.Dataset:
     pass: which pages of the new crawl are new/changed/unchanged): old =
     the documents table; new = a deterministic re-crawl (every 31st doc
     gone, every 13th rewritten). Both sides reduce to (pk, content
-    fingerprint) per batch, meet in a Ray-native hash-partitioned
-    ``Dataset.join`` (left outer: additions are impossible by
-    construction here — an added page is the join's right-anti set, same
-    machinery), and the status is a per-row fingerprint compare. Only
-    (pk, 16-byte md5) rows ride the exchange at any corpus size."""
+    fingerprint) per batch, meet in ``stages.join.fold_join`` — the one
+    bucket-fold exchange, partitions sized by its bytes (left outer:
+    additions are impossible by construction here — an added page is the
+    join's right-anti set, same machinery), and the status is a per-row
+    fingerprint compare. Only (pk, 16-byte md5) rows ride the exchange at
+    any corpus size."""
+    from org_rdkit_lucene_ray.stages.join import fold_join
+
     docs = _docs(sf_dir, columns=["doc_id", "text"])
 
     def old_fp(t: pa.Table) -> pa.Table:
@@ -2964,12 +2967,8 @@ def q_snapshot_diff(sf_dir: str) -> rd.Dataset:
 
     old = docs.map_batches(old_fp, batch_format="pyarrow")
     new = docs.map_batches(new_fp, batch_format="pyarrow")
-    # 4 partitions: join partitions are sized to data volume (~2M rows
-    # each at scale), never to CPU count — Ray's per-partition aggregator
-    # actors have fixed cost that dominates small joins (29 s @32 vs
-    # 3.4 s @4 for this shape at 400k rows)
-    joined = old.join(new, "left_outer", 4,
-                      on=("doc_id",), right_on=("new_id",))
+    joined = fold_join(old, new, on="doc_id", right_on="new_id",
+                       join_type="left_outer")
 
     def status_of(t: pa.Table) -> pa.Table:
         fo = t["fp_old"].to_numpy(zero_copy_only=False)
@@ -3072,8 +3071,8 @@ def q_orders_by_segment(sf_dir: str) -> rd.Dataset:
     orders -> customer.mktsegment. Below `BROADCAST_ROW_LIMIT` the
     customer side ships ONCE as Arrow refs and is probed with a
     vectorized `pc.index_in` inside map_batches (no shuffle, no driver
-    dict); above it the same call falls back to the hash-partitioned
-    `Dataset.join` that `order_revenue` uses. Then groupby segment.
+    dict); above it the same call falls back to `stages.join.fold_join`,
+    the bucket-fold exchange `order_revenue` uses. Then groupby segment.
 
     Prices are summed as INTEGER CENTS (o_totalprice is a 2-dp decimal):
     the float64 sum of ~3k values at 7e8 magnitude is order-dependent
@@ -3155,13 +3154,16 @@ def q_order_revenue(sf_dir: str) -> rd.Dataset:
     Scale shape: lineitem is pre-aggregated per orderkey INSIDE
     ``map_batches`` before the join (~4 lineitems/order collapse to one
     row, so the exchange ships ~25% of the rows), the join itself is
-    Ray-native hash-partitioned (`Dataset.join`), and the post-join
+    `stages.join.fold_join` (the one bucket-fold exchange, partitions
+    sized by its bytes), and the post-join
     reduction is a per-batch partial over the 5 priorities followed by a
     5-row groupby. Revenue ``price*(1-discount)`` is computed in exact
     integer 1e-4 units (2-dp price cents × 2-dp discount percent), summed
     as int64, divided once — the oracle mirrors the identical integer
     expression, so the floats are bitwise-equal."""
     from ray.data.aggregate import Sum
+
+    from org_rdkit_lucene_ray.stages.join import fold_join
 
     def pre_agg(t: pa.Table) -> pa.Table:
         key = t["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -3183,13 +3185,7 @@ def q_order_revenue(sf_dir: str) -> rd.Dataset:
     ).map_batches(pre_agg, batch_format="pyarrow")
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_orderkey", "o_orderpriority"])
-    # join num_partitions sized to DATA (rows/partition), not CPU count:
-    # each partition runs a hash-aggregator actor with fixed startup +
-    # memory cost, and a 32-partition join of 400k tiny rows measured 29 s
-    # vs 3.4 s at 4 partitions — at 100 TB the same rule keeps partitions
-    # at ~2M rows each
-    joined = li.join(orders, "inner", 4,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = fold_join(li, orders, on="l_orderkey", right_on="o_orderkey")
 
     def by_priority(t: pa.Table) -> pa.Table:
         prio = t["o_orderpriority"]

@@ -265,7 +265,8 @@ class _ChunkIndex(_SortedTermIndex):
 class Searcher:
     """Open one index generation and answer the reference's search surface.
 
-    ``shard=(i, n)`` loads only segments with ``sid % n == i`` while keeping
+    ``shard=(i, n)`` loads only the i-th of ``n`` nearly-equal contiguous
+    runs of segment ids (a doc-range partition) while keeping
     GLOBAL corpus statistics (n_docs/avgdl from the manifest; df from the
     index's df table), so per-shard scores equal the unsharded scores and
     per-shard top-k heaps merge exactly (any global top-k doc is in its
@@ -2038,7 +2039,8 @@ def topk_sharded(
     """Segment-sharded distributed top-k (intra-query parallelism).
 
     Every query fans out to ``n_shards`` shard actors, each scoring only its
-    ``sid % n_shards`` segments with GLOBAL idf/avgdl; the cross-shard merge
+    contiguous run of segment ids (see :class:`Searcher`'s ``shard``) with
+    GLOBAL idf/avgdl; the cross-shard merge
     re-applies the (score desc, doc_id asc) comparator per query — exact
     because each global top-k doc is in its own shard's top-k (SURVEY K2).
     On a multi-node cluster each shard actor holds ~1/n of the index.

@@ -28,9 +28,11 @@ Two execution paths, same integers:
   count exceeds ``_DRIVER_FOLD_FANIN`` a remote fold level combines them
   so the driver consumes a bounded number of partials per sweep. Host-
   graph PageRank (~1e8 hosts) fits this path on one beefy driver.
-- **hash-join** (above the limit): per sweep, a Ray-native hash join of
-  edges x ranks on ``src`` then a ``groupby(dst)`` sum of pre-combined
-  partials — two rank-sized shuffles; the edge set would be
+- **fold-join** (above the limit): per sweep, edges x ranks on ``src``
+  and nodes x mass on ``dst`` through ``stages.join.fold_join``, and the
+  ``dst`` mass sum of pre-combined partials through
+  ``util.fold_grouped_counts`` — all three on the one bucket-fold
+  exchange, partitions sized by its bytes. The edge set would be
   hash-partitioned to storage once in a production deployment (the
   engine's storage-partitioned exchange pattern, pipelines/build.py)
   instead of riding the join each sweep.
@@ -51,8 +53,9 @@ logger = logging.getLogger(__name__)
 PR_SCALE = 1_000_000_000
 
 
-def _prep_edges(edges: rd.Dataset, num_partitions: int) -> rd.Dataset:
+def _prep_edges(edges: rd.Dataset) -> rd.Dataset:
     """(src, dst, outdeg) with outdeg joined on once — iteration-invariant."""
+    from org_rdkit_lucene_ray.stages.join import fold_join
     from org_rdkit_lucene_ray.util import fold_grouped_counts
 
     def deg_part(t: pa.Table) -> pa.Table:
@@ -63,9 +66,8 @@ def _prep_edges(edges: rd.Dataset, num_partitions: int) -> rd.Dataset:
 
     outdeg = fold_grouped_counts(
         edges.map_batches(deg_part, batch_format="pyarrow"),
-        "src", ["outdeg"])
-    return edges.join(outdeg, "inner", num_partitions, on=("src",)) \
-        .map_batches(lambda t: pa.table({
+        "src", ["outdeg"]).materialize()
+    return fold_join(edges, outdeg, on="src").map_batches(lambda t: pa.table({
             "src": pc.cast(t["src"], pa.int64()),
             "dst": pc.cast(t["dst"], pa.int64()),
             "outdeg": pc.cast(t["outdeg"], pa.int64())}),
@@ -74,7 +76,6 @@ def _prep_edges(edges: rd.Dataset, num_partitions: int) -> rd.Dataset:
 
 def pagerank(edges: rd.Dataset, n_nodes: int, *, n_iter: int = 5,
              damping_num: int = 17, damping_den: int = 20,
-             num_partitions: int = 8,
              broadcast_nodes_limit: int = 4_000_000) -> rd.Dataset:
     """``n_iter`` integer-exact PageRank sweeps over ``edges`` (columns
     ``src``/``dst``, node ids in ``[0, n_nodes)``). Returns a Dataset of
@@ -85,10 +86,8 @@ def pagerank(edges: rd.Dataset, n_nodes: int, *, n_iter: int = 5,
         raise ValueError("n_nodes must be positive")
     args = (n_iter, int(damping_num), int(damping_den))
     if n_nodes <= broadcast_nodes_limit:
-        return _pagerank_broadcast(edges, n_nodes, *args,
-                                   num_partitions=num_partitions)
-    return _pagerank_join(edges, n_nodes, *args,
-                          num_partitions=num_partitions)
+        return _pagerank_broadcast(edges, n_nodes, *args)
+    return _pagerank_join(edges, n_nodes, *args)
 
 
 # driver-side partial-count bound per sweep: above this many edge blocks a
@@ -151,8 +150,7 @@ def _fold_to_driver(futs: list, dense: np.ndarray) -> None:
 
 
 def _pagerank_broadcast(edges: rd.Dataset, n_nodes: int, n_iter: int,
-                        d_num: int, d_den: int, *,
-                        num_partitions: int) -> rd.Dataset:
+                        d_num: int, d_den: int) -> rd.Dataset:
     base = ((d_den - d_num) * PR_SCALE) // (d_den * n_nodes)
     # ONE Ray Data execution total: normalize + materialize the edge set,
     # then cache its blocks as object-store Arrow refs. Every sweep after
@@ -166,7 +164,7 @@ def _pagerank_broadcast(edges: rd.Dataset, n_nodes: int, n_iter: int,
     blocks = [b for b in ej.to_arrow_refs()]
 
     # outdeg is node-sized like the rank vector: reduce per-block partial
-    # bincounts and ship it in the same broadcast — no hash join at all
+    # bincounts and ship it in the same broadcast — no join at all
     outdeg = np.zeros(n_nodes, np.int64)
     _fold_to_driver([_deg_task.remote(b) for b in blocks], outdeg)
 
@@ -184,15 +182,15 @@ def _pagerank_broadcast(edges: rd.Dataset, n_nodes: int, n_iter: int,
 
 
 def _pagerank_join(edges: rd.Dataset, n_nodes: int, n_iter: int,
-                   d_num: int, d_den: int, *,
-                   num_partitions: int) -> rd.Dataset:
+                   d_num: int, d_den: int) -> rd.Dataset:
+    from org_rdkit_lucene_ray.stages.join import fold_join
     from org_rdkit_lucene_ray.util import fold_grouped_counts
 
     base = ((d_den - d_num) * PR_SCALE) // (d_den * n_nodes)
-    ej = _prep_edges(edges, num_partitions)
+    ej = _prep_edges(edges)
     nodes = rd.range(n_nodes).map_batches(
         lambda t: pa.table({"node": pc.cast(t["id"], pa.int64())}),
-        batch_format="pyarrow")
+        batch_format="pyarrow").materialize()
     r0 = PR_SCALE // n_nodes
     ranks = nodes.map_batches(
         lambda t: t.append_column("rank", pa.array(
@@ -220,17 +218,18 @@ def _pagerank_join(edges: rd.Dataset, n_nodes: int, n_iter: int,
         # dst vertex domain never reaches a Ray sort); partial sums are
         # int64 so any combine order is exact
         agg = fold_grouped_counts(
-            ej.join(ranks, "inner", num_partitions,
-                    on=("src",), right_on=("node",))
+            fold_join(ej, ranks, on="src", right_on="node")
             .map_batches(contrib, batch_format="pyarrow"),
             "dst", ["contrib"]).map_batches(
                 lambda t: pa.table({"dst": t["dst"], "mass": t["contrib"]}),
-                batch_format="pyarrow")
-        joined = nodes.join(agg, "left_outer", num_partitions,
-                            on=("node",), right_on=("dst",))
-        # materialize per sweep: ranks are the SMALL node-sized table, and
-        # an unmaterialized chain would lazily re-execute every previous
-        # sweep inside each join (quadratic work + worker blowup)
+                batch_format="pyarrow").materialize()
+        joined = fold_join(nodes, agg, on="node", right_on="dst",
+                           join_type="left_outer")
+        # materialize per sweep: ranks and mass are the SMALL node-sized
+        # tables (a materialized side's schema is free, so the join runs
+        # no extra plan for it), and an unmaterialized chain would lazily
+        # re-execute every previous sweep inside each join (quadratic
+        # work + worker blowup)
         ranks = joined.map_batches(renorm, batch_format="pyarrow").materialize()
     return ranks
 

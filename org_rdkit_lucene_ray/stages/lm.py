@@ -85,7 +85,39 @@ def _token_and_bigram_hashes(texts: pa.Array, cfg) -> tuple[
 
 
 _FOLD_BUCKETS = 32        # top-5-bit hash-range buckets for the model fold
-_KINDS = 3                # 0 = bigram, 1 = context, 2 = vocab
+_FOLD_SHIFT = np.uint64(64 - int(np.log2(_FOLD_BUCKETS)))
+
+
+def _range_blobs(u: np.ndarray, c: np.ndarray, base: int = 0) -> pa.Table:
+    """One ``(bkey, h, n)`` row per non-empty top-hash-bit range of the
+    SORTED uint64 hashes ``u`` (counts ``c``): ``bkey = base + range``,
+    ``h``/``n`` the range's hashes and int64 counts packed as blobs —
+    the per-batch half of the hash-range blob exchange (per-entry rows
+    never exist)."""
+    # u is sorted, so each range is a contiguous slice
+    edges = np.searchsorted((u >> _FOLD_SHIFT).astype(np.int64),
+                            np.arange(_FOLD_BUCKETS + 1))
+    bkeys, hs, ns = [], [], []
+    for b in range(_FOLD_BUCKETS):
+        lo, hi = int(edges[b]), int(edges[b + 1])
+        if hi > lo:
+            bkeys.append(base + b)
+            hs.append(u[lo:hi].tobytes())
+            ns.append(c[lo:hi].astype(np.int64).tobytes())
+    return pa.table({"bkey": pa.array(bkeys, pa.int64()),
+                     "h": pa.array(hs, pa.large_binary()),
+                     "n": pa.array(ns, pa.large_binary())})
+
+
+def _sorted_blobs(g: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """The fold half: a group's ``h``/``n`` blobs concatenated and
+    stably sorted by hash -> (hashes, counts)."""
+    hh = np.concatenate([np.frombuffer(x.as_py(), np.uint64)
+                         for x in g["h"]])
+    nn = np.concatenate([np.frombuffer(x.as_py(), np.int64)
+                         for x in g["n"]])
+    order = np.argsort(hh, kind="stable")
+    return hh[order], nn[order]
 
 
 def train_bigram_lm(docs: rd.Dataset, *, text_col: str = "text",
@@ -105,41 +137,21 @@ def train_bigram_lm(docs: rd.Dataset, *, text_col: str = "text",
     measured 6x slower than the same call in a plain process — the fold
     must not live there.)"""
     cfg = REGISTRY[analyzer]
-    shift = np.uint64(64 - int(np.log2(_FOLD_BUCKETS)))
 
     def partial(t: pa.Table) -> pa.Table:
         _, big, ctx, th, _, _ = _token_and_bigram_hashes(
             t[text_col].combine_chunks(), cfg)
-        bkeys: list[int] = []
-        hs: list[bytes] = []
-        ns: list[bytes] = []
-        for kind, (u, c) in enumerate([
-                np.unique(big, return_counts=True),
-                np.unique(ctx, return_counts=True),
-                (np.unique(th), None)]):
-            if c is None:
-                c = np.ones(u.size, np.int64)
-            # u is sorted, so each bucket is a contiguous slice
-            edges = np.searchsorted((u >> shift).astype(np.int64),
-                                    np.arange(_FOLD_BUCKETS + 1))
-            for b in range(_FOLD_BUCKETS):
-                lo, hi = int(edges[b]), int(edges[b + 1])
-                if hi > lo:
-                    bkeys.append(kind * _FOLD_BUCKETS + b)
-                    hs.append(u[lo:hi].tobytes())
-                    ns.append(c[lo:hi].astype(np.int64).tobytes())
-        return pa.table({"bkey": pa.array(bkeys, pa.int64()),
-                         "h": pa.array(hs, pa.large_binary()),
-                         "n": pa.array(ns, pa.large_binary())})
+        vocab = np.unique(th)
+        # bkey = kind * _FOLD_BUCKETS + range: 0 bigram, 1 context, 2 vocab
+        return pa.concat_tables([
+            _range_blobs(u, c, kind * _FOLD_BUCKETS) for kind, (u, c) in
+            enumerate([np.unique(big, return_counts=True),
+                       np.unique(ctx, return_counts=True),
+                       (vocab, np.ones(vocab.size, np.int64))])])
 
     def fold(g: pa.Table) -> pa.Table:
         bkey = g["bkey"][0].as_py()
-        hh = np.concatenate([np.frombuffer(x.as_py(), np.uint64)
-                             for x in g["h"]])
-        nn = np.concatenate([np.frombuffer(x.as_py(), np.int64)
-                             for x in g["n"]])
-        order = np.argsort(hh, kind="stable")
-        sh, sn = hh[order], nn[order]
+        sh, sn = _sorted_blobs(g)
         starts = np.flatnonzero(
             np.concatenate([[True], sh[1:] != sh[:-1]]))
         return pa.table({
@@ -325,7 +337,6 @@ def _top_adjacent_pairs_hashed(docs: rd.Dataset, *, k: int, text_col: str,
                                analyzer: str) -> pa.Table:
     """Scale path of :func:`top_adjacent_pairs` — see its docstring."""
     cfg = REGISTRY[analyzer]
-    shift = np.uint64(64 - int(np.log2(_FOLD_BUCKETS)))
     # two STREAMING passes: the input plan re-executes rather than
     # materializing the corpus (re-reading parquet beats holding 100 TB in
     # the object store; pass a .materialize()d dataset if the input is
@@ -334,27 +345,10 @@ def _top_adjacent_pairs_hashed(docs: rd.Dataset, *, k: int, text_col: str,
     def partial(t: pa.Table) -> pa.Table:
         _, big, _, _, _, _ = _token_and_bigram_hashes(
             t[text_col].combine_chunks(), cfg)
-        u, c = np.unique(big, return_counts=True)
-        edges = np.searchsorted((u >> shift).astype(np.int64),
-                                np.arange(_FOLD_BUCKETS + 1))
-        bkeys, hs, ns = [], [], []
-        for b in range(_FOLD_BUCKETS):
-            lo, hi = int(edges[b]), int(edges[b + 1])
-            if hi > lo:
-                bkeys.append(b)
-                hs.append(u[lo:hi].tobytes())
-                ns.append(c[lo:hi].astype(np.int64).tobytes())
-        return pa.table({"bkey": pa.array(bkeys, pa.int64()),
-                         "h": pa.array(hs, pa.large_binary()),
-                         "n": pa.array(ns, pa.large_binary())})
+        return _range_blobs(*np.unique(big, return_counts=True))
 
     def fold_top(g: pa.Table) -> pa.Table:
-        hh = np.concatenate([np.frombuffer(x.as_py(), np.uint64)
-                             for x in g["h"]])
-        nn = np.concatenate([np.frombuffer(x.as_py(), np.int64)
-                             for x in g["n"]])
-        order = np.argsort(hh, kind="stable")
-        sh, sn = hh[order], nn[order]
+        sh, sn = _sorted_blobs(g)
         starts = np.flatnonzero(np.concatenate([[True], sh[1:] != sh[:-1]]))
         u, c = sh[starts], np.add.reduceat(sn, starts)
         if u.size > k:
@@ -424,7 +418,6 @@ def _hashed_unigram_lut(wc_ds: rd.Dataset) -> tuple[np.ndarray, np.ndarray]:
     Python row overhead). Words are globally distinct by construction,
     so a duplicate hash IS a 64-bit collision — detected in the fold and
     refused loudly (odds ~V^2 / 2^65, the lm.py hash contract)."""
-    shift = np.uint64(64 - int(np.log2(_FOLD_BUCKETS)))
 
     def partial(t: pa.Table) -> pa.Table:
         from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
@@ -432,27 +425,10 @@ def _hashed_unigram_lut(wc_ds: rd.Dataset) -> tuple[np.ndarray, np.ndarray]:
         h = stable_term_hash(t["word"].combine_chunks())
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(h, kind="stable")
-        h, n = h[order], n[order]
-        edges = np.searchsorted((h >> shift).astype(np.int64),
-                                np.arange(_FOLD_BUCKETS + 1))
-        bkeys, hs, ns = [], [], []
-        for b in range(_FOLD_BUCKETS):
-            lo, hi = int(edges[b]), int(edges[b + 1])
-            if hi > lo:
-                bkeys.append(b)
-                hs.append(h[lo:hi].tobytes())
-                ns.append(n[lo:hi].tobytes())
-        return pa.table({"bkey": pa.array(bkeys, pa.int64()),
-                         "h": pa.array(hs, pa.large_binary()),
-                         "n": pa.array(ns, pa.large_binary())})
+        return _range_blobs(h[order], n[order])
 
     def fold(g: pa.Table) -> pa.Table:
-        hh = np.concatenate([np.frombuffer(x.as_py(), np.uint64)
-                             for x in g["h"]])
-        nn = np.concatenate([np.frombuffer(x.as_py(), np.int64)
-                             for x in g["n"]])
-        order = np.argsort(hh, kind="stable")
-        sh = hh[order]
+        sh, sn = _sorted_blobs(g)
         if sh.size > 1 and (sh[1:] == sh[:-1]).any():
             raise ValueError(
                 "hashed unigram LUT: 64-bit hash collision between two "
@@ -460,7 +436,7 @@ def _hashed_unigram_lut(wc_ds: rd.Dataset) -> tuple[np.ndarray, np.ndarray]:
         return pa.table({
             "bkey": pa.array([g["bkey"][0].as_py()], pa.int64()),
             "h": pa.array([sh.tobytes()], pa.large_binary()),
-            "n": pa.array([nn[order].tobytes()], pa.large_binary())})
+            "n": pa.array([sn.tobytes()], pa.large_binary())})
 
     rows = (wc_ds.map_batches(partial, batch_format="pyarrow")
             .groupby("bkey").map_groups(fold, batch_format="pyarrow")

@@ -4,7 +4,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import duckdb
 import numpy as np
@@ -122,3 +128,73 @@ def test_token_jaccard_refuses_oversized_matrix(ray_session, monkeypatch):
     monkeypatch.setattr(gate, "_JACCARD_MAX_CELLS", 10)
     with pytest.raises(ValueError, match="exact-oracle ceiling"):
         gate.q_token_jaccard_pairs(SF_DIR)
+
+
+# Child-process body of test_join_gates_finish_at_one_cpu: both join gates
+# in a fresh 1-CPU Ray cluster, each result written to Parquet for the
+# parent to check against DuckDB.
+_ONE_CPU_JOIN_GATES = textwrap.dedent("""
+    import sys
+    import ray
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    ray.data.DataContext.get_current().enable_progress_bars = False
+    from org_rdkit_lucene_ray.pipelines import gate
+    sf_dir, out_dir = sys.argv[1], sys.argv[2]
+    for name in ("order_revenue", "snapshot_diff", "orders_by_segment"):
+        ds = getattr(gate, "q_" + name)(sf_dir)
+        ds.to_pandas().to_parquet(f"{out_dir}/{name}.parquet")
+    ray.shutdown()
+""")
+
+
+def _session_pids(sid: int) -> list[int]:
+    """Live processes of session ``sid`` (read from /proc)."""
+    out = []
+    for p in os.listdir("/proc"):
+        if p.isdigit():
+            try:
+                if os.getsid(int(p)) == sid:
+                    out.append(int(p))
+            except OSError:
+                pass
+    return out
+
+
+def test_join_gates_finish_at_one_cpu(con, tmp_path):
+    """The join gates finish on a 1-CPU Ray cluster and match the DuckDB
+    oracle. Neither Ray's hash-shuffle ``Dataset.join`` (its aggregator
+    actors) nor an actor-pool broadcast probe finished there: they wait
+    for CPUs the cluster does not have. The child runs in its own
+    session: on timeout the whole process group — Ray's raylet, GCS and
+    workers included — is killed, and no process of that session may
+    outlive the test."""
+    import __ray_entry__ as e
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_JOIN_GATES, SF_DIR, str(tmp_path)],
+        cwd=str(tmp_path), env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+        timed_out = False
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        _, err = proc.communicate()
+        timed_out = True
+    deadline = time.monotonic() + 20
+    while _session_pids(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.5)
+    left = _session_pids(proc.pid)
+    if left:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert not timed_out, "join gates did not finish in 120 s at num_cpus=1"
+    assert proc.returncode == 0, err[-3000:]
+    assert not left, f"Ray processes outlived the child: {left}"
+    for name in ("order_revenue", "snapshot_diff", "orders_by_segment"):
+        got = pd.read_parquet(tmp_path / f"{name}.parquet")
+        _compare(name, got, con.execute(e.oracle_sql()[name]).fetch_df())

@@ -1012,7 +1012,7 @@ def test_pagerank_both_paths_exact(ray_session):
     got_b = {r["node"]: r["rank"]
              for r in pagerank(edges, N, n_iter=4).take_all()}
     got_j = {r["node"]: r["rank"]
-             for r in pagerank(edges, N, n_iter=4, num_partitions=2,
+             for r in pagerank(edges, N, n_iter=4,
                                broadcast_nodes_limit=0).take_all()}
     assert len(got_b) == N == len(got_j)
     assert all(got_b[n] == want[n] for n in range(N))
@@ -1523,7 +1523,7 @@ def test_lookup_join_broadcast_and_shuffle_paths_identical(ray_session):
     def run(join_type, limit):
         out = lookup_join(rd.from_arrow(left), rd.from_arrow(right),
                           on="k", right_on="rk", join_type=join_type,
-                          broadcast_row_limit=limit, rows_per_partition=2)
+                          broadcast_row_limit=limit)
         df = out.to_pandas().sort_values(["k", "x"]).reset_index(drop=True)
         return df[sorted(df.columns)]
 
@@ -1566,6 +1566,86 @@ def test_lookup_join_refuses_duplicate_broadcast_keys(ray_session):
     lo = lookup_join(left, empty_right, on="k", right_on="rk",
                      join_type="left_outer").to_pandas()
     assert len(lo) == 2 and lo["v"].isna().all()
+
+
+def _rows(ds) -> list[tuple]:
+    """A Dataset's rows as sorted hashable tuples (list values -> tuples,
+    nulls -> None), read off its Arrow blocks."""
+    import ray
+
+    out = []
+    for t in ray.get(ds.to_arrow_refs()):
+        for r in t.to_pylist():
+            out.append(tuple(tuple(v) if isinstance(v, list) else v
+                             for v in r.values()))
+    return sorted(out, key=repr)
+
+
+def _merge_rows(left: pa.Table, right: pa.Table, how: str) -> list[tuple]:
+    """pandas ``merge`` oracle of ``fold_join(on="k", right_on="rk")``:
+    all left columns, then the right side's non-key columns."""
+    m = pd.merge(left.to_pandas(), right.to_pandas(), how=how,
+                 left_on="k", right_on="rk", sort=False)
+    cols = left.column_names + [c for c in right.column_names if c != "rk"]
+
+    def norm(v):
+        if isinstance(v, (list, np.ndarray)):
+            return tuple(v.tolist() if isinstance(v, np.ndarray) else v)
+        if v is None or (isinstance(v, float) and np.isnan(v)):
+            return None
+        return v.item() if isinstance(v, np.generic) else v
+
+    return sorted((tuple(norm(v) for v in row)
+                   for row in m[cols].itertuples(index=False)), key=repr)
+
+
+def test_fold_join_matches_pandas_merge(ray_session, monkeypatch):
+    """`fold_join` equals a pandas `merge` oracle, inner and left_outer:
+    duplicate keys on both sides (many-to-many), list-typed payloads on
+    both sides, an int32 right key, an empty right side, and a skewed key
+    holding ~90% of the rows — at P = 1 and at P = fold_buckets()
+    (FOLD_PARTITION_BYTES forced to 1 byte). The skewed key's bucket is
+    the largest fold call: a partition keeps its buckets whole."""
+    from org_rdkit_lucene_ray import util
+    from org_rdkit_lucene_ray.stages.join import _fold_two_sided, fold_join
+
+    rng = np.random.default_rng(8)
+    lk = np.where(rng.random(300) < 0.9, 7, rng.integers(0, 60, 300))
+    rk = np.where(rng.random(60) < 0.9, 7, rng.integers(30, 90, 60))
+    left = pa.table({
+        "k": pa.array(lk, pa.int64()),
+        "x": pa.array(np.arange(300), pa.int64()),
+        "tags": pa.array([[f"t{i % 3}"] * (i % 3) for i in range(300)],
+                         pa.list_(pa.string()))})
+    right = pa.table({
+        "rk": pa.array(rk, pa.int32()),
+        "rv": pa.array(np.arange(60) * 10, pa.int64()),
+        "vec": pa.array([[float(i), i / 2] for i in range(60)],
+                        pa.list_(pa.float64()))})
+    lds = rd.from_arrow([left.slice(i, 50) for i in range(0, 300, 50)])
+    rds = rd.from_arrow([right.slice(i, 20) for i in range(0, 60, 20)])
+    empty = rd.from_arrow(right.slice(0, 0))
+
+    def sizes(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return pa.table({"rows": [lt.num_rows + rt.num_rows],
+                         "bytes": [lt.nbytes + rt.nbytes]})
+
+    for part_bytes in (util.FOLD_PARTITION_BYTES, 1):
+        monkeypatch.setattr(util, "FOLD_PARTITION_BYTES", part_bytes)
+        for jt, how in (("inner", "inner"), ("left_outer", "left")):
+            out = fold_join(lds, rds, on="k", right_on="rk", join_type=jt)
+            assert out.schema().names == ["k", "x", "tags", "rv", "vec"]
+            assert _rows(out) == _merge_rows(left, right, how)
+            assert _rows(fold_join(lds, empty, on="k", right_on="rk",
+                                   join_type=jt)) == \
+                _merge_rows(left, right.slice(0, 0), how)
+        parts = _fold_two_sided(lds, rds, "k", "rk", sizes).to_pandas()
+        hot = int((lk == 7).sum() + (rk == 7).sum())
+        assert parts["rows"].sum() == 360
+        if part_bytes == 1:      # one bucket per partition: 7's is largest
+            assert parts["rows"].max() >= hot > 0.85 * 360
+    nb = util.fold_buckets()     # empty partitions never reach the fold
+    assert len(parts) == len(set(lk % nb) | set(rk % nb))
 
 
 # --------------------------------------------------------------- clustering
