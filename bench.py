@@ -148,6 +148,9 @@ def bench_headline(sf: str, num_cpus: int) -> dict:
         "query_p50_ms": round(float(np.percentile(lats, 50)) * 1e3, 2),
         "query_p95_ms": round(float(np.percentile(lats, 95)) * 1e3, 2),
         "build_timings": manifest["timings_sec"],
+        # per build phase: task count and in-worker body seconds (sum, p50,
+        # max); a phase's wall minus its body sum is dispatch overhead
+        "build_layers": manifest["tasks"],
     }
 
 

@@ -3,7 +3,8 @@
 Reference lifecycle being re-expressed (SURVEY §3.1,
 ``LuceneBenchmark.index() :574-623`` -> ``ChemicalIndex.addSDFFileToIndex``):
 single-threaded SDF loop -> canonicalize -> fingerprint -> addDocument.
-Here the same computation is three Ray Data phases over Parquet pages:
+Here the same computation is three phases over Parquet pages, each plain
+Ray tasks, one per fragment or bucket (:func:`submit_tasks`):
 
 Phase DEDUP (J6, upsert/delete-by-PK analog ``ChemicalIndex.java:801``):
     storage-partitioned like Phase B — per-fragment slim scans spilled as
@@ -17,7 +18,7 @@ Phase DEDUP (J6, upsert/delete-by-PK analog ``ChemicalIndex.java:801``):
     groupby, nothing rides the driver (SURVEY §2.4 J6).
 
 Phase A (tokenize; the expensive, checkpointed pass):
-    a Dataset of fragment descriptors -> ``map_batches`` task pool, one
+    plain Ray tasks, one per fragment descriptor, one
     ``FragmentTokenizer`` per worker process. Each fragment:
     row-group-streamed pruned read -> ``extract_text(html)`` (byte-identity
     invariant verified against the shipped ``text`` column) -> vectorized
@@ -55,6 +56,7 @@ Phase B (the wide step — a STORAGE-PARTITIONED exchange, no Ray groupby):
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -62,7 +64,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
+import ray
 
 from org_rdkit_lucene_ray.config import IndexConfig
 from org_rdkit_lucene_ray.functions.analyze import postings_from_batch
@@ -233,35 +235,28 @@ def _slim_path(slim_dir: str, fragment_id: int) -> str:
     return os.path.join(slim_dir, f"frag-{fragment_id:06d}.arrow")
 
 
-def _slim_bucketed_write(batch: pa.Table, *, slim_dir: str,
-                         buckets: int) -> pa.Table:
-    """Wave 1: per-fragment slim scan sorted by (bucket, uh) and spilled as
+def _slim_bucketed_write(frag: dict, slim_dir: str, buckets: int) -> None:
+    """Wave 1: one fragment's slim scan sorted by (bucket, uh) and spilled as
     one record batch per url-hash bucket (:func:`write_bucket_batches`) —
     the dedup side of the storage-partitioned exchange (no Ray groupby
     anywhere in dedup)."""
-    _pin_arrow_threads()
-    out_rows = []
-    for row in batch.to_pylist():
-        t = pq.read_table(row["path"], columns=["url", "warc_ts"])
-        n = t.num_rows
-        uh = stable_term_hash(t["url"]).astype(np.int64)
-        bucket = uh % buckets
-        order = np.lexsort((uh, bucket))
-        slim = pa.table({
-            "uh": pa.array(uh),
-            "url": t["url"],
-            "warc_ts_us": pc.cast(t["warc_ts"], pa.int64()),
-            "doc_id": pa.array(row["base"] + np.arange(n, dtype=np.int64)),
-        }).take(pa.array(order))
-        write_bucket_batches(slim, bucket[order], buckets,
-                             _slim_path(slim_dir, int(row["fragment_id"])))
-        out_rows.append({"fragment_id": int(row["fragment_id"]), "rows": n})
-    return pa.Table.from_pylist(out_rows, schema=pa.schema(
-        [("fragment_id", pa.int32()), ("rows", pa.int64())]))
+    t = pq.read_table(frag["path"], columns=["url", "warc_ts"])
+    uh = stable_term_hash(t["url"]).astype(np.int64)
+    bucket = uh % buckets
+    order = np.lexsort((uh, bucket))
+    slim = pa.table({
+        "uh": pa.array(uh),
+        "url": t["url"],
+        "warc_ts_us": pc.cast(t["warc_ts"], pa.int64()),
+        "doc_id": pa.array(frag["base"] + np.arange(t.num_rows, dtype=np.int64)),
+    }).take(pa.array(order))
+    write_bucket_batches(slim, bucket[order], buckets,
+                         _slim_path(slim_dir, int(frag["fragment_id"])))
 
 
 def compute_dup_losers(fragments: list[dict], work_dir: str,
-                       cfg: IndexConfig | None = None) -> str:
+                       cfg: IndexConfig | None = None,
+                       task_secs: list[float] | None = None) -> str:
     """DEDUP phase -> directory of per-bucket loser doc_id Parquet files.
 
     Storage-partitioned, no shuffle (same trick as Phase B), with BOTH
@@ -287,9 +282,11 @@ def compute_dup_losers(fragments: list[dict], work_dir: str,
     Real urls are compared at every level, so a hash collision can never
     pick a wrong winner. Dup groups crossing buckets are impossible (same
     url -> same hash -> same bucket). `dedup_meta.json` records buckets,
-    ranges and per-task rows-read so tests can assert the ceiling.
+    ranges and per-task rows-read so tests can assert the ceiling; the
+    task bodies' seconds go to ``task_secs``, if given.
     """
     cfg = cfg or IndexConfig()
+    secs = [] if task_secs is None else task_secs
     total_rows = sum(int(f["rows"]) for f in fragments)
     buckets = _dedup_bucket_count(total_rows, cfg)
     ranges = _dedup_fragment_ranges(fragments, buckets, cfg)
@@ -304,78 +301,60 @@ def compute_dup_losers(fragments: list[dict], work_dir: str,
     os.makedirs(winners_dir, exist_ok=True)
     multi_range = len(ranges) > 1
 
-    ds = rd.from_items(fragments, override_num_blocks=len(fragments))
-    ds.map_batches(
-        _slim_bucketed_write, fn_kwargs=dict(slim_dir=slim_dir, buckets=buckets),
-        batch_format="pyarrow", batch_size=None).take_all()
+    gather_tasks(submit_tasks(_slim_bucketed_write, fragments, slim_dir, buckets),
+                 secs)
 
-    _task_schema = pa.schema([("bucket", pa.int32()), ("range_id", pa.int32()),
-                              ("rows_read", pa.int64()), ("losers", pa.int64())])
-
-    def losers_of_bucket_range(batch: pa.Table) -> pa.Table:
-        _pin_arrow_threads()
-        out = []
-        for row in batch.to_pylist():
-            b, rid = int(row["bucket"]), int(row["range_id"])
-            lo, hi = ranges[rid]
-            t = pa.Table.from_batches([
-                read_bucket_batch(_slim_path(slim_dir, int(fr["fragment_id"])),
-                                  b, ["uh", "url", "warc_ts_us", "doc_id"])
-                for fr in fragments[lo:hi]])
-            if t.num_rows == 0:
-                continue
-            losers = _last_write_wins_losers(t)
+    def losers_of_bucket_range(item: dict) -> int:
+        """Rows read by one (bucket, range) sub-task."""
+        b, rid = item["bucket"], item["range_id"]
+        lo, hi = ranges[rid]
+        t = pa.Table.from_batches([
+            read_bucket_batch(_slim_path(slim_dir, int(fr["fragment_id"])),
+                              b, ["uh", "url", "warc_ts_us", "doc_id"])
+            for fr in fragments[lo:hi]])
+        if t.num_rows == 0:
+            return 0
+        losers = _last_write_wins_losers(t)
+        if losers.size:
+            atomic_write_table(
+                pa.table({"doc_id": pa.array(losers, pa.int64())}),
+                os.path.join(losers_dir, f"bucket-{b:05d}-range-{rid:04d}.parquet"))
+        if multi_range:
+            ids = t["doc_id"].to_numpy()
+            win_mask = np.ones(len(ids), dtype=bool)
             if losers.size:
-                atomic_write_table(
-                    pa.table({"doc_id": pa.array(losers, pa.int64())}),
-                    os.path.join(losers_dir, f"bucket-{b:05d}-range-{rid:04d}.parquet"))
-            if multi_range:
-                ids = t["doc_id"].to_numpy()
-                win_mask = np.ones(len(ids), dtype=bool)
-                if losers.size:
-                    pos = np.searchsorted(losers, ids)
-                    pos[pos >= losers.size] = losers.size - 1
-                    win_mask = losers[pos] != ids
-                atomic_write_table(
-                    t.filter(pa.array(win_mask)),
-                    os.path.join(winners_dir, f"bucket-{b:05d}-range-{rid:04d}.parquet"))
-            out.append({"bucket": b, "range_id": rid,
-                        "rows_read": int(t.num_rows), "losers": int(losers.size)})
-        return pa.Table.from_pylist(out, schema=_task_schema)
+                pos = np.searchsorted(losers, ids)
+                pos[pos >= losers.size] = losers.size - 1
+                win_mask = losers[pos] != ids
+            atomic_write_table(
+                t.filter(pa.array(win_mask)),
+                os.path.join(winners_dir, f"bucket-{b:05d}-range-{rid:04d}.parquet"))
+        return t.num_rows
 
     items = [{"bucket": b, "range_id": r}
              for b in range(buckets) for r in range(len(ranges))]
-    task_rows = rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        losers_of_bucket_range, batch_format="pyarrow", batch_size=1).take_all()
+    rows_read = gather_tasks(submit_tasks(losers_of_bucket_range, items), secs)
 
     if multi_range:
-        def combine_bucket(batch: pa.Table) -> pa.Table:
-            _pin_arrow_threads()
-            out = []
-            for row in batch.to_pylist():
-                b = int(row["bucket"])
-                tabs = [pq.read_table(os.path.join(winners_dir, f))
-                        for f in sorted(os.listdir(winners_dir))
-                        if f.startswith(f"bucket-{b:05d}-")]
-                if not tabs:
-                    continue
-                t = pa.concat_tables(tabs)
-                losers = _last_write_wins_losers(t)
-                if losers.size:
-                    atomic_write_table(
-                        pa.table({"doc_id": pa.array(losers, pa.int64())}),
-                        os.path.join(losers_dir, f"bucket-{b:05d}-final.parquet"))
-                out.append({"bucket": b, "range_id": -1,
-                            "rows_read": int(t.num_rows), "losers": int(losers.size)})
-            return pa.Table.from_pylist(out, schema=_task_schema)
+        def combine_bucket(item: dict) -> None:
+            b = item["bucket"]
+            tabs = [pq.read_table(os.path.join(winners_dir, f))
+                    for f in sorted(os.listdir(winners_dir))
+                    if f.startswith(f"bucket-{b:05d}-")]
+            if not tabs:
+                return
+            losers = _last_write_wins_losers(pa.concat_tables(tabs))
+            if losers.size:
+                atomic_write_table(
+                    pa.table({"doc_id": pa.array(losers, pa.int64())}),
+                    os.path.join(losers_dir, f"bucket-{b:05d}-final.parquet"))
 
-        bitems = [{"bucket": b} for b in range(buckets)]
-        rd.from_items(bitems, override_num_blocks=len(bitems)).map_batches(
-            combine_bucket, batch_format="pyarrow", batch_size=1).take_all()
+        gather_tasks(submit_tasks(combine_bucket,
+                                  [{"bucket": b} for b in range(buckets)]), secs)
 
     atomic_write_json(
         {"buckets": buckets, "ranges": len(ranges), "total_rows": total_rows,
-         "max_task_rows": max((int(r["rows_read"]) for r in task_rows), default=0)},
+         "max_task_rows": max(rows_read, default=0)},
         os.path.join(losers_dir, "dedup_meta.json"))
     with open(done, "w") as f:
         f.write("ok")
@@ -436,7 +415,8 @@ def _read_losers_in_range(losers_dir: str | None, lo: int, hi: int) -> np.ndarra
 
 # ------------------------------------------------------------------ phase A
 class FragmentTokenizer:
-    """Tokenize stage: one __call__ processes one fragment descriptor.
+    """Tokenize stage: one __call__ processes one fragment descriptor and
+    returns its lineage row; it runs in a plain Ray task, one per fragment.
 
     Reference analog T1: heavyweight per-worker state (RDKit native-lib
     activation, ``bin/RDKit.activate:114-189``) is built once per worker
@@ -528,7 +508,7 @@ class FragmentTokenizer:
                 }))
         return pa.concat_tables(parts)
 
-    def _process_fragment(self, frag: dict) -> dict:
+    def __call__(self, frag: dict) -> dict:
         fid, path, base, rows = (
             int(frag["fragment_id"]), frag["path"], int(frag["base"]), int(frag["rows"])
         )
@@ -646,41 +626,21 @@ class FragmentTokenizer:
         }
         return ckpt.commit_fragment_manifest(self.work_dir, fid, row)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._process_fragment(f) for f in batch.to_pylist()]
-        keys = ["fragment_id", "input_fragment", "base", "input_rows", "docs",
-                "postings", "sum_dl", "dedup_dropped", "extract_mismatches",
-                "bytes", "spill_bytes", "spill_s", "seconds", "docs_per_sec",
-                "postings_per_sec", "resumed_skip"]
-        return pa.table({k: [r.get(k) for r in rows] for k in keys})
 
-
-# Task-pool wrapper with per-worker-process state cache: a cluster-wide actor
-# pool costs ~10s of startup at 32 CPUs (measured) before the first batch;
-# a task fn reuses Ray's warm worker processes and builds the (light)
-# tokenizer state once per process, keyed by the build's output dirs.
+# Per-worker-process state cache for the tokenize tasks (plain Ray tasks,
+# one per fragment): a cluster-wide actor pool costs ~10s of startup at 32
+# CPUs (measured) before the first fragment; a task reuses Ray's warm worker
+# processes and builds the (light) tokenizer state once per process, keyed
+# by the build's output dirs.
 _TOKENIZER_STATE: dict[tuple, FragmentTokenizer] = {}
 
 
-def _pin_arrow_threads() -> None:
-    """One Arrow thread per Ray worker: each worker process otherwise sizes
-    Arrow's internal pool to ALL cores, so 32 workers x 32 threads thrash
-    (tokenize stage measured at ~30% CPU utilization before this)."""
-    try:
-        if pa.cpu_count() != 1:
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(2)
-    except Exception:
-        pass
-
-
-def _tokenize_fragments_task(batch: pa.Table, *, ctor_kwargs: dict) -> pa.Table:
-    _pin_arrow_threads()
+def _tokenize_fragment_task(frag: dict, ctor_kwargs: dict) -> dict:
     key = (ctor_kwargs["work_dir"], ctor_kwargs["fwd_dir"])
     tok = _TOKENIZER_STATE.get(key)
     if tok is None:
         tok = _TOKENIZER_STATE[key] = FragmentTokenizer(**ctor_kwargs)
-    return tok(batch)
+    return tok(frag)
 
 
 def _write_bucketed_postings(postings: pa.Table, path: str, buckets: int) -> int:
@@ -791,23 +751,11 @@ def write_chunk(terms: pa.Array, enc: dict, pos_bytes: pa.Array | None,
              "bytes_compressed": int(nbytes)}, chunk.select(_DF_COLUMNS))
 
 
-_CHUNK_ROW_SCHEMA = pa.schema([
-    ("segment_id", pa.int32()), ("bucket", pa.int32()), ("terms", pa.int64()),
-    ("postings", pa.int64()), ("bytes_compressed", pa.int64()),
-])
-# a bucket task reports its df file as one more row: segment_id = _DF_ROW,
-# terms = the file's term count
-_DF_ROW = -1
 _DF_COLUMNS = ["term", "df_chunk"]
 
 
 def df_table_path(gdir: str, bucket: int) -> str:
     return os.path.join(gdir, "df", f"bucket-{bucket:05d}.parquet")
-
-
-def _df_row(bucket: int, n_terms: int) -> dict:
-    return {"segment_id": _DF_ROW, "bucket": bucket, "terms": n_terms,
-            "postings": 0, "bytes_compressed": 0}
 
 
 def _chunk_row(sid: int, bucket: int, path: str, t: pa.Table) -> dict:
@@ -817,57 +765,106 @@ def _chunk_row(sid: int, bucket: int, path: str, t: pa.Table) -> dict:
             "bytes_compressed": os.path.getsize(path)}
 
 
-def write_bucket_df(parts: list[pa.Table], gdir: str, bucket: int) -> dict:
+def write_bucket_df(parts: list[pa.Table], gdir: str, bucket: int) -> int:
     """Write one bucket's global (term, df) file (A4) from its chunks'
     ``(term, df_chunk)`` columns, given in ascending segment order, and
-    return the bucket's df row (no file for a bucket without chunks). A
+    return its term count (no file for a bucket without chunks). A
     term lives in exactly one bucket, so its df is a per-bucket sum — no
     shuffle, and no pass re-reads the chunk files."""
     if not parts:
-        return _df_row(bucket, 0)
+        return 0
     g = pa.concat_tables(parts).group_by("term").aggregate([("df_chunk", "sum")])
     out = pa.table({"term": g["term"],
                     "df": pc.cast(g["df_chunk_sum"], pa.int64())})
     atomic_write_table(out, df_table_path(gdir, bucket))
-    return _df_row(bucket, out.num_rows)
+    return out.num_rows
+
+
+def _pin_arrow_threads() -> None:
+    """One Arrow thread per Ray worker: each worker process otherwise sizes
+    Arrow's internal pool to ALL cores, so 32 workers x 32 threads thrash
+    (tokenize stage measured at ~30% CPU utilization before this)."""
+    try:
+        if pa.cpu_count() != 1:
+            pa.set_cpu_count(1)
+            pa.set_io_thread_count(2)
+    except Exception:
+        pass
+
+
+@ray.remote(num_cpus=1)
+def _timed_task(fn, item: dict, *args):
+    _pin_arrow_threads()
+    t = time.perf_counter()
+    out = fn(item, *args)
+    return out, time.perf_counter() - t
+
+
+def submit_tasks(fn, items: list[dict], *args) -> list:
+    """One plain Ray task per descriptor, ``fn(item, *args)``, on one CPU
+    each — every fan-out of the build and merge, whose data moves through
+    files. ``fn`` is put in the object store once per fan-out, not pickled
+    per task; an ObjectRef in ``args`` reaches ``fn`` as its value. Tasks
+    write atomically, so Ray's retries after a worker dies are safe. An
+    empty ``items`` submits nothing. Returns refs for :func:`gather_tasks`."""
+    if not items:
+        return []
+    fn_ref = ray.put(fn)
+    return [_timed_task.remote(fn_ref, item, *args) for item in items]
+
+
+def gather_tasks(refs: list, secs: list[float]) -> list:
+    """Wait for :func:`submit_tasks`' tasks; return their results in item
+    order and append each task body's seconds, timed inside the worker, to
+    ``secs``. A task's exception is raised here as its own type: Ray's
+    ``RayTaskError(ValueError)`` is a ``ValueError``."""
+    done = ray.get(refs)
+    secs.extend(s for _, s in done)
+    return [out for out, _ in done]
+
+
+def task_stats(secs: list[float]) -> dict:
+    """A phase's entry in a manifest's ``tasks`` block. The phase's wall
+    time minus ``body_s_sum`` (at one CPU) is its dispatch overhead, and
+    ``body_s_max`` against ``body_s_p50`` shows its skew."""
+    return {"n": len(secs), "body_s_sum": float(sum(secs)),
+            "body_s_p50": float(np.median(secs)) if secs else 0.0,
+            "body_s_max": max(secs, default=0.0)}
 
 
 def run_bucket_tasks(gdir: str, chunk_format: str,
-                     sids_of: dict[int, list[int]],
-                     make_chunk) -> tuple[list[dict], int]:
+                     sids_of: dict[int, list[int]], make_chunk,
+                     secs: list[float], *args) -> tuple[list[dict], int]:
     """One Ray task per term bucket writes that bucket's chunks and then its
     df file — the shared Phase-B shape of build and merge.
 
     ``sids_of[bucket]`` lists the bucket's segment ids in ascending order.
     For each, an existing chunk is read back (resume); otherwise
-    ``make_chunk(sid, bucket, path)`` writes it and returns what
+    ``make_chunk(sid, bucket, path, *args)`` writes it and returns what
     :func:`write_chunk` returns, or None when the slice is empty. The
     collected ``(term, df_chunk)`` columns then give the bucket's df file
     (:func:`write_bucket_df`). A bucket whose chunks and df file all exist
-    is skipped. Returns (one stats row per chunk in (segment, bucket)
-    order, global term count)."""
+    is skipped; the task bodies' seconds go to ``secs``. Returns (one
+    stats row per chunk in (segment, bucket) order, global term count)."""
     def chunk_path(sid: int, bucket: int) -> str:
         return segment_chunk_path(gdir, sid, bucket, chunk_format)
 
-    def bucket_task(batch: pa.Table) -> pa.Table:
-        _pin_arrow_threads()
-        out = []
-        for b in batch["bucket"].to_pylist():
-            parts = []
-            for sid in sids_of[b]:
-                path = chunk_path(sid, b)
-                if os.path.exists(path):                 # resumed run
-                    t = read_chunk_table(path, columns=_DF_COLUMNS)
-                    out.append(_chunk_row(sid, b, path, t))
-                else:
-                    got = make_chunk(sid, b, path)
-                    if got is None:
-                        continue
-                    out.append({"segment_id": sid, "bucket": b, **got[0]})
-                    t = got[1]
-                parts.append(t)
-            out.append(write_bucket_df(parts, gdir, b))
-        return pa.Table.from_pylist(out, schema=_CHUNK_ROW_SCHEMA)
+    def bucket_task(item: dict, *args) -> tuple[list[dict], int]:
+        b = item["bucket"]
+        out, parts = [], []
+        for sid in sids_of[b]:
+            path = chunk_path(sid, b)
+            if os.path.exists(path):                 # resumed run
+                t = read_chunk_table(path, columns=_DF_COLUMNS)
+                out.append(_chunk_row(sid, b, path, t))
+            else:
+                got = make_chunk(sid, b, path, *args)
+                if got is None:
+                    continue
+                out.append({"segment_id": sid, "bucket": b, **got[0]})
+                t = got[1]
+            parts.append(t)
+        return out, write_bucket_df(parts, gdir, b)
 
     complete = {b for b, sids in sids_of.items()
                 if os.path.exists(df_table_path(gdir, b))
@@ -875,16 +872,14 @@ def run_bucket_tasks(gdir: str, chunk_format: str,
     rows = [_chunk_row(sid, b, chunk_path(sid, b),
                        read_chunk_table(chunk_path(sid, b), columns=["df_chunk"]))
             for b in sorted(complete) for sid in sids_of[b]]
-    rows += [_df_row(b, pq.read_metadata(df_table_path(gdir, b)).num_rows)
-             for b in sorted(complete)]
+    n_terms = sum(pq.read_metadata(df_table_path(gdir, b)).num_rows
+                  for b in complete)
     todo = [{"bucket": b} for b in sorted(sids_of) if b not in complete]
-    if todo:
-        rows += rd.from_items(todo, override_num_blocks=len(todo)).map_batches(
-            bucket_task, batch_format="pyarrow", batch_size=1).take_all()
-    chunks = sorted((r for r in rows if r["segment_id"] != _DF_ROW),
-                    key=lambda r: (r["segment_id"], r["bucket"]))
-    return chunks, sum(int(r["terms"]) for r in rows
-                       if r["segment_id"] == _DF_ROW)
+    for task_rows, task_terms in gather_tasks(
+            submit_tasks(bucket_task, todo, *args), secs):
+        rows += task_rows
+        n_terms += task_terms
+    return sorted(rows, key=lambda r: (r["segment_id"], r["bucket"])), n_terms
 
 
 def segment_spills(work_dir: str,
@@ -934,8 +929,8 @@ def read_segment_slice(spills: list[tuple[str, bool]], bucket: int,
     return pa.Table.from_batches(parts)
 
 
-def encode_segments(work_dir: str, gdir: str,
-                    cfg: IndexConfig) -> tuple[list[dict], int]:
+def encode_segments(work_dir: str, gdir: str, cfg: IndexConfig,
+                    secs: list[float]) -> tuple[list[dict], int]:
     """Phase B driver — storage-partitioned exchange, NO Ray groupby.
 
     Tokenize spilled each fragment's postings as one record batch per term
@@ -974,7 +969,7 @@ def encode_segments(work_dir: str, gdir: str,
 
     return run_bucket_tasks(gdir, cfg.chunk_format,
                             {b: sids for b in range(cfg.term_buckets)},
-                            encode_slice)
+                            encode_slice, secs)
 
 
 # -------------------------------------------------------------------- driver
@@ -1020,29 +1015,28 @@ def build_index(
     if use_html is None:
         use_html = "html" in pq.read_schema(fragments[0]["path"]).names
 
-    losers_dir = compute_dup_losers(fragments, work_dir, cfg=cfg) if dedup else None
+    secs: dict[str, list[float]] = {"dedup": [], "tokenize": [],
+                                    "encode_shuffle": []}
+    losers_dir = compute_dup_losers(fragments, work_dir, cfg=cfg,
+                                    task_secs=secs["dedup"]) if dedup else None
     t_dedup = time.perf_counter()
 
-    frag_ds = rd.from_items(fragments, override_num_blocks=len(fragments))
     ctor_kwargs = dict(
         work_dir=work_dir, fwd_dir=fwd_dir, cfg=cfg, losers_dir=losers_dir,
         use_html=use_html, text_column=text_column, url_column=url_column,
         ts_column=ts_column, lang_column=lang_column, id_column=id_column,
         verify_extraction=verify_extraction, max_extract_errors=max_extract_errors,
     )
-    frag_rows = frag_ds.map_batches(
-        _tokenize_fragments_task,
-        fn_kwargs=dict(ctor_kwargs=ctor_kwargs),
-        batch_format="pyarrow",
-        batch_size=1,
-    ).take_all()  # one row per fragment — small
+    tokenize = functools.partial(_tokenize_fragment_task, ctor_kwargs=ctor_kwargs)
+    frag_rows = gather_tasks(submit_tasks(tokenize, fragments), secs["tokenize"])
     t_tokenize = time.perf_counter()
 
     n_docs = sum(r["docs"] for r in frag_rows)
     sum_dl = sum(r["sum_dl"] for r in frag_rows)
     n_postings = sum(r["postings"] for r in frag_rows)
 
-    chunk_rows, n_terms_global = encode_segments(work_dir, gdir, cfg)
+    chunk_rows, n_terms_global = encode_segments(work_dir, gdir, cfg,
+                                                 secs["encode_shuffle"])
     t_encode = time.perf_counter()
 
     manifest = {
@@ -1068,6 +1062,8 @@ def build_index(
             "df_table": 0.0,
             "total": t_encode - t0,
         },
+        # per phase: each wave's task bodies, timed inside the workers
+        "tasks": {phase: task_stats(v) for phase, v in secs.items()},
         "fragments": frag_rows,
         "chunks": chunk_rows,
     }

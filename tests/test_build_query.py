@@ -543,6 +543,70 @@ def test_spill_counters_in_lineage_rows(built_index):
         assert r["bytes"] > r["spill_bytes"]
 
 
+def test_submit_tasks_contract(ray_session, monkeypatch):
+    """The write path's fan-out helper: results in item order whatever the
+    completion order, each body timed, an empty list submits nothing, a
+    task's ValueError reaches the caller as a ValueError, and ``fn``'s
+    closure is pickled once per fan-out, not once per task."""
+    import time
+
+    from org_rdkit_lucene_ray.pipelines import build
+
+    shipped = []
+
+    class Payload:
+        def __reduce__(self):               # runs where it is pickled
+            shipped.append(1)
+            return (bytes, (b"payload",))
+
+    payload = Payload()
+
+    def fn(item):
+        if item["i"] == 99:
+            raise ValueError("bad item 99")
+        time.sleep(0.05 * (5 - item["i"]))   # later items finish first
+        return (item["i"], len(payload))
+
+    secs = []
+    items = [{"i": i} for i in range(6)]
+    assert build.gather_tasks(build.submit_tasks(fn, items), secs) == \
+        [(i, 7) for i in range(6)]
+    assert shipped == [1]
+    assert len(secs) == 6
+    assert all(s >= 0.05 * (5 - i) for i, s in enumerate(secs))
+
+    with pytest.raises(ValueError, match="bad item 99"):
+        build.gather_tasks(build.submit_tasks(fn, [{"i": 5}, {"i": 99}]), [])
+
+    class NoTasks:
+        def remote(self, *a):
+            raise AssertionError("an empty fan-out submitted a task")
+
+    monkeypatch.setattr(build, "_timed_task", NoTasks())
+    assert build.submit_tasks(fn, []) == []
+    secs = []
+    assert build.gather_tasks([], secs) == [] and secs == []
+
+
+def test_manifest_task_stats(built_index):
+    """The manifest's ``tasks`` block counts each phase's tasks and sums
+    their in-worker body seconds: one dedup slim task per fragment plus
+    one loser task (a single bucket and range), one tokenize task per
+    fragment, one encode task per term bucket. The bodies of a phase fit
+    inside its wall time (up to the session's 4 CPUs of overlap)."""
+    _, m = built_index
+    n_frag = m["stats"]["n_fragments"]
+    tasks = m["tasks"]
+    assert {p: t["n"] for p, t in tasks.items()} == {
+        "dedup": n_frag + 1, "tokenize": n_frag,
+        "encode_shuffle": m["config"]["term_buckets"]}
+    for phase, t in tasks.items():
+        assert 0 < t["body_s_p50"] <= t["body_s_max"] <= t["body_s_sum"]
+        assert t["body_s_sum"] <= 4 * m["timings_sec"][phase]
+    assert tasks["tokenize"]["body_s_sum"] >= \
+        sum(r["seconds"] for r in m["fragments"])
+
+
 def test_index_format_version_guard(built_index):
     """An index written under a different on-disk format / term-bucket hash
     must be refused loudly (the searcher probes only the computed bucket, so

@@ -541,3 +541,56 @@ def test_topk_bmw_boundaries_on_tombstoned_generations(incr_index,
     for e in s._decode_cache.values():
         if e is not None:
             assert not np.isin(e.top, s._deletes).any()
+
+
+def test_write_path_constructs_no_dataset(ray_session, pages_dir,
+                                          tmp_path_factory, monkeypatch):
+    """build -> add_documents (with upserts) -> delete_by_query -> merge
+    run as plain Ray tasks: with every ``ray.data.Dataset`` construction
+    raising, the chain completes and the merged index is rank- and
+    score-identical to the oracle over the surviving docs."""
+    import pyarrow as pa
+    import ray.data
+
+    from org_rdkit_lucene_ray.pipelines.merge import delete_by_query
+    from org_rdkit_lucene_ray.synth import gen_pages
+
+    paths = _frag_paths(pages_dir)
+    delta = gen_pages(120, seed=77, dup_url_frac=0.0, near_dup_frac=0.0)
+    urls = [u.replace("https://", "https://delta.") for u in delta["url"].to_pylist()]
+    base_urls = pq.read_table(paths[1], columns=["url"])["url"].to_pylist()
+    for i in range(6):
+        urls[i * 15] = base_urls[i * 3]               # upserts
+    delta = delta.set_column(0, "url", pa.array(urls, pa.string()))
+    ddir = tmp_path_factory.mktemp("nods_delta")
+    pq.write_table(delta, str(ddir / "d.parquet"))
+    delta_paths = [str(ddir / "d.parquet")]
+
+    def no_dataset(self, *a, **kw):
+        raise AssertionError("the index write path built a ray.data.Dataset")
+
+    monkeypatch.setattr(ray.data.Dataset, "__init__", no_dataset)
+    idx = str(tmp_path_factory.mktemp("nods_idx"))
+    build_index(paths, idx, cfg=CFG)
+    add_documents(idx, delta_paths)
+    delete_by_query(idx, "baba cece", mode="and")
+    merged = merge_generations(idx)
+    monkeypatch.undo()
+
+    live_base, delta_surv, _ = _expected_corpus(paths, delta_paths)
+    assert len(live_base) < len(_survivors(paths)[0]), "fixture must upsert"
+    live = OracleIndex()
+    for d, (u, text) in sorted({**live_base, **delta_surv}.items()):
+        live.add(d, text)
+    victims = set(live.search_and("baba cece"))
+    assert victims, "the delete must match something"
+    oi = OracleIndex()
+    for d, (u, text) in sorted({**live_base, **delta_surv}.items()):
+        if d not in victims:
+            oi.add(d, text)
+    assert merged["stats"]["n_docs"] == oi.n_docs
+    s = Searcher(idx)
+    for q in gen_queries(n_random=15).to_pylist():
+        want = [(d, float(sc)) for d, sc in oi.topk(q["query"], int(q["k"]))]
+        got = [(d, float(sc)) for d, sc in s.topk_bmw(q["query"], int(q["k"]))]
+        assert got == want, q["query"]
