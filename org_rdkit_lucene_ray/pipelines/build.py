@@ -18,8 +18,8 @@ Phase DEDUP (J6, upsert/delete-by-PK analog ``ChemicalIndex.java:801``):
     groupby, nothing rides the driver (SURVEY §2.4 J6).
 
 Phase A (tokenize; the expensive, checkpointed pass):
-    plain Ray tasks, one per fragment descriptor, one
-    ``FragmentTokenizer`` per worker process. Each fragment:
+    plain Ray tasks, one per fragment descriptor, all running the one
+    ``FragmentTokenizer`` the build put in the object store. Each fragment:
     row-group-streamed pruned read -> ``extract_text(html)`` (byte-identity
     invariant verified against the shipped ``text`` column) -> vectorized
     tokenize -> postings ``(term, doc_id, tf, dl)`` spilled as one Arrow
@@ -56,7 +56,6 @@ Phase B (the wide step — a STORAGE-PARTITIONED exchange, no Ray groupby):
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 
@@ -419,9 +418,10 @@ class FragmentTokenizer:
     returns its lineage row; it runs in a plain Ray task, one per fragment.
 
     Reference analog T1: heavyweight per-worker state (RDKit native-lib
-    activation, ``bin/RDKit.activate:114-189``) is built once per worker
-    process (``_TOKENIZER_STATE``) — here the analyzer config and compiled
-    regex state.
+    activation, ``bin/RDKit.activate:114-189``); here the state is light
+    (the build's options and analyzer config, stored as attributes), so
+    the build puts one instance in the object store and every task reads
+    it — nothing is cached per worker process across builds.
     Per-record error tolerance mirrors M12 (``ChemicalIndex.java:280-292``):
     extraction mismatches are counted per fragment, not fatal.
     """
@@ -625,22 +625,6 @@ class FragmentTokenizer:
             "resumed_skip": False,
         }
         return ckpt.commit_fragment_manifest(self.work_dir, fid, row)
-
-
-# Per-worker-process state cache for the tokenize tasks (plain Ray tasks,
-# one per fragment): a cluster-wide actor pool costs ~10s of startup at 32
-# CPUs (measured) before the first fragment; a task reuses Ray's warm worker
-# processes and builds the (light) tokenizer state once per process, keyed
-# by the build's output dirs.
-_TOKENIZER_STATE: dict[tuple, FragmentTokenizer] = {}
-
-
-def _tokenize_fragment_task(frag: dict, ctor_kwargs: dict) -> dict:
-    key = (ctor_kwargs["work_dir"], ctor_kwargs["fwd_dir"])
-    tok = _TOKENIZER_STATE.get(key)
-    if tok is None:
-        tok = _TOKENIZER_STATE[key] = FragmentTokenizer(**ctor_kwargs)
-    return tok(frag)
 
 
 def _write_bucketed_postings(postings: pa.Table, path: str, buckets: int) -> int:
@@ -1021,13 +1005,12 @@ def build_index(
                                     task_secs=secs["dedup"]) if dedup else None
     t_dedup = time.perf_counter()
 
-    ctor_kwargs = dict(
+    tokenize = FragmentTokenizer(
         work_dir=work_dir, fwd_dir=fwd_dir, cfg=cfg, losers_dir=losers_dir,
         use_html=use_html, text_column=text_column, url_column=url_column,
         ts_column=ts_column, lang_column=lang_column, id_column=id_column,
         verify_extraction=verify_extraction, max_extract_errors=max_extract_errors,
     )
-    tokenize = functools.partial(_tokenize_fragment_task, ctor_kwargs=ctor_kwargs)
     frag_rows = gather_tasks(submit_tasks(tokenize, fragments), secs["tokenize"])
     t_tokenize = time.perf_counter()
 

@@ -1033,7 +1033,7 @@ def q_langid(sf_dir: str) -> rd.Dataset:
 
     return (
         _docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(LangIdStage, batch_format="pyarrow", concurrency=2)
+        .map_batches(LangIdStage(), batch_format="pyarrow")
         .select_columns(["doc_id", "lang_pred"])
     )
 
@@ -1047,7 +1047,7 @@ def q_langid_confusion(sf_dir: str) -> rd.Dataset:
     from org_rdkit_lucene_ray.stages.textstats import LangIdStage
 
     ds = _docs(sf_dir, columns=["doc_id", "text", "lang"]) \
-        .map_batches(LangIdStage, batch_format="pyarrow", concurrency=2)
+        .map_batches(LangIdStage(), batch_format="pyarrow")
 
     def partial(t: pa.Table) -> pa.Table:
         g = pa.table({"lang": t["lang"], "lang_pred": t["lang_pred"]}) \
@@ -2686,7 +2686,7 @@ def q_phrase_search(sf_dir: str) -> rd.Dataset:
 
     return search_phrases(_searcher(sf_dir),
                           _docs(sf_dir, columns=["doc_id", "text"]),
-                          PHRASE_QUERIES, concurrency=2)
+                          PHRASE_QUERIES)
 
 
 PHRASE_TOPK_QUERIES: list[tuple[int, str, int]] = [   # (query_id, phrase, k)
@@ -3313,8 +3313,7 @@ def q_ann_topk(sf_dir: str) -> pa.Table:
 
     ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                          columns=["vec_id", "embedding"])
-    out = brute_force_topk(ds, _ann_queries(sf_dir), k=ANN_K,
-                           concurrency=2).to_pandas()
+    out = brute_force_topk(ds, _ann_queries(sf_dir), k=ANN_K).to_pandas()
     out = out.sort_values(["query_id", "rank"])
     return pa.table({
         "query_id": pa.array(out["query_id"].astype(np.int64)),
@@ -3329,7 +3328,7 @@ def q_ann_threshold(sf_dir: str) -> pa.Table:
     ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                          columns=["vec_id", "embedding"])
     out = cosine_threshold_search(ds, _ann_queries(sf_dir),
-                                  threshold=ANN_THRESHOLD, concurrency=2).to_pandas()
+                                  threshold=ANN_THRESHOLD).to_pandas()
     out = out.sort_values(["query_id", "vec_id"])
     return pa.table({
         "query_id": pa.array(out["query_id"].astype(np.int64)),
@@ -3342,7 +3341,7 @@ def q_embedding_dup_pairs(sf_dir: str) -> pa.Table:
 
     ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                          columns=["vec_id", "embedding"])
-    return embedding_dup_pairs(ds, threshold=EMB_DUP_THRESHOLD, concurrency=2)
+    return embedding_dup_pairs(ds, threshold=EMB_DUP_THRESHOLD)
 
 
 def q_embedding_dup_pairs_ivf(sf_dir: str) -> pa.Table:
@@ -3350,7 +3349,7 @@ def q_embedding_dup_pairs_ivf(sf_dir: str) -> pa.Table:
 
     ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                          columns=["vec_id", "embedding"])
-    return embedding_dup_pairs_ivf(ds, threshold=EMB_DUP_THRESHOLD, concurrency=2)
+    return embedding_dup_pairs_ivf(ds, threshold=EMB_DUP_THRESHOLD)
 
 
 def q_ivf_topk(sf_dir: str) -> pa.Table:
@@ -3358,8 +3357,8 @@ def q_ivf_topk(sf_dir: str) -> pa.Table:
 
     ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                          columns=["vec_id", "embedding"])
-    out = ivf_topk(ds, _ann_queries(sf_dir), k=ANN_K, nlist=16, nprobe=6,
-                   concurrency=2).to_pandas()
+    out = ivf_topk(ds, _ann_queries(sf_dir), k=ANN_K, nlist=16,
+                   nprobe=6).to_pandas()
     out = out.sort_values(["query_id", "rank"])
     return pa.table({
         "query_id": pa.array(out["query_id"].astype(np.int64)),
@@ -3388,8 +3387,8 @@ def q_ivf_recall(sf_dir: str) -> pa.Table:
     ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                          columns=["vec_id", "embedding"])
     q = _ann_queries(sf_dir)
-    bf = brute_force_topk(ds, q, k=ANN_K, concurrency=2).to_pandas()
-    iv = ivf_topk(ds, q, k=ANN_K, nlist=16, nprobe=6, concurrency=2).to_pandas()
+    bf = brute_force_topk(ds, q, k=ANN_K).to_pandas()
+    iv = ivf_topk(ds, q, k=ANN_K, nlist=16, nprobe=6).to_pandas()
     recalls = []
     for qid in ANN_QUERY_IDS:
         want = set(bf[bf.query_id == qid]["vec_id"])
@@ -3429,8 +3428,7 @@ def q_hybrid_rrf(sf_dir: str) -> pa.Table:
     s = _searcher(sf_dir)
     ds = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                          columns=["vec_id", "embedding"])
-    bf = brute_force_topk(ds, _ann_queries(sf_dir), k=HYBRID_DEPTH,
-                          concurrency=2).to_pandas()
+    bf = brute_force_topk(ds, _ann_queries(sf_dir), k=HYBRID_DEPTH).to_pandas()
     qids, ranks, docs = [], [], []
     for qid, text, vqid in HYBRID_QUERIES:
         lex = {int(d): r for r, (d, _) in
@@ -3521,8 +3519,7 @@ def q_emb_lsh_recall(sf_dir: str) -> pa.Table:
         src.schema.get_field_index("vec_id"), "vec_id",
         pc.cast(src["vec_id"], pa.int64()))
     ds = rd.from_arrow(base).union(rd.from_arrow(planted))
-    pairs = embedding_dup_pairs_lsh(ds, threshold=EMB_PLANT_THRESHOLD,
-                                    concurrency=2)
+    pairs = embedding_dup_pairs_lsh(ds, threshold=EMB_PLANT_THRESHOLD)
     got = set(zip(pairs["a"].to_pylist(), pairs["b"].to_pylist()))
     ids = pc.cast(head["vec_id"], pa.int64()).to_pylist()
     found = sum((int(i), int(i) + 1_000_000) in got for i in ids)
@@ -3553,8 +3550,7 @@ def q_emb_ivf_recall(sf_dir: str) -> pa.Table:
         src.schema.get_field_index("vec_id"), "vec_id",
         pc.cast(src["vec_id"], pa.int64()))
     ds = rd.from_arrow(base).union(rd.from_arrow(planted))
-    pairs = embedding_dup_pairs_ivf(ds, threshold=EMB_PLANT_THRESHOLD,
-                                    concurrency=2)
+    pairs = embedding_dup_pairs_ivf(ds, threshold=EMB_PLANT_THRESHOLD)
     got = set(zip(pairs["a"].to_pylist(), pairs["b"].to_pylist()))
     ids = pc.cast(head["vec_id"], pa.int64()).to_pylist()
     found = sum((int(i), int(i) + 1_000_000) in got for i in ids)
@@ -4171,7 +4167,7 @@ def q_media_features(sf_dir: str) -> rd.Dataset:
 
     media = _docs(sf_dir, columns=["doc_id", "text"]).map_batches(
         attach_payload, batch_format="pyarrow")
-    feats = media_features(media, concurrency=2)
+    feats = media_features(media)
     return feats.select_columns(["media_id", "n_bytes"])
 
 

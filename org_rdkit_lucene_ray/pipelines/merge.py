@@ -128,18 +128,20 @@ def _tombstones_of_fragment(item: dict, delta_urls: pa.Array) -> np.ndarray:
     return t.filter(hit)["doc_id"].to_numpy().astype(np.int64)
 
 
-def _find_tombstones(parent_fwd_files: list[str], delta_urls: pa.Array) -> np.ndarray:
+def _find_tombstones(parent_fwd_files: list[str], delta_urls: pa.Array,
+                     secs: list[float]) -> np.ndarray:
     """Doc ids of parent docs whose url reappears in the delta — a
     broadcast-small-side anti-join: the (bounded) delta-url set goes to the
     object store ONCE via ``ray.put``; one plain Ray task per parent
     forward fragment scans it with ``pc.is_in``. Nothing corpus-sized
-    touches the driver (ADVICE r1 / VERDICT next-round #1a)."""
+    touches the driver (ADVICE r1 / VERDICT next-round #1a). The task
+    bodies' seconds go to ``secs``."""
     if not parent_fwd_files or len(delta_urls) == 0:
         return np.zeros(0, dtype=np.int64)
     # tombstones are bounded by the delta's url count x duplicity — small
     dead = gather_tasks(submit_tasks(_tombstones_of_fragment,
                                      [{"path": p} for p in parent_fwd_files],
-                                     ray.put(delta_urls)), [])
+                                     ray.put(delta_urls)), secs)
     return np.concatenate(dead)
 
 
@@ -150,9 +152,12 @@ def add_documents(
     work_dir: str | None = None,
     **build_kw,
 ) -> dict:
-    """Build a delta generation from new fragments; tombstone upserted urls."""
+    """Build a delta generation from new fragments; tombstone upserted urls.
+    The manifest keeps the delta build's ``timings_sec`` and ``tasks``
+    phases and adds the tombstone scan's as ``tombstones``."""
     from org_rdkit_lucene_ray.pipelines.build import build_index
 
+    t0 = time.perf_counter()
     base_gen = current_generation(index_dir)
     if base_gen is None:
         return build_index(input_paths, index_dir, **build_kw)
@@ -174,11 +179,13 @@ def add_documents(
     os.replace(src, dst)
 
     # delta urls (the SMALL side — bounded by the delta itself)
+    t_tombstones = time.perf_counter()
     url_tabs = [pq.read_table(f, columns=["url"]) for f in _fwd_files(dst)]
     delta_urls = pc.unique(pa.concat_tables(url_tabs)["url"].combine_chunks()) \
         if url_tabs else pa.array([], pa.string())
     parent_fwd = [p for g in parents for p in _fwd_files(os.path.join(index_dir, g))]
-    dead = _find_tombstones(parent_fwd, delta_urls)
+    tombstone_secs: list[float] = []
+    dead = _find_tombstones(parent_fwd, delta_urls, tombstone_secs)
     prior_dead = read_deletes(index_dir, base_gen)
     all_dead = np.unique(np.concatenate([prior_dead, dead])) \
         if (dead.size or prior_dead.size) else np.zeros(0, np.int64)
@@ -203,6 +210,11 @@ def add_documents(
         "delta_stats": ds_,
         "parent": base_gen,
         "doc_id_base": base,
+        "timings_sec": {**manifest["timings_sec"],
+                        "tombstones": time.perf_counter() - t_tombstones,
+                        "total": time.perf_counter() - t0},
+        "tasks": {**manifest["tasks"],
+                  "tombstones": task_stats(tombstone_secs)},
     }
     atomic_write_json(out, os.path.join(dst, "manifest.json"))
     set_current_generation(index_dir, new_gen)

@@ -2435,21 +2435,18 @@ def _phrase_match_mask(toks: pa.ListArray, ptoks: list[str],
 
 class PhraseVerifyStage:
     """VERIFY phase of phrase search over the stored text, as a
-    ``map_batches`` actor: the screened candidate-id array (one ``ray.put``
-    broadcast, fetched ONCE per actor) prunes each batch before the
-    tokenizer runs, then :func:`_phrase_match_mask` decides each phrase.
-    Verification cost is proportional to candidates, not corpus — the same
-    screen/verify economics as ``search_screen_verify`` (K3)."""
+    ``map_batches`` task function (an instance): the screened candidate ids
+    (one ``ray.put`` broadcast of ``({query_id: sorted int64[]}, their
+    union)``, fetched once per worker process by ``dedup._bcast``) prune
+    each batch before the tokenizer runs, then :func:`_phrase_match_mask`
+    decides each phrase. Verification cost is proportional to candidates,
+    not corpus — the same screen/verify economics as
+    ``search_screen_verify`` (K3)."""
 
     def __init__(self, cands_ref, phrases: list[tuple[int, list[str], int]],
                  cfg: AnalyzerConfig, id_column: str = "doc_id",
                  text_column: str = "text"):
-        import ray
-
-        self.cands = ray.get(cands_ref)          # {query_id: sorted int64[]}
-        self.union = np.unique(np.concatenate(
-            [v for v in self.cands.values() if v.size]
-            or [np.zeros(0, np.int64)]))
+        self.cands_ref = cands_ref
         self.phrases = phrases                   # (query_id, tokens, slop)
         self.cfg = cfg
         self.id_column = id_column
@@ -2457,12 +2454,14 @@ class PhraseVerifyStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from org_rdkit_lucene_ray.functions.analyze import tokenize_column
+        from org_rdkit_lucene_ray.stages.dedup import _bcast
 
         out_schema = pa.schema([("query_id", pa.int64()),
                                 ("doc_id", pa.int64())])
+        cands, union = _bcast(self.cands_ref)
         ids = batch[self.id_column].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        keep = np.isin(ids, self.union)
+        keep = np.isin(ids, union)
         if not keep.any():
             return out_schema.empty_table()
         sub = batch.filter(pa.array(keep))
@@ -2470,7 +2469,7 @@ class PhraseVerifyStage:
         toks = tokenize_column(sub[self.text_column], self.cfg)
         qids_out, docs_out = [], []
         for qid, ptoks, slop in self.phrases:
-            cand = self.cands[qid]
+            cand = cands[qid]
             if not cand.size:
                 continue
             in_q = np.isin(ids, cand)
@@ -2492,7 +2491,6 @@ def search_phrases(
     *,
     id_column: str = "doc_id",
     text_column: str = "text",
-    concurrency: int | tuple[int, int] | None = None,
 ) -> rd.Dataset:
     """Phrase / in-order-proximity search (Lucene ``PhraseQuery`` slop=0,
     ``SpanNearQuery(inOrder=true)`` slop>0) as a two-phase distributed plan:
@@ -2555,16 +2553,9 @@ def search_phrases(
         ptoks = analyze_text(phrase, searcher.query_cfg)
         parsed.append((int(qid), ptoks, int(slop)))
         cands[int(qid)] = searcher.phrase_candidates(ptoks)
-    ref = ray.put(cands)
-    if concurrency is None:
-        concurrency = max(1, int(ray.cluster_resources().get("CPU", 4)) // 2) \
-            if ray.is_initialized() else 2
-    return docs.map_batches(
-        PhraseVerifyStage,
-        fn_constructor_kwargs=dict(cands_ref=ref, phrases=parsed,
-                                   cfg=searcher.query_cfg,
-                                   id_column=id_column,
-                                   text_column=text_column),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    union = np.unique(np.concatenate(
+        [v for v in cands.values() if v.size] or [np.zeros(0, np.int64)]))
+    stage = PhraseVerifyStage(ray.put((cands, union)), parsed,
+                              searcher.query_cfg, id_column=id_column,
+                              text_column=text_column)
+    return docs.map_batches(stage, batch_format="pyarrow")

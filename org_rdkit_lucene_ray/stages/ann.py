@@ -17,7 +17,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from org_rdkit_lucene_ray.stages.dedup import auto_concurrency
+from org_rdkit_lucene_ray.stages.dedup import _bcast
 
 
 def _emb_matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -37,28 +37,28 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 class BruteForceCosine:
-    """Actor stage: per batch, cosine of all rows vs the broadcast query
+    """Task stage: per batch, cosine of all rows vs the broadcast query
     matrix; emits per-batch partial top-k rows (query_id, vec_id, sim).
 
-    The query matrix is ``ray.put`` ONCE on the driver and fetched in
-    ``__init__`` — never re-shipped per batch."""
+    The normalized query matrix is ``ray.put`` ONCE on the driver
+    (:func:`_query_state`); a worker process fetches it once per ref
+    (``dedup._bcast``) at call time — never re-shipped per batch."""
 
     def __init__(self, query_ref, k: int, id_col: str = "vec_id",
                  emb_col: str = "embedding", threshold: float | None = None):
-        q = ray.get(query_ref) if not isinstance(query_ref, dict) else query_ref
-        self.qids = np.asarray(q["qids"], dtype=np.int64)
-        self.Q = _normalize(np.asarray(q["vectors"], dtype=np.float64))
+        self.query_ref = query_ref
         self.k = k
         self.id_col = id_col
         self.emb_col = emb_col
         self.threshold = threshold
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        qids, Q = _bcast(self.query_ref)
         E = _normalize(_emb_matrix(batch, self.emb_col))
         ids = batch[self.id_col].to_numpy()
-        sims = E @ self.Q.T                      # (n, nq)
+        sims = E @ Q.T                           # (n, nq)
         out_q, out_v, out_s = [], [], []
-        for qi in range(self.Q.shape[0]):
+        for qi in range(Q.shape[0]):
             s = sims[:, qi]
             if self.threshold is not None:
                 keep = np.flatnonzero(s >= self.threshold)
@@ -66,7 +66,7 @@ class BruteForceCosine:
                 k = min(self.k, s.size)
                 # partial top-k per batch; ties resolved later by (sim desc, id asc)
                 keep = np.argpartition(-s, k - 1)[:k] if k < s.size else np.arange(s.size)
-            out_q.append(np.full(keep.size, self.qids[qi], dtype=np.int64))
+            out_q.append(np.full(keep.size, qids[qi], dtype=np.int64))
             out_v.append(ids[keep])
             out_s.append(s[keep])
         return pa.table({
@@ -74,6 +74,12 @@ class BruteForceCosine:
             "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
             "sim": pa.array(np.concatenate(out_s), pa.float64()),
         })
+
+
+def _query_state(queries: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(query ids, row-normalized query matrix) — the broadcast payload."""
+    return (np.asarray(queries["qids"], dtype=np.int64),
+            _normalize(np.asarray(queries["vectors"], dtype=np.float64)))
 
 
 def _topk_group(group: pa.Table, k: int) -> pa.Table:
@@ -98,31 +104,23 @@ def load_query_vectors(embeddings_path: str, vec_ids: list[int]) -> dict:
     return {"qids": np.asarray(vec_ids, dtype=np.int64), "vectors": mat[idx]}
 
 
-def brute_force_topk(ds: rd.Dataset, queries: dict, k: int = 10,
-                     concurrency: int | None = None) -> rd.Dataset:
+def brute_force_topk(ds: rd.Dataset, queries: dict, k: int = 10) -> rd.Dataset:
     """Exact cosine top-k: map_batches partial top-k -> tiny groupby(query)
     final merge (same partial+final shape as the BM25 per-segment heaps)."""
-    ref = ray.put(queries)
-    partial = ds.map_batches(
-        BruteForceCosine,
-        fn_constructor_kwargs=dict(query_ref=ref, k=k),
-        batch_format="pyarrow", concurrency=concurrency or auto_concurrency(),
-    )
+    partial = ds.map_batches(BruteForceCosine(ray.put(_query_state(queries)), k),
+                             batch_format="pyarrow")
     return partial.groupby("query_id").map_groups(
         lambda g: _topk_group(g, k), batch_format="pyarrow"
     )
 
 
-def cosine_threshold_search(ds: rd.Dataset, queries: dict, threshold: float,
-                            concurrency: int | None = None) -> rd.Dataset:
+def cosine_threshold_search(ds: rd.Dataset, queries: dict,
+                            threshold: float) -> rd.Dataset:
     """All (query, vector) pairs with cosine >= threshold (SQL-checkable:
     DuckDB ``list_cosine_similarity``); sim rounded to 6 dp."""
-    ref = ray.put(queries)
     out = ds.map_batches(
-        BruteForceCosine,
-        fn_constructor_kwargs=dict(query_ref=ref, k=0, threshold=threshold),
-        batch_format="pyarrow", concurrency=concurrency or auto_concurrency(),
-    )
+        BruteForceCosine(ray.put(_query_state(queries)), 0, threshold=threshold),
+        batch_format="pyarrow")
     return out.map_batches(
         lambda t: t.set_column(t.schema.get_field_index("sim"), "sim",
                                pa.array(np.round(t["sim"].to_numpy(), 6))),
@@ -170,8 +168,8 @@ class IVFIndex:
 
 
 def ivf_topk(ds: rd.Dataset, queries: dict, k: int = 10, nlist: int = 16,
-             nprobe: int = 4, train_sample: int = 2048, seed: int = 5,
-             concurrency: int | None = None) -> rd.Dataset:
+             nprobe: int = 4, train_sample: int = 2048,
+             seed: int = 5) -> rd.Dataset:
     """IVF screen -> exact-cosine verify (two-phase, SS-search analog)."""
     sample_tbl = pa.concat_tables(
         [b for b in ds.limit(train_sample).iter_batches(batch_format="pyarrow")]
@@ -181,38 +179,30 @@ def ivf_topk(ds: rd.Dataset, queries: dict, k: int = 10, nlist: int = 16,
         int(q): set(ivf.probe_clusters(v, nprobe).tolist())
         for q, v in zip(queries["qids"], np.asarray(queries["vectors"], dtype=np.float64))
     }
-    ref = ray.put({"queries": queries, "ivf_centroids": ivf.centroids, "probes": probes})
+    ref = ray.put((*_query_state(queries), ivf.centroids, probes))
 
-    class ProbeScorer:
-        def __init__(self):
-            state = ray.get(ref)
-            self.qids = np.asarray(state["queries"]["qids"], dtype=np.int64)
-            self.Q = _normalize(np.asarray(state["queries"]["vectors"], dtype=np.float64))
-            self.C = state["ivf_centroids"]
-            self.probes = state["probes"]
+    def probe_score(batch: pa.Table) -> pa.Table:
+        qids, Q, C, probes = _bcast(ref)
+        E = _normalize(_emb_matrix(batch))
+        ids = batch["vec_id"].to_numpy()
+        assign = np.argmax(E @ C.T, axis=1)
+        sims = E @ Q.T
+        out_q, out_v, out_s = [], [], []
+        for qi, qid in enumerate(qids):
+            mask = np.isin(assign, list(probes[int(qid)]))
+            keep = np.flatnonzero(mask)
+            if keep.size > k:
+                keep = keep[np.argpartition(-sims[keep, qi], k - 1)[:k]]
+            out_q.append(np.full(keep.size, qid, dtype=np.int64))
+            out_v.append(ids[keep])
+            out_s.append(sims[keep, qi])
+        return pa.table({
+            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
+            "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
+            "sim": pa.array(np.concatenate(out_s), pa.float64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            E = _normalize(_emb_matrix(batch))
-            ids = batch["vec_id"].to_numpy()
-            assign = np.argmax(E @ self.C.T, axis=1)
-            sims = E @ self.Q.T
-            out_q, out_v, out_s = [], [], []
-            for qi, qid in enumerate(self.qids):
-                mask = np.isin(assign, list(self.probes[int(qid)]))
-                keep = np.flatnonzero(mask)
-                if keep.size > k:
-                    keep = keep[np.argpartition(-sims[keep, qi], k - 1)[:k]]
-                out_q.append(np.full(keep.size, qid, dtype=np.int64))
-                out_v.append(ids[keep])
-                out_s.append(sims[keep, qi])
-            return pa.table({
-                "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-                "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
-                "sim": pa.array(np.concatenate(out_s), pa.float64()),
-            })
-
-    partial = ds.map_batches(ProbeScorer, batch_format="pyarrow",
-                             concurrency=concurrency or auto_concurrency())
+    partial = ds.map_batches(probe_score, batch_format="pyarrow")
     return partial.groupby("query_id").map_groups(
         lambda g: _topk_group(g, k), batch_format="pyarrow"
     )
@@ -231,8 +221,8 @@ def _pairs_table(df) -> pa.Table:
 
 # ------------------------------------------------------- embedding near-dup
 def embedding_dup_pairs(ds: rd.Dataset, *, threshold: float = 0.95,
-                        id_col: str = "vec_id", emb_col: str = "embedding",
-                        concurrency: int | None = None) -> pa.Table:
+                        id_col: str = "vec_id",
+                        emb_col: str = "embedding") -> pa.Table:
     """Exact embedding-cosine near-duplicate pairs: all (a < b) with
     cosine(a, b) >= threshold.
 
@@ -296,8 +286,8 @@ def embedding_dup_pairs(ds: rd.Dataset, *, threshold: float = 0.95,
 
 def embedding_dup_pairs_ivf(ds: rd.Dataset, *, threshold: float = 0.95,
                             nlist: int = 16, seed: int = 5,
-                            id_col: str = "vec_id", emb_col: str = "embedding",
-                            concurrency: int | None = None) -> pa.Table:
+                            id_col: str = "vec_id",
+                            emb_col: str = "embedding") -> pa.Table:
     """Cluster-bucketed embedding near-dup (the 100 TB path): IVF assignment
     -> groupby(cluster) -> within-cluster pairwise cosine. Near-identical
     vectors land in the same coarse cell with overwhelming probability, so
@@ -316,18 +306,14 @@ def embedding_dup_pairs_ivf(ds: rd.Dataset, *, threshold: float = 0.95,
     ivf = IVFIndex(nlist=nlist, seed=seed).train(_emb_matrix(sample, emb_col))
     cent_ref = ray.put(ivf.centroids)
 
-    class Assign:
-        def __init__(self):
-            self.C = ray.get(cent_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            E = _normalize(_emb_matrix(t, emb_col))
-            cl = np.argmax(E @ self.C.T, axis=1).astype(np.int32)
-            return pa.table({
-                id_col: pa.array(t[id_col].to_numpy(), pa.int64()),
-                emb_col: t[emb_col],
-                "cluster": pa.array(cl),
-            })
+    def assign(t: pa.Table) -> pa.Table:
+        E = _normalize(_emb_matrix(t, emb_col))
+        cl = np.argmax(E @ _bcast(cent_ref).T, axis=1).astype(np.int32)
+        return pa.table({
+            id_col: pa.array(t[id_col].to_numpy(), pa.int64()),
+            emb_col: t[emb_col],
+            "cluster": pa.array(cl),
+        })
 
     # resolve the shared ceiling on the DRIVER so tests can patch it; the
     # value rides into workers inside the map_groups closure
@@ -352,8 +338,7 @@ def embedding_dup_pairs_ivf(ds: rd.Dataset, *, threshold: float = 0.95,
                          "b": pa.array(b, pa.int64())})
 
     out = (
-        ds.map_batches(Assign, batch_format="pyarrow",
-                       concurrency=concurrency or auto_concurrency())
+        ds.map_batches(assign, batch_format="pyarrow")
         .groupby("cluster")
         .map_groups(pairs_in_cluster, batch_format="pyarrow")
     ).to_pandas()
@@ -363,8 +348,7 @@ def embedding_dup_pairs_ivf(ds: rd.Dataset, *, threshold: float = 0.95,
 def embedding_dup_pairs_lsh(ds: rd.Dataset, *, threshold: float = 0.95,
                             n_bits: int = 128, band_bits: int = 8,
                             seed: int = 7, id_col: str = "vec_id",
-                            emb_col: str = "embedding",
-                            concurrency: int | None = None) -> pa.Table:
+                            emb_col: str = "embedding") -> pa.Table:
     """LSH-bucketed embedding near-dup — the random-hyperplane
     (Charikar 2002 SimHash-for-vectors) alternative to the IVF cell
     bucketing: vectors hash to ``n_bits`` projection signs, any shared
@@ -394,7 +378,7 @@ def embedding_dup_pairs_lsh(ds: rd.Dataset, *, threshold: float = 0.95,
     planes_ref = _ray.put(planes)
 
     def band_rows(t: pa.Table) -> pa.Table:
-        P = _ray.get(planes_ref)
+        P = _bcast(planes_ref)
         E = _normalize(_emb_matrix(t, emb_col))
         signs = (E @ P) > 0                          # (n, n_bits) bool
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -438,8 +422,7 @@ def embedding_dup_pairs_lsh(ds: rd.Dataset, *, threshold: float = 0.95,
     # composite (band, sign-key) segmentation via the shared LSH
     # dispatcher; the sign-key domain never reaches a Ray sort
     cand = bucket_fold(
-        ds.map_batches(band_rows, batch_format="pyarrow",
-                       concurrency=concurrency or auto_concurrency())
+        ds.map_batches(band_rows, batch_format="pyarrow")
         .map_batches(lambda t: append_bucket_column(t, "key"),
                      batch_format="pyarrow"),
         lambda g: _per_band_segments(g, pairs_in_bucket, hash_col="key"))
@@ -462,7 +445,7 @@ def embedding_dup_pairs_lsh(ds: rd.Dataset, *, threshold: float = 0.95,
     need_ref = _ray.put(need)
 
     def pick(t: pa.Table) -> pa.Table:
-        nd = _ray.get(need_ref)
+        nd = _bcast(need_ref)
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         m = np.isin(ids, nd)
         return t.filter(pa.array(m)).select([id_col, emb_col])

@@ -44,16 +44,6 @@ logger = logging.getLogger(__name__)
 _MERSENNE = (1 << 61) - 1
 
 
-def auto_concurrency(cap: int = 8) -> int:
-    """Actor-pool size leaving headroom for up/downstream stages: an actor
-    pool sized to the WHOLE cluster starves the shuffle tasks behind it
-    (observed deadlock on a 4-CPU local cluster with concurrency=4)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(1, min(cap, cpus - 2))
-
-
 # --------------------------------------------------------------- exact dedup
 def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
                        id_col: str = "doc_id") -> rd.Dataset:
@@ -178,10 +168,11 @@ def _batch_shingles(toks: pa.ListArray, shingle: int) -> tuple[np.ndarray, np.nd
 
 
 class MinHashStage:
-    """Actor stage: docs batch -> LSH band rows (doc_id, band, band_hash).
+    """Sketch stage: docs batch -> LSH band rows (doc_id, band, band_hash),
+    run as a task through :func:`_minhash_task`.
 
-    Permutation parameters are generated ONCE per actor in ``__init__``
-    (seeded -> identical across actors/runs). Signature minima are computed
+    Permutation parameters are generated ONCE per instance in ``__init__``
+    (seeded -> identical across workers/runs). Signature minima are computed
     with sorted-parent ``np.minimum.reduceat`` — vectorized across the whole
     batch, no per-shingle Python."""
 
@@ -249,8 +240,8 @@ class MinHashStage:
 # task-fn wrappers with a per-worker-process stage cache: the sketch
 # stages' state (seeded permutation params) is light, so Ray's warm worker
 # processes beat a dedicated actor pool (~1-2s pool startup per run on
-# this sandbox; the heavyweight-analyzer case can still use the classes
-# directly as map_batches actor stages)
+# a 1-CPU host). The cache key holds every constructor argument, so a
+# cached stage always matches its caller.
 _STAGE_CACHE: dict[tuple, object] = {}
 
 
@@ -539,7 +530,6 @@ def minhash_dup_pairs(
     shingle: int = 3,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | None = None,
     broadcast_candidate_limit: int = 65_536,
 ) -> pa.Table:
     """Full MinHash-LSH near-dup pipeline -> verified pairs
@@ -884,8 +874,8 @@ def _refine_pairs(ids: np.ndarray, h: np.ndarray, used_bits: frozenset,
 
 
 def simhash_dup_pairs(docs: rd.Dataset, *, max_hamming: int = 3,
-                      text_col: str = "text", id_col: str = "doc_id",
-                      concurrency: int | None = None) -> pa.Table:
+                      text_col: str = "text",
+                      id_col: str = "doc_id") -> pa.Table:
     """SimHash near-dup pairs: 4 x 16-bit band buckets (pigeonhole-complete
     for Hamming distance <= 3) -> groupby bucket -> hot-bucket-safe
     candidate pairs (:func:`_simhash_group_pairs`) -> verify Hamming.

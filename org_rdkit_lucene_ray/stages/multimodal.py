@@ -2,7 +2,7 @@
 
 Opaque ``binary`` payload columns ride next to typed metadata columns
 (mime, width/height or sample-rate, byte length). The Ray-side plumbing —
-schema contract, actor-pool stage signature, bounded batch sizes for large
+schema contract, stage signature, bounded batch sizes for large
 payloads, output layout — is real and tested. The codec seam has two
 implementations per stage: ``decoder="real"`` dispatches by mime to the
 pure-python PNG/WAV codecs in :mod:`..functions.media_codec` (stdlib
@@ -13,7 +13,10 @@ stand-in for determinism/plumbing tests. Video decode stays a marked
 
 Reference analog: the reference treats molecules as opaque native handles
 decoded by a per-worker library loaded once (T1, ``bin/RDKit.activate``);
-here the per-actor decoder plays that role.
+here each stage instance's decoder plays that role. The codecs are pure
+Python and load in microseconds, so the stages are ``map_batches`` task
+functions (an instance), not actor pools: an actor pool would hold the
+CPUs its upstream read needs.
 
 Scale notes: payloads can be MBs each, so stages here default to small
 ``batch_size`` (64) and ``batch_format="pyarrow"`` (payload bytes stay in
@@ -66,12 +69,11 @@ def _fake_decode(payload: bytes, dim: int) -> np.ndarray:
 
 
 class MediaFeatureStage:
-    """Actor-pool stage: MEDIA_SCHEMA batch -> features batch.
+    """Task stage: MEDIA_SCHEMA batch -> features batch.
 
-    ``__init__`` loads the decoder ONCE per actor (``decoder="real"``
+    ``__init__`` builds the decoder ONCE per instance (``decoder="real"``
     builds the mime -> decode+feature dispatch from the pure-python
-    codecs; a model-based embedder would load its weights here too);
-    ``__call__`` decodes and embeds a batch. Output: ``media_id:int64,
+    codecs); ``__call__`` decodes and embeds a batch. Output: ``media_id:int64,
     n_bytes:int64, feature:list<float32>[FEATURE_DIM]``. Real features:
     luminance histogram for ``image/png``, amplitude histogram for
     ``audio/wav`` — deterministic functions of the decoded CONTENT.
@@ -118,7 +120,7 @@ class MediaFeatureStage:
 
 
 class ResizeStage:
-    """Actor-pool stage: image payload -> fixed (width x height x channels)
+    """Task stage: image payload -> fixed (width x height x channels)
     payload. ``decoder="real"`` runs the full PNG decode -> nearest-
     neighbour resize -> PNG re-encode chain from
     :mod:`..functions.media_codec` (non-PNG mimes raise loudly); the fake
@@ -167,7 +169,7 @@ class ResizeStage:
 
 
 class FrameSampleStage:
-    """Actor-pool stage: video-shaped payload -> K evenly spaced "frames"
+    """Task stage: video-shaped payload -> K evenly spaced "frames"
     (byte slices standing in for decoded frames; a real decoder replaces
     ``_slice_frames`` only — the fan-out plumbing is the deliverable).
 
@@ -202,11 +204,8 @@ class FrameSampleStage:
         })
 
 
-def media_features(media: rd.Dataset, *, concurrency: int | tuple[int, int] = 2,
-                   batch_size: int = 64) -> rd.Dataset:
-    """MEDIA_SCHEMA dataset -> per-item feature vectors (actor pool; small
+def media_features(media: rd.Dataset, *, batch_size: int = 64) -> rd.Dataset:
+    """MEDIA_SCHEMA dataset -> per-item feature vectors (plain tasks; small
     batches because payloads are large)."""
-    return media.map_batches(
-        MediaFeatureStage, batch_format="pyarrow",
-        batch_size=batch_size, concurrency=concurrency,
-    )
+    return media.map_batches(MediaFeatureStage(), batch_format="pyarrow",
+                             batch_size=batch_size)

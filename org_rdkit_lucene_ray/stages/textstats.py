@@ -2,7 +2,7 @@
 
 Per-batch, vectorized (pyarrow.compute / numpy) transforms over a documents
 table (``doc_id, text, lang, ...``): token counting, quality scoring,
-document fingerprinting, and a heuristic language-ID actor stage.
+document fingerprinting, and a heuristic language-ID stage.
 
 Reference analog: the validation predicates + scalar string functions layer
 (M10 ``util/ChemUtils.java:66-105``, M11 ``util/StringUtils.java:139-220``)
@@ -228,15 +228,6 @@ def rolling_fingerprint_batch(batch: pa.Table, text_col: str = "text",
     return batch.append_column("fp_roll", pa.array(out.astype(np.int64), pa.int64()))
 
 
-def hash_token(tok: str) -> np.uint64:
-    """FNV-1a 64-bit over utf-8 bytes — stable across processes/runs."""
-    h = np.uint64(14695981039346656037)
-    B = np.uint64(1099511628211)
-    for b in tok.encode("utf-8"):
-        h = (h ^ np.uint64(b)) * B
-    return h
-
-
 # ------------------------------------------------------------------- lang id
 _LANG_PROFILES: dict[str, tuple[str, ...]] = {
     # tiny stopword/bigram profiles; heuristic by design (no external models)
@@ -248,8 +239,9 @@ _LANG_PROFILES: dict[str, tuple[str, ...]] = {
 
 
 class LangIdStage:
-    """Heuristic language-ID actor stage (stateful: profiles compiled once
-    per actor, T1 analog). CJK detection by unicode block; otherwise the
+    """Heuristic language-ID stage: an instance is the ``map_batches`` task
+    function (profiles compiled once on the driver and shipped with it, T1
+    analog). CJK detection by unicode block; otherwise the
     profile with the highest DISTINCT-stopword hit count ('und' when no
     evidence); ties resolve in profile order (en, es, de, fr) — exactly the
     oracle's CASE chain.

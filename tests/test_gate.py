@@ -130,10 +130,18 @@ def test_token_jaccard_refuses_oversized_matrix(ray_session, monkeypatch):
         gate.q_token_jaccard_pairs(SF_DIR)
 
 
-# Child-process body of test_join_gates_finish_at_one_cpu: both join gates
-# in a fresh 1-CPU Ray cluster, each result written to Parquet for the
-# parent to check against DuckDB.
-_ONE_CPU_JOIN_GATES = textwrap.dedent("""
+# Gates run by test_join_gates_finish_at_one_cpu on a 1-CPU cluster: the
+# joins, and the map stages fed by a Parquet read (a map stage run as an
+# actor pool holds the CPU its read needs).
+ONE_CPU_GATES = ("order_revenue", "snapshot_diff", "orders_by_segment",
+                 "langid", "langid_confusion", "ann_topk", "ann_threshold",
+                 "ivf_topk", "ivf_recall", "embedding_dup_pairs_ivf",
+                 "emb_ivf_recall", "hybrid_rrf", "media_features")
+
+# Child-process body of test_join_gates_finish_at_one_cpu: the gates in a
+# fresh 1-CPU Ray cluster, each result written to Parquet for the parent
+# to check against DuckDB.
+_ONE_CPU_GATES = textwrap.dedent("""
     import sys
     import ray
     ray.init(address="local", num_cpus=1, include_dashboard=False,
@@ -141,9 +149,10 @@ _ONE_CPU_JOIN_GATES = textwrap.dedent("""
     ray.data.DataContext.get_current().enable_progress_bars = False
     from org_rdkit_lucene_ray.pipelines import gate
     sf_dir, out_dir = sys.argv[1], sys.argv[2]
-    for name in ("order_revenue", "snapshot_diff", "orders_by_segment"):
-        ds = getattr(gate, "q_" + name)(sf_dir)
-        ds.to_pandas().to_parquet(f"{out_dir}/{name}.parquet")
+    for name in sys.argv[3:]:
+        res = gate.QUERIES[name](sf_dir)
+        df = res.to_pandas() if hasattr(res, "to_pandas") else res
+        df.to_parquet(f"{out_dir}/{name}.parquet")
     ray.shutdown()
 """)
 
@@ -162,10 +171,12 @@ def _session_pids(sid: int) -> list[int]:
 
 
 def test_join_gates_finish_at_one_cpu(con, tmp_path):
-    """The join gates finish on a 1-CPU Ray cluster and match the DuckDB
-    oracle. Neither Ray's hash-shuffle ``Dataset.join`` (its aggregator
-    actors) nor an actor-pool broadcast probe finished there: they wait
-    for CPUs the cluster does not have. The child runs in its own
+    """The join gates and the read-fed map-stage gates finish on a 1-CPU
+    Ray cluster; those with an oracle match DuckDB. Neither Ray's
+    hash-shuffle ``Dataset.join`` (its aggregator actors) nor an actor
+    pool behind a read (the old broadcast probe, language ID, ANN, media
+    features) finished there: they wait for CPUs the cluster does not
+    have. The child runs in its own
     session: on timeout the whole process group — Ray's raylet, GCS and
     workers included — is killed, and no process of that session may
     outlive the test."""
@@ -175,7 +186,8 @@ def test_join_gates_finish_at_one_cpu(con, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_JOIN_GATES, SF_DIR, str(tmp_path)],
+        [sys.executable, "-c", _ONE_CPU_GATES, SF_DIR, str(tmp_path),
+         *ONE_CPU_GATES],
         cwd=str(tmp_path), env=env, start_new_session=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
@@ -192,9 +204,10 @@ def test_join_gates_finish_at_one_cpu(con, tmp_path):
     if left:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
-    assert not timed_out, "join gates did not finish in 120 s at num_cpus=1"
+    assert not timed_out, "gates did not finish in 120 s at num_cpus=1"
     assert proc.returncode == 0, err[-3000:]
     assert not left, f"Ray processes outlived the child: {left}"
-    for name in ("order_revenue", "snapshot_diff", "orders_by_segment"):
+    for name in ONE_CPU_GATES:
         got = pd.read_parquet(tmp_path / f"{name}.parquet")
-        _compare(name, got, con.execute(e.oracle_sql()[name]).fetch_df())
+        if name in e.oracle_sql():
+            _compare(name, got, con.execute(e.oracle_sql()[name]).fetch_df())

@@ -106,6 +106,18 @@ def test_delta_generation_and_tombstones(incr_index):
     assert s.n_docs == len(base_surv) + len(delta_surv)
 
 
+def test_add_manifest_reports_its_phases(incr_index):
+    """An add's manifest keeps the delta build's phase timings and task
+    counts, plus the tombstone scan's: where the add's time went."""
+    add_m = incr_index[4]
+    for phase in ("dedup", "tokenize", "encode_shuffle", "tombstones"):
+        assert add_m["tasks"][phase]["n"] > 0, phase
+        assert add_m["timings_sec"][phase] >= add_m["tasks"][phase]["body_s_max"] >= 0
+    # one tombstone task per parent forward-index fragment
+    assert add_m["tasks"]["tombstones"]["n"] == len(incr_index[1])
+    assert add_m["timings_sec"]["total"] >= add_m["timings_sec"]["tombstones"]
+
+
 
 def test_one_pass_decode_matches_per_chunk_reference(incr_index):
     """The one-stream term decode (every chunk's doc/tf/dl slices joined
@@ -248,6 +260,30 @@ def _index_hashes(gdir):
     """Per-file hashes of a generation's segment chunks and df files."""
     return {sub: _tree_hashes(os.path.join(gdir, sub))
             for sub in ("segments", "df")}
+
+
+def test_rebuild_same_dir_with_other_analyzer_equals_fresh(
+        ray_session, pages_dir, tmp_path_factory):
+    """Nothing of a build's tokenizer outlives it: rebuilding the same
+    index dir in the same Ray session with another analyzer gives the same
+    index as a build into a fresh dir (a tokenizer cached per worker
+    process by output dir would tokenize the rebuild with the first
+    build's analyzer while its manifest claims the second's)."""
+    from dataclasses import replace
+
+    from org_rdkit_lucene_ray.functions.analyze import REGISTRY
+
+    shingles = replace(CFG, index_analyzer=REGISTRY["shingle_2"],
+                       query_analyzer=REGISTRY["shingle_2"])
+    idx = str(tmp_path_factory.mktemp("rebuild_same_dir"))
+    build_index(pages_dir, idx, cfg=CFG)
+    shutil.rmtree(idx)
+    again = build_index(pages_dir, idx, cfg=shingles)
+    fresh_dir = str(tmp_path_factory.mktemp("rebuild_fresh_dir"))
+    fresh = build_index(pages_dir, fresh_dir, cfg=shingles)
+    assert again["stats"] == fresh["stats"]
+    assert _index_hashes(os.path.join(idx, again["generation"])) == \
+        _index_hashes(os.path.join(fresh_dir, fresh["generation"]))
 
 
 def test_crash_resume_byte_identical(ray_session, pages_dir, tmp_path_factory):
