@@ -193,22 +193,33 @@ def _char_ngram_lists(toks: pa.ListArray, n: int) -> pa.ListArray:
     return pa.ListArray.from_arrays(offsets, vals)
 
 
+def split_whitespace(texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
+    """Split on RE2 ``\\s`` (``[\\t\\n\\f\\r ]``) with one literal split:
+    the four non-space members become spaces first, so only the rare tab or
+    newline is rewritten. Separator runs and leading or trailing separators
+    leave empty strings; callers drop them."""
+    s = pc.replace_substring_regex(texts, pattern=r"[\t\n\f\r]", replacement=" ")
+    return pc.split_pattern(s, pattern=" ")
+
+
 def tokenize_column(texts: pa.Array | pa.ChunkedArray, cfg: AnalyzerConfig) -> pa.ListArray:
     """Vectorized tokenize of a string column -> list<string> of terms."""
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
     s = pc.utf8_lower(texts) if cfg.lowercase else texts
-    # Split on the complement of the token pattern. For the standard analyzer
-    # token_pattern is a char class, so its complement is the separator class.
+    # Split on the complement of the token pattern with a literal split on
+    # " ": the standard analyzer first maps each run of its separator class
+    # (the complement of [a-z0-9], spaces excepted) to one space; empty
+    # tokens left by space runs are dropped below.
     if cfg.token_pattern == "[a-z0-9]+":
-        sep = "[^a-z0-9]+"
+        s = pc.replace_substring_regex(s, pattern="[^a-z0-9 ]+", replacement=" ")
+        toks = pc.split_pattern(s, pattern=" ")
     elif cfg.token_pattern == r"[^\s]+":
-        sep = r"\s+"
+        toks = split_whitespace(s)
     else:
         # generic fallback: python path per row (slow; only 'keyword' etc.)
         pylists = [analyze_text(t, cfg) for t in s.to_pylist()]
         return pa.array(pylists, type=pa.list_(pa.string()))
-    toks = pc.split_pattern_regex(s, pattern=sep)
     flat = pc.list_flatten(toks)
     parents = pc.list_parent_indices(toks)
     keep = pc.not_equal(flat, "")
@@ -224,11 +235,8 @@ def tokenize_column(texts: pa.Array | pa.ChunkedArray, cfg: AnalyzerConfig) -> p
         flat = pc.replace_substring_regex(
             flat, pattern=_STEM_PATTERN, replacement=_STEM_REWRITE)
     # rebuild list array from (parent, token) pairs; parents are sorted
-    counts = np.zeros(len(texts), dtype=np.int64)
-    pnp = parents.to_numpy(zero_copy_only=False)
-    if len(pnp):
-        uniq, cnt = np.unique(pnp, return_counts=True)
-        counts[uniq] = cnt
+    counts = np.bincount(parents.to_numpy(zero_copy_only=False),
+                         minlength=len(texts))
     offsets = np.concatenate([[0], np.cumsum(counts)])
     out = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), flat)
     if cfg.word_shingles >= 2:
@@ -246,81 +254,63 @@ def postings_from_batch(
 ) -> tuple[pa.Table, pa.Table]:
     """One Arrow batch -> (postings, doclens).
 
-    postings: ``term:string, doc_id:int64, tf:int32, dl:int32`` — ``dl`` (doc
-    token count) rides along with every posting so downstream block-max
-    encoding never needs a doc-length join (SURVEY §7.1(5) design note).
+    postings: ``term:string, doc_id:int64, tf:int32, dl:int32`` in
+    ``(term, doc_id)`` order (terms in byte order, as Arrow sorts strings)
+    — ``dl`` (doc token count) rides along with every posting so
+    downstream block-max encoding never needs a doc-length join (SURVEY
+    §7.1(5) design note).
     doclens: ``doc_id:int64, dl:int32`` (one row per doc, incl. empty docs).
+
+    One integer sort does the grouping: the flat tokens are
+    dictionary-encoded, only the distinct terms are string-sorted (a rank
+    per term), and ``rank * n_docs + doc`` keys one ``np.unique`` whose
+    counts are the tfs.
 
     ``positions=True`` (store_positions builds) adds ``pos_bytes:binary`` —
     the posting's ascending token positions, delta+varint encoded
-    (functions/codec.py) — and produces the exact same (term, doc, tf, dl)
-    set via a lexsort-segmented pass instead of the arrow group_by.
-
-    Fully vectorized: re2 split + arrow group_by / numpy lexsort; no Python
-    per row.
+    (functions/codec.py) — from one stable sort on the same key, which
+    keeps each posting's tokens in position order.
     """
-    if isinstance(doc_ids, np.ndarray):
-        doc_ids = pa.array(doc_ids, type=pa.int64())
+    doc_ids = pc.cast(doc_ids, pa.int64())
     toks = tokenize_column(texts, cfg)
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks)
     dl = pc.cast(pc.list_value_length(toks), pa.int32())
-    doclens = pa.table({"doc_id": pc.cast(doc_ids, pa.int64()), "dl": dl})
-    if not positions:
-        pairs = pa.table({
-            "doc_id": pc.take(doc_ids, parents),
-            "term": flat,
-            "dl": pc.take(dl, parents),
-        })
-        grouped = pairs.group_by(["doc_id", "term", "dl"]).aggregate([("term", "count")])
-        postings = pa.table({
-            "term": grouped["term"],
-            "doc_id": pc.cast(grouped["doc_id"], pa.int64()),
-            "tf": pc.cast(grouped["term_count"], pa.int32()),
-            "dl": grouped["dl"],
-        })
-        return postings, doclens
+    doclens = pa.table({"doc_id": doc_ids, "dl": dl})
+    p = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False).astype(np.int64)
+    td = pc.dictionary_encode(pc.list_flatten(toks))
+    by_term = pc.sort_indices(td.dictionary).to_numpy()
+    rank = np.empty(by_term.size, np.int64)
+    rank[by_term] = np.arange(by_term.size)
+    n_docs = max(len(doclens), 1)
+    key = rank[td.indices.to_numpy(zero_copy_only=False)] * n_docs + p
+    if positions:
+        from org_rdkit_lucene_ray.functions.codec import encode_position_streams
 
-    from org_rdkit_lucene_ray.functions.codec import encode_position_streams
-
-    p = parents.to_numpy(zero_copy_only=False).astype(np.int64)
-    n = p.size
-    if n == 0:
-        empty = pa.table({
-            "term": pa.array([], pa.string()),
-            "doc_id": pa.array([], pa.int64()),
-            "tf": pa.array([], pa.int32()),
-            "dl": pa.array([], pa.int32()),
-            "pos_bytes": pa.array([], pa.binary()),
-        })
-        return empty, doclens
-    # intra-doc token position: arange minus each doc-run's start (parents
-    # is non-decreasing by construction)
-    run_starts = np.concatenate([[0], np.flatnonzero(np.diff(p) != 0) + 1])
-    run_lens = np.diff(np.concatenate([run_starts, [n]]))
-    pos = np.arange(n, dtype=np.int64) - np.repeat(run_starts, run_lens)
-    td = pc.dictionary_encode(flat)
-    tidx = td.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.lexsort((pos, tidx, p))
-    ps, ts, qs = p[order], tidx[order], pos[order]
-    new_grp = np.empty(n, dtype=bool)
-    new_grp[0] = True
-    new_grp[1:] = (ps[1:] != ps[:-1]) | (ts[1:] != ts[:-1])
-    gstarts = np.flatnonzero(new_grp)
-    tf = np.diff(np.concatenate([gstarts, [n]])).astype(np.int32)
-    buf, offs = encode_position_streams(qs, gstarts)
-    pos_col = pa.Array.from_buffers(
-        pa.binary(), gstarts.size,
-        [None, pa.py_buffer(offs.astype(np.int32).tobytes()), pa.py_buffer(buf)])
-    dl_np = dl.to_numpy(zero_copy_only=False)
-    postings = pa.table({
-        "term": td.dictionary.take(pa.array(ts[gstarts])).cast(pa.string()),
-        "doc_id": pc.take(doc_ids, pa.array(ps[gstarts])),
+        # tokens of one doc arrive in position order, so a stable sort
+        # keeps each posting's positions ascending
+        order = np.argsort(key, kind="stable")
+        ks = key[order]
+        starts = np.flatnonzero(np.diff(ks, prepend=-1))     # keys are >= 0
+        keys = ks[starts]
+        tf = np.diff(np.append(starts, ks.size))
+        # intra-doc token position: flat index minus that of the doc's first token
+        first = toks.offsets.to_numpy().astype(np.int64)
+        pos = np.arange(p.size, dtype=np.int64) - (first[p] - first[0])
+        buf, pos_offs = encode_position_streams(pos[order], starts)
+    else:
+        keys, tf = np.unique(key, return_counts=True)
+    doc = keys % n_docs
+    cols = {
+        "term": td.dictionary.take(pa.array(by_term[keys // n_docs])),
+        "doc_id": pc.take(doc_ids, pa.array(doc)),
         "tf": pa.array(tf, pa.int32()),
-        "dl": pa.array(dl_np[ps[gstarts]], pa.int32()),
-        "pos_bytes": pos_col,
-    })
-    return postings, doclens
+        "dl": pc.take(dl, pa.array(doc)),
+    }
+    if positions:
+        cols["pos_bytes"] = pa.Array.from_buffers(
+            pa.binary(), keys.size,
+            [None, pa.py_buffer(pos_offs.astype(np.int32).tobytes()),
+             pa.py_buffer(buf)])
+    return pa.table(cols), doclens
 
 
 # ------------------------------------------------------------------- sql path

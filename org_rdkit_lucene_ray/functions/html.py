@@ -59,7 +59,13 @@ def decode_entities(arr: pa.Array | pa.ChunkedArray) -> pa.Array:
 
 
 def collapse_whitespace(arr: pa.Array | pa.ChunkedArray) -> pa.Array:
-    arr = pc.replace_substring_regex(arr, pattern=r"\s+", replacement=" ")
+    """Each run of RE2 ``\\s`` (``[\\t\\n\\f\\r ]``) -> one space, then trim.
+
+    A lone space already is its own output, so the pattern matches only
+    runs of two or more and lone non-space whitespace: the same map as
+    ``\\s+`` -> ``" "`` without rewriting every word gap."""
+    arr = pc.replace_substring_regex(arr, pattern=r"\s{2,}|[\t\n\f\r]",
+                                     replacement=" ")
     return pc.utf8_trim_whitespace(arr)
 
 

@@ -32,7 +32,7 @@ Phase A (tokenize; the expensive, checkpointed pass):
 Phase B (the wide step — a STORAGE-PARTITIONED exchange, no Ray groupby):
     Phase A spilled each fragment's postings as an uncompressed Arrow IPC
     file whose record batch *b* holds term bucket *b*
-    (``stable_hash(term) % term_buckets``), rows in ``(hash, doc_id)``
+    (``stable_hash(term) % term_buckets``), rows in ``(term, doc_id)``
     order; fragments own contiguous doc-id ranges, so one encode task per
     term bucket walks the segments in ascending order, memory-maps batch
     *b* of the few fragment files overlapping each segment (a numpy mask
@@ -634,20 +634,27 @@ def _write_bucketed_postings(postings: pa.Table, path: str, buckets: int) -> int
     (an encode task memory-maps batch *b* of each overlapping fragment).
     Atomic: temp + rename; returns the file's size in bytes.
 
-    Within a bucket, rows are ordered by (term-HASH, doc_id), not by the
-    term string: bucket contiguity is all the layout contract requires
-    (encode re-sorts its slice by (term, doc_id) anyway, and same-term
-    rows stay adjacent under the hash), while a 3-key numeric np.lexsort
-    is ~4x faster than the Arrow string sort it replaces."""
-    # hash the DICTIONARY (distinct terms, ~2 orders of magnitude fewer
-    # than posting rows), then scatter through the indices
-    td = pc.dictionary_encode(postings["term"].combine_chunks())
-    idx = td.indices.to_numpy(zero_copy_only=False)
-    h = stable_term_hash(td.dictionary)[idx]
-    bucket = (h % buckets).astype(np.int32)
-    order = np.lexsort((postings["doc_id"].to_numpy(), h, bucket))
-    return write_bucket_batches(postings.take(pa.array(order)), bucket[order],
-                                buckets, path)
+    Within a bucket, rows are in ``(term, doc_id)`` order, provided each
+    term's rows arrive in doc order — as they do from the tokenizer, whose
+    parts (one :func:`postings_from_batch` per row group, then the fielded
+    terms) follow the fragment's doc order. Those parts are term-sorted,
+    so the work is per run of equal terms: each run's term is hashed once,
+    the runs take a stable sort by ``(bucket, term)``, and the rows are
+    gathered run by run — no per-row hash and no per-row sort."""
+    term = postings["term"].combine_chunks()
+    n = len(term)
+    new_run = pc.not_equal(term[1:], term[:-1]).to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.concatenate([[n > 0], new_run]))
+    lens = np.diff(np.append(starts, n))
+    run_terms = term.take(pa.array(starts))
+    bucket = (stable_term_hash(run_terms) % buckets).astype(np.int32)
+    by_term = pc.sort_indices(run_terms).to_numpy()      # stable: ties keep doc order
+    runs = by_term[np.argsort(bucket[by_term], kind="stable")]
+    run_lens = lens[runs]
+    order = np.arange(n) + np.repeat(starts[runs] - (np.cumsum(run_lens) - run_lens),
+                                     run_lens)
+    return write_bucket_batches(postings.take(pa.array(order)),
+                                np.repeat(bucket[runs], run_lens), buckets, path)
 
 
 # ------------------------------------------------------------------ phase B
@@ -902,7 +909,7 @@ def read_segment_slice(spills: list[tuple[str, bool]], bucket: int,
     """One ``(segment, bucket)`` slice: batch ``bucket`` of each of the
     segment's spill files (:func:`segment_spills`), memory-mapped; a
     straddling fragment's batch is cut to doc ids ``[lo, hi)`` with a numpy
-    mask. Rows keep the spill's per-fragment ``(hash, doc_id)`` order."""
+    mask. Rows keep the spill's per-fragment ``(term, doc_id)`` order."""
     parts = []
     for path, straddles in spills:
         rb = read_bucket_batch(path, bucket, columns)
@@ -945,8 +952,8 @@ def encode_segments(work_dir: str, gdir: str, cfg: IndexConfig,
                                read_cols)
         if t.num_rows == 0:
             return None
-        # per-fragment slices are hash-grouped (same-term rows adjacent,
-        # term order scrambled); one Arrow sort restores (term, doc_id)
+        # each fragment's rows are (term, doc_id)-sorted, but a term's
+        # fragments interleave; one Arrow sort merges them
         order = pc.sort_indices(t, sort_keys=[("term", "ascending"),
                                               ("doc_id", "ascending")])
         return encode_chunk_table(t.take(order), path)

@@ -18,7 +18,9 @@ call ray.init()/shutdown().
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -96,6 +98,14 @@ def _events(sf_dir: str, columns=None) -> rd.Dataset:
     return rd.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=columns)
 
 
+def _gate_tempdir(kind: str) -> str:
+    """A fresh ``orl_gate_<kind>_*`` dir under the temp dir for one of the
+    per-process gate caches below, removed when the interpreter exits."""
+    d = tempfile.mkdtemp(prefix=f"orl_gate_{kind}_")
+    atexit.register(shutil.rmtree, d, ignore_errors=True)
+    return d
+
+
 # ---------------------------------------------------------------------------
 # index cache: build the inverted index over `documents` once per (process,
 # sf_dir); every search-family gate entry reuses it.
@@ -106,7 +116,7 @@ _INDEX_CACHE: dict[str, str] = {}
 def gate_index(sf_dir: str) -> str:
     idx = _INDEX_CACHE.get(sf_dir)
     if idx is None:
-        idx = tempfile.mkdtemp(prefix="orl_gate_idx_")
+        idx = _gate_tempdir("idx")
         # store_positions: the driver's phrase_search gate verifies phrases
         # off the positional sidecar (index-only); the stored-text verify
         # layout is equality-tested against it in test_positions.py
@@ -161,12 +171,12 @@ def _derive_tags(t: pa.Table) -> pa.Table:
 def gate_list_index(sf_dir: str) -> str:
     idx = _LIST_INDEX_CACHE.get(sf_dir)
     if idx is None:
-        derived = tempfile.mkdtemp(prefix="orl_gate_tags_")
+        derived = _gate_tempdir("tags")
         src = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                             columns=["doc_id", "text", "lang"])
         pq.write_table(_derive_tags(src),
                        os.path.join(derived, "documents.parquet"))
-        idx = tempfile.mkdtemp(prefix="orl_gate_lidx_")
+        idx = _gate_tempdir("lidx")
         cfg = IndexConfig(docs_per_segment=4096, term_buckets=8, block_size=64,
                           field_columns=("tags",))
         from org_rdkit_lucene_ray.pipelines.build import build_index
@@ -1102,7 +1112,7 @@ def q_record_roundtrip(sf_dir: str) -> rd.Dataset:
 
     d = _RECORD_DIR_CACHE.get(sf_dir)
     if d is None:
-        d = tempfile.mkdtemp(prefix="orl_gate_rec_")
+        d = _gate_tempdir("rec")
         src = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                             columns=["doc_id", "text", "lang"])
         pages = pa.table({
@@ -1524,7 +1534,7 @@ def q_delete_by_query(sf_dir: str) -> rd.Dataset:
     the mutated index is cached per sf_dir like the read-only gate index."""
     idx = _DELETE_INDEX_CACHE.get(sf_dir)
     if idx is None:
-        idx = tempfile.mkdtemp(prefix="orl_gate_delidx_")
+        idx = _gate_tempdir("delidx")
         cfg = IndexConfig(docs_per_segment=4096, term_buckets=8, block_size=64,
                           field_columns=("lang",))
         from org_rdkit_lucene_ray.pipelines.build import build_index
@@ -3878,7 +3888,7 @@ def q_vocab_growth(sf_dir: str) -> pa.Table:
     exchange, then a driver-side threshold count over the vocab-sized
     result. The corpus-analysis statistic tokenizer/ dedup planning
     reads first."""
-    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
+    from org_rdkit_lucene_ray.util import fold_by_key
 
     def partial(t: pa.Table) -> pa.Table:
         toks = tokenize_column(t["text"].combine_chunks(),
@@ -3897,10 +3907,9 @@ def q_vocab_growth(sf_dir: str) -> pa.Table:
         return pa.table({"term": gg["term"],
                          "first_doc": gg["first_doc_min"]})
 
-    folded = bucket_fold(_docs(sf_dir, columns=["doc_id", "text"])
-                         .map_batches(partial, batch_format="pyarrow")
-                         .map_batches(lambda t: append_bucket_column(t, "term"),
-                                      batch_format="pyarrow"), merge)
+    folded = fold_by_key(_docs(sf_dir, columns=["doc_id", "text"])
+                         .map_batches(partial, batch_format="pyarrow"),
+                         "term", merge)
     firsts = np.concatenate(
         [t["first_doc"].to_numpy(zero_copy_only=False).astype(np.int64)
          for t in folded.iter_batches(batch_format="pyarrow")] or

@@ -417,14 +417,12 @@ def embedding_dup_pairs_lsh(ds: rd.Dataset, *, threshold: float = 0.95,
 
     from org_rdkit_lucene_ray.stages.dedup import (_distinct_pairs,
                                                    _per_band_segments)
-    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
+    from org_rdkit_lucene_ray.util import fold_by_key
 
     # composite (band, sign-key) segmentation via the shared LSH
     # dispatcher; the sign-key domain never reaches a Ray sort
-    cand = bucket_fold(
-        ds.map_batches(band_rows, batch_format="pyarrow")
-        .map_batches(lambda t: append_bucket_column(t, "key"),
-                     batch_format="pyarrow"),
+    cand = fold_by_key(
+        ds.map_batches(band_rows, batch_format="pyarrow"), "key",
         lambda g: _per_band_segments(g, pairs_in_bucket, hash_col="key"))
 
     # drop the zero-column blocks Ray emits for empty exchange partitions

@@ -67,7 +67,7 @@ def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
                          "keep_id": g[f"{id_col}_min"],
                          "n": pc.cast(g["fp_count"], pa.int64())})
 
-    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
+    from org_rdkit_lucene_ray.util import fold_by_key
 
     def merge(g: pa.Table) -> pa.Table:
         gg = g.group_by("fp").aggregate([("keep_id", "min"), ("n", "sum")])
@@ -76,11 +76,9 @@ def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
             "n_copies": pc.cast(gg["n_sum"], pa.int64()),
         })
 
-    return bucket_fold(
-        docs.map_batches(fingerprint_partial, batch_format="pyarrow")
-            .map_batches(lambda t: append_bucket_column(t, "fp"),
-                         batch_format="pyarrow"),
-        merge)
+    return fold_by_key(
+        docs.map_batches(fingerprint_partial, batch_format="pyarrow"),
+        "fp", merge)
 
 
 def _fnv1a_tokens(tokens: list[str]) -> np.ndarray:
@@ -500,23 +498,18 @@ def _verify_pairs_distributed(sh_ds: rd.Dataset, pairs_ds: rd.Dataset,
             "jaccard": pa.array(jacs, pa.float64()),
         }, schema=_VERIFIED_SCHEMA)
 
-    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
-
-    def bucketed(ds: rd.Dataset, fold) -> rd.Dataset:
-        return bucket_fold(
-            ds.map_batches(lambda t: append_bucket_column(t, "key"),
-                           batch_format="pyarrow"), fold)
+    from org_rdkit_lucene_ray.util import fold_by_key
 
     stage1 = (
-        bucketed(sh_ds.union(pairs_ds.map_batches(
-            reqs_a, batch_format="pyarrow")), attach_a)
+        fold_by_key(sh_ds.union(pairs_ds.map_batches(
+            reqs_a, batch_format="pyarrow")), "key", attach_a)
         # barrier: stage 1 and stage 2 reuse sh_ds; materializing the small
         # (pair-count-bounded) intermediate avoids re-executing the shingle
         # scan twice AND the two-actor-chain starvation trap (r2 memory)
         .materialize()
     )
     return (
-        bucketed(sh_ds.union(stage1), finish_b)
+        fold_by_key(sh_ds.union(stage1), "key", finish_b)
         .take_all()
     )
 
@@ -560,12 +553,10 @@ def minhash_dup_pairs(
                                    id_col=id_col)),
         batch_format="pyarrow",
     )
-    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
+    from org_rdkit_lucene_ray.util import fold_by_key
 
-    pairs_ds = _distinct_pairs(bucket_fold(
-        band_ds.map_batches(lambda t: append_bucket_column(t, "band_hash"),
-                            batch_format="pyarrow"),
-        _pairs_of_bucket_groups))
+    pairs_ds = _distinct_pairs(
+        fold_by_key(band_ds, "band_hash", _pairs_of_bucket_groups))
     need = _candidate_ids(pairs_ds)
     logger.info("minhash-lsh: %d candidate docs in distinct pairs", len(need))
     empty = _VERIFIED_SCHEMA.empty_table()
@@ -922,13 +913,11 @@ def simhash_dup_pairs(docs: rd.Dataset, *, max_hamming: int = 3,
 
     import ray
 
-    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
+    from org_rdkit_lucene_ray.util import fold_by_key
 
     fold = functools.partial(_simhash_group_pairs, max_hamming=max_hamming)
-    pairs_ds = _distinct_pairs(bucket_fold(
-        sig.map_batches(to_bands, batch_format="pyarrow")
-        .map_batches(lambda t: append_bucket_column(t, "band_hash"),
-                     batch_format="pyarrow"),
+    pairs_ds = _distinct_pairs(fold_by_key(
+        sig.map_batches(to_bands, batch_format="pyarrow"), "band_hash",
         lambda g: _per_band_segments(g, fold)))
     need = _candidate_ids(pairs_ds)
     logger.info("simhash: %d candidate docs in distinct pairs", len(need))

@@ -22,6 +22,7 @@ from org_rdkit_lucene_ray.config import AnalyzerConfig
 from org_rdkit_lucene_ray.functions.analyze import (
     ENGLISH_STOPWORDS,
     REGISTRY,
+    split_whitespace,
     tokenize_column,
 )
 
@@ -45,15 +46,11 @@ def token_stats_batch(batch: pa.Table, text_col: str = "text",
     cfg = cfg or REGISTRY["standard"]
     toks = tokenize_column(batch[text_col].combine_chunks(), cfg)
     n_tokens = pc.cast(pc.list_value_length(toks), pa.int64())
-    ws = pc.split_pattern_regex(batch[text_col].combine_chunks(), pattern=r"\s+")
-    flat = pc.list_flatten(ws)
-    keep = pc.not_equal(flat, "")
-    parents = pc.list_parent_indices(ws).filter(keep)
-    counts = np.zeros(batch.num_rows, dtype=np.int64)
-    pnp = parents.to_numpy(zero_copy_only=False)
-    if len(pnp):
-        u, c = np.unique(pnp, return_counts=True)
-        counts[u] = c
+    ws = split_whitespace(batch[text_col].combine_chunks())
+    keep = pc.not_equal(pc.list_flatten(ws), "")
+    counts = np.bincount(
+        pc.list_parent_indices(ws).filter(keep).to_numpy(zero_copy_only=False),
+        minlength=batch.num_rows)
     n_bpe = pc.cast(pc.count_substring_regex(
         batch[text_col].combine_chunks(), pattern=BPE_ISH_PATTERN), pa.int64())
     return (batch.append_column("n_tokens", n_tokens)

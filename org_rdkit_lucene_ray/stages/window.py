@@ -17,16 +17,11 @@ import ray.data as rd
 
 
 def _composite_window_bucket(t: pa.Table, key_col: str,
-                             n_buckets: int | None = None) -> pa.Table:
+                             n_buckets: int) -> pa.Table:
     """Append _bkt = hash(key) ^ window * phi mod n_buckets — the shared
     composite bucketing for every windowed exchange (windows of one key
-    spread across buckets, so a small key domain still parallelizes).
-    ``n_buckets`` defaults to :func:`util.fold_buckets` (64 on one node,
-    2x CPUs on a cluster), the ceiling on the fold's partition count."""
+    spread across buckets, so a small key domain still parallelizes)."""
     from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
-    from org_rdkit_lucene_ray.util import fold_buckets
-
-    n_buckets = fold_buckets(n_buckets)
 
     keys = t[key_col].combine_chunks()
     if pa.types.is_integer(keys.type):
@@ -40,6 +35,18 @@ def _composite_window_bucket(t: pa.Table, key_col: str,
     return t.append_column("_bkt", pa.array(b, pa.int64()))
 
 
+def _window_fold(ds: rd.Dataset, key_col: str, fold) -> rd.Dataset:
+    """:func:`util.bucket_fold` on the composite (key, window) bucket; the
+    bucket domain (:func:`util.fold_buckets`: 64 on one node, 2x CPUs on a
+    cluster) is resolved once, on the driver."""
+    from org_rdkit_lucene_ray.util import bucket_fold, fold_buckets
+
+    n_buckets = fold_buckets()
+    return bucket_fold(ds.map_batches(
+        lambda t: _composite_window_bucket(t, key_col, n_buckets),
+        batch_format="pyarrow"), fold, n_buckets)
+
+
 def _window_bucket_combine(parts: rd.Dataset, key_col: str) -> rd.Dataset:
     """Shared final combine for the window aggregates: the per-batch
     partial rows ride :func:`util.bucket_fold` bucketed on the COMPOSITE
@@ -47,8 +54,6 @@ def _window_bucket_combine(parts: rd.Dataset, key_col: str) -> rd.Dataset:
     small key domain still parallelizes), with the real (key, window)
     merge as an Arrow hash-aggregate per partition — never a sort over
     the keys x windows domain."""
-    from org_rdkit_lucene_ray.util import bucket_fold
-
     def merge(g: pa.Table) -> pa.Table:
         gg = g.group_by([key_col, "window"]).aggregate(
             [("n_part", "sum"), ("sum_part", "sum"),
@@ -62,9 +67,7 @@ def _window_bucket_combine(parts: rd.Dataset, key_col: str) -> rd.Dataset:
             "max_value": gg["max_part_max"],
         })
 
-    return bucket_fold(parts.map_batches(
-        lambda t: _composite_window_bucket(t, key_col),
-        batch_format="pyarrow"), merge)
+    return _window_fold(parts, key_col, merge)
 
 
 def tumbling_window_agg(events: rd.Dataset, width_secs: int = 3600,
@@ -251,11 +254,9 @@ def sessionize(events: rd.Dataset, gap_secs: int = 1800,
                 pa.timestamp("us")),
         })
 
-    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
+    from org_rdkit_lucene_ray.util import fold_by_key
 
-    return bucket_fold(events.select_columns([key_col, ts_col])
-                       .map_batches(lambda t: append_bucket_column(t, key_col),
-                                    batch_format="pyarrow"), fold)
+    return fold_by_key(events.select_columns([key_col, ts_col]), key_col, fold)
 
 
 def grouped_topn(events: rd.Dataset, n: int = 2, key_col: str = "event_type",
@@ -292,11 +293,9 @@ def grouped_topn(events: rd.Dataset, n: int = 2, key_col: str = "event_type",
     # final fold is a bucket fold (hash-partition by key), not a
     # sort-shuffle over the key domain — keep_topn already segments
     # multiple keys per block, so partitions of whole keys fold correctly
-    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
+    from org_rdkit_lucene_ray.util import fold_by_key
 
-    return bucket_fold(partial.map_batches(
-        lambda t: append_bucket_column(t, key_col), batch_format="pyarrow"),
-        lambda g: keep_topn(g, True))
+    return fold_by_key(partial, key_col, lambda g: keep_topn(g, True))
 
 
 def funnel_steps(events: rd.Dataset, steps: list[str], *,
@@ -351,12 +350,10 @@ def funnel_steps(events: rd.Dataset, steps: list[str], *,
             "steps_completed": pa.array(done),
         })
 
-    from org_rdkit_lucene_ray.util import append_bucket_column, bucket_fold
+    from org_rdkit_lucene_ray.util import fold_by_key
 
     proj = events.select_columns([key_col, ts_col, id_col, type_col])
-    return bucket_fold(proj.map_batches(
-        lambda t: append_bucket_column(t, key_col), batch_format="pyarrow"),
-        fold)
+    return fold_by_key(proj, key_col, fold)
 
 
 def tumbling_distinct(events: rd.Dataset, width_secs: int = 3600,
@@ -398,10 +395,6 @@ def tumbling_distinct(events: rd.Dataset, width_secs: int = 3600,
             "n_users": pc.cast(gc["user_count"], pa.int64()),
         })
 
-    from org_rdkit_lucene_ray.util import bucket_fold
-
-    return bucket_fold(events.select_columns([key_col, ts_col, user_col])
-                       .map_batches(partial, batch_format="pyarrow")
-                       .map_batches(lambda t: _composite_window_bucket(t, key_col),
-                                    batch_format="pyarrow"),
-                       count_distinct)
+    return _window_fold(events.select_columns([key_col, ts_col, user_col])
+                        .map_batches(partial, batch_format="pyarrow"),
+                        key_col, count_distinct)

@@ -153,15 +153,15 @@ def fold_partitions(exchange_bytes: int, n_buckets: int) -> int:
     return max(1, min(n_buckets, -(-exchange_bytes // FOLD_PARTITION_BYTES)))
 
 
-def append_bucket_column(t, key_col: str, n_buckets: int | None = None):
+def append_bucket_column(t, key_col: str, n_buckets: int):
     """Append ``_bkt``, an int64 hash bucket of ``key_col`` (FNV for
-    strings, identity-mod for integers) in ``[0, fold_buckets(n_buckets))``
-    — the front half of :func:`bucket_fold`: all rows of one key share a
-    bucket, and the exchange moves whole buckets."""
+    strings, identity-mod for integers) in ``[0, n_buckets)`` — the front
+    half of :func:`bucket_fold`: all rows of one key share a bucket, and
+    the exchange moves whole buckets. ``n_buckets`` is the domain the
+    driver resolved (:func:`fold_buckets`), so no worker batch asks the
+    cluster for it."""
     import numpy as np
     import pyarrow as pa
-
-    n_buckets = fold_buckets(n_buckets)
 
     keys = t[key_col].combine_chunks() if hasattr(t[key_col], "combine_chunks") \
         else t[key_col]
@@ -172,6 +172,17 @@ def append_bucket_column(t, key_col: str, n_buckets: int | None = None):
 
         b = (stable_term_hash(keys) % np.uint64(n_buckets)).astype(np.int64)
     return t.append_column("_bkt", pa.array(b, pa.int64()))
+
+
+def fold_by_key(ds, key_col: str, fold, n_buckets: int | None = None):
+    """:func:`bucket_fold` of ``ds`` bucketed on ``key_col``: the bucket
+    domain is resolved once, here on the driver, and closed over by the
+    :func:`append_bucket_column` map."""
+    n_buckets = fold_buckets(n_buckets)
+    return bucket_fold(
+        ds.map_batches(lambda t: append_bucket_column(t, key_col, n_buckets),
+                       batch_format="pyarrow"),
+        fold, n_buckets)
 
 
 def bucket_fold(ds, fold, n_buckets: int | None = None):
@@ -227,8 +238,4 @@ def fold_grouped_counts(parts, key_col: str, count_cols: list[str],
             cols[c] = gg[f"{c}_sum"].cast(pa.int64())
         return pa.table(cols)
 
-    return bucket_fold(
-        parts.map_batches(
-            lambda t: append_bucket_column(t, key_col, n_buckets),
-            batch_format="pyarrow"),
-        fold, n_buckets)
+    return fold_by_key(parts, key_col, fold, n_buckets)

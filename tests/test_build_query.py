@@ -419,9 +419,11 @@ def _spill_postings(rng, doc_ids, vocab):
 
 def test_posting_spill_one_batch_per_bucket(tmp_path):
     """The posting spill holds ONE record batch per term bucket: batch b is
-    exactly the rows whose stable_term_hash % buckets == b, in (hash,
-    doc_id) order, and an empty bucket is an empty batch, so the batch
-    index is the bucket."""
+    exactly the rows whose stable_term_hash % buckets == b, in strict
+    (term, doc_id) order, and an empty bucket is an empty batch, so the
+    batch index is the bucket. The input is in the tokenizer's order: parts
+    (row groups) in doc order, each term's rows in doc order, terms
+    scrambled within a part."""
     import pyarrow as pa
 
     from org_rdkit_lucene_ray.pipelines.build import (
@@ -431,9 +433,11 @@ def test_posting_spill_one_batch_per_bucket(tmp_path):
     )
 
     rng = np.random.default_rng(7)
-    vocab = np.array([f"t{i}" for i in range(12)])
-    post = _spill_postings(rng, rng.permutation(200), vocab)
-    buckets = 64                     # 12 terms over 64 buckets: most empty
+    vocab = np.array([f"t{i}" for i in range(40)])
+    post = pa.concat_tables([_spill_postings(rng, np.arange(lo, lo + 100), vocab)
+                             for lo in (0, 100)])
+    buckets = 64                     # 40 terms over 64 buckets: many empty,
+                                     # some holding several terms
     path = str(tmp_path / "postings" / "frag-000000.arrow")
     size = _write_bucketed_postings(post, path, buckets)
     assert size == os.path.getsize(path)
@@ -443,21 +447,24 @@ def test_posting_spill_one_batch_per_bucket(tmp_path):
 
     want_bucket = stable_term_hash(post["term"]) % buckets
     cols = ["term", "doc_id", "tf", "dl"]
-    seen, empty = 0, 0
+    seen, empty, shared = 0, 0, 0
     for b in range(buckets):
         rb = read_bucket_batch(path, b, cols)
         assert rb.schema.names == cols
         want = post.filter(pa.array(want_bucket == b))
         h = stable_term_hash(rb.column("term"))
-        d = rb.column("doc_id").to_numpy()
         assert (h % buckets == b).all()
-        assert np.array_equal(np.lexsort((d, h)), np.arange(rb.num_rows))
+        keys = list(zip((t.encode() for t in rb.column("term").to_pylist()),
+                        rb.column("doc_id").to_pylist()))
+        assert all(k0 < k1 for k0, k1 in zip(keys, keys[1:]))
+        shared += len({t for t, _ in keys}) > 1
         got = sorted(zip(*(rb.column(c).to_pylist() for c in cols)))
         assert got == sorted(zip(*(want[c].to_pylist() for c in cols)))
         seen += rb.num_rows
         empty += rb.num_rows == 0
     assert seen == post.num_rows
     assert empty >= buckets - len(vocab)
+    assert shared                    # the order check saw several terms
 
 
 def test_segment_slices_partition_straddling_fragment(tmp_path):

@@ -51,6 +51,34 @@ def test_is_empty_after_trimming_and_truncate():
     assert H.truncate_string(pa.array(["abcdef"]), 3).to_pylist() == ["abc"]
 
 
+# Adversarial strings for the RE2 rewrites below: RE2's \s is
+# [\t\n\f\r ], so \v, NBSP, U+2028 and U+3000 are NOT separators there.
+_RE2_EDGE = [
+    None, "", " ", "   ", "\t\n\r\f ", "\v", "\f", "\r\n", "a\r\nb",
+    " a ", "a  b", "a\tb", "a\x0bb", "a\fb", "a\u00a0b", "\u00a0",
+    "a\u2028b", "a\u3000b", "--a--", "A-B_C 42", "...!!!", "x \t y",
+    "Ünïcödé straße 日本語 ÀB", "naïve\u00a0café", " \n leading", "trailing \t",
+    "a" * 70 + " b", "mixed\r\n\t\f  \v\u00a0 end",
+]
+
+
+def test_collapse_whitespace_matches_regex_reference():
+    """``\\s{2,}|[\\t\\n\\f\\r]`` -> " " is the same map as the old
+    ``\\s+`` -> " " (then the same trim) on every edge string and on the
+    synthetic pages' stripped html."""
+    import pyarrow.compute as pc
+
+    def reference(arr):
+        return pc.utf8_trim_whitespace(
+            pc.replace_substring_regex(arr, pattern=r"\s+", replacement=" "))
+
+    t = gen_pages(200, seed=11)
+    pages = H.decode_entities(H.remove_tags(H.remove_script_style(
+        H.remove_html_comments(pc.cast(t["html"], pa.string())))))
+    for arr in (pa.array(_RE2_EDGE, pa.string()), pages.combine_chunks()):
+        assert H.collapse_whitespace(arr).equals(reference(arr))
+
+
 # ------------------------------------------------------------------ analyzer
 def test_analyzer_python_vs_arrow_identical():
     t = gen_pages(200, seed=3)
@@ -128,6 +156,108 @@ def test_analyzer_edge_cases():
     assert analyze_text("A-b_c 42", cfg) == ["a", "b", "c", "42"]
     stop = REGISTRY["standard_en_stop"]
     assert analyze_text("the quick fox", stop) == ["quick", "fox"]
+
+
+def _regex_split_reference(arr, sep):
+    """The old analyzer split: one RE2 regex split, empty tokens dropped."""
+    import pyarrow.compute as pc
+
+    return [None if r is None else [x for x in r if x != ""]
+            for r in pc.split_pattern_regex(arr, pattern=sep).to_pylist()]
+
+
+def test_analyzer_splits_match_regex_reference():
+    """The literal-split analyzers give the tokens of the old regex splits
+    (standard: ``[^a-z0-9]+`` after lowercasing; whitespace: ``\\s+``) on
+    the edge strings and the synthetic pages; length filters off, so the
+    split alone is compared."""
+    import dataclasses
+
+    import pyarrow.compute as pc
+
+    from org_rdkit_lucene_ray.functions.analyze import split_whitespace
+
+    texts = [pa.array(_RE2_EDGE, pa.string()),
+             gen_pages(200, seed=12)["text"].combine_chunks()]
+    std = dataclasses.replace(REGISTRY["standard"], max_token_len=0)
+    ws = dataclasses.replace(REGISTRY["whitespace"], max_token_len=0)
+    for arr in texts:
+        want_std = _regex_split_reference(pc.utf8_lower(arr), "[^a-z0-9]+")
+        want_ws = _regex_split_reference(arr, r"\s+")
+        got_std = tokenize_column(arr, std).to_pylist()
+        got_ws = tokenize_column(arr, ws).to_pylist()
+        # a null text tokenizes to no tokens (list_flatten drops it)
+        assert got_std == [r or [] for r in want_std]
+        assert got_ws == [r or [] for r in want_ws]
+        assert [None if r is None else [x for x in r if x]
+                for r in split_whitespace(arr).to_pylist()] == want_ws
+
+
+def test_token_stats_ws_count_matches_regex_reference():
+    """``n_ws_tokens`` (now the analyzer's literal whitespace split) counts
+    the non-empty pieces of the old ``\\s+`` regex split."""
+    from org_rdkit_lucene_ray.stages.textstats import token_stats_batch
+
+    edge = [x or "" for x in _RE2_EDGE]
+    arr = pa.array(edge + gen_pages(100, seed=13)["text"].to_pylist())
+    got = token_stats_batch(pa.table({"text": arr}))["n_ws_tokens"].to_pylist()
+    assert got == [len(r) for r in _regex_split_reference(arr, r"\s+")]
+
+
+def _group_by_postings(doc_ids, texts, cfg):
+    """The old postings path: an Arrow group_by over (doc_id, term, dl)."""
+    import pyarrow.compute as pc
+
+    toks = tokenize_column(texts, cfg)
+    parents = pc.list_parent_indices(toks)
+    dl = pc.cast(pc.list_value_length(toks), pa.int32())
+    g = pa.table({"doc_id": pc.take(pa.array(doc_ids, pa.int64()), parents),
+                  "term": pc.list_flatten(toks),
+                  "dl": pc.take(dl, parents)}
+                 ).group_by(["doc_id", "term", "dl"]).aggregate([("term", "count")])
+    return sorted(zip(g["term"].to_pylist(), g["doc_id"].to_pylist(),
+                      g["term_count"].to_pylist(), g["dl"].to_pylist()))
+
+
+@pytest.mark.parametrize("name", ["standard", "whitespace", "shingle_2"])
+def test_postings_from_batch_term_doc_order(name):
+    """Plain and positional postings come back in strict ``(term, doc_id)``
+    order (Arrow's byte order on terms) with the ``(term, doc_id, tf, dl)``
+    rows of a group_by reference; the positional rows carry each posting's
+    positions in its doc's token list."""
+    from org_rdkit_lucene_ray.functions.codec import decode_position_streams
+
+    cfg = REGISTRY[name]
+    texts = pa.array(gen_pages(120, seed=14)["text"].to_pylist() + _RE2_EDGE,
+                     pa.string())
+    ids = np.arange(len(texts), dtype=np.int64) * 3 + 1000   # not positional
+    want = _group_by_postings(ids, texts, cfg)
+    schema = {"term": pa.string(), "doc_id": pa.int64(), "tf": pa.int32(),
+              "dl": pa.int32()}
+    for positions in (False, True):
+        post, _ = postings_from_batch(ids, texts, cfg, positions=positions)
+        assert {f.name: f.type for f in post.schema} == dict(
+            schema, **({"pos_bytes": pa.binary()} if positions else {}))
+        rows = list(zip(*(post[c].to_pylist() for c in schema)))
+        keys = [(t.encode(), d) for t, d, _, _ in rows]
+        assert all(a < b for a, b in zip(keys, keys[1:]))     # strict order
+        assert sorted(rows) == want
+        if positions:
+            flat = decode_position_streams(
+                b"".join(post["pos_bytes"].to_pylist()), post["tf"].to_numpy())
+            toks = dict(zip(ids.tolist(), tokenize_column(texts, cfg).to_pylist()))
+            want_pos = [i for t, d, _, _ in rows
+                        for i, tok in enumerate(toks[d]) if tok == t]
+            assert flat.tolist() == want_pos
+
+
+def test_postings_from_batch_empty_batch():
+    for positions in (False, True):
+        post, doclens = postings_from_batch(
+            np.arange(3), pa.array(["", None, "!!"]), REGISTRY["standard"],
+            positions=positions)
+        assert post.num_rows == 0
+        assert doclens["dl"].to_pylist() == [0, 0, 0]
 
 
 def test_postings_from_batch_invariants():

@@ -211,3 +211,57 @@ def test_join_gates_finish_at_one_cpu(con, tmp_path):
         got = pd.read_parquet(tmp_path / f"{name}.parquet")
         if name in e.oracle_sql():
             _compare(name, got, con.execute(e.oracle_sql()[name]).fetch_df())
+
+
+# Child-process body of test_gate_temp_dirs_removed_at_exit: builds every
+# per-process gate cache, then prints the orl_gate_* dirs they made.
+_GATE_CACHES = textwrap.dedent("""
+    import glob, os, sys
+    import ray
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    ray.data.DataContext.get_current().enable_progress_bars = False
+    from org_rdkit_lucene_ray.pipelines import gate
+    sf_dir = sys.argv[1]
+    gate.gate_index(sf_dir)
+    gate.gate_list_index(sf_dir)
+    gate.q_record_roundtrip(sf_dir).count()
+    gate.q_delete_by_query(sf_dir).count()
+    ray.shutdown()
+    for p in glob.glob(os.path.join(os.environ["TMPDIR"], "orl_gate_*")):
+        print(os.path.basename(p))
+""")
+
+
+def test_gate_temp_dirs_removed_at_exit():
+    """The per-process gate caches (the search index, the list-field index
+    and its derived pages, the record files, the delete-by-query index)
+    live in ``orl_gate_*`` temp dirs that the process removes when it
+    exits: a child run under its own ``TMPDIR`` builds all five and
+    leaves none behind."""
+    import shutil
+    import tempfile
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tmp = tempfile.mkdtemp(prefix="orlgt_")   # short: Ray's socket paths
+    env = dict(os.environ, TMPDIR=tmp, PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _GATE_CACHES, SF_DIR], cwd=tmp, env=env,
+        start_new_session=True, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    try:
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise AssertionError("gate caches did not build in 120 s")
+        assert proc.returncode == 0, err[-3000:]
+        kinds = sorted(d.split("_")[2] for d in out.split())   # orl_gate_<kind>_*
+        assert kinds == ["delidx", "idx", "lidx", "rec", "tags"]
+        assert not [d for d in os.listdir(tmp) if d.startswith("orl_gate_")]
+    finally:     # no process of the child's session may outlive the test
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        shutil.rmtree(tmp, ignore_errors=True)

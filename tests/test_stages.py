@@ -141,6 +141,31 @@ def test_bucket_fold_keeps_buckets_whole(ray_session, monkeypatch):
         assert set(got["n"].tolist()) == {6}
 
 
+def test_fold_bucket_domain_resolved_on_driver(ray_session, monkeypatch):
+    """``fold_by_key`` resolves the bucket domain once, on the driver, and
+    the workers bucket with it: with ``ORL_FOLD_BUCKETS=3`` set in the
+    driver only (the workers started without it, so a worker-side
+    ``fold_buckets()`` would give 64) and one partition per bucket, each
+    fold call gets exactly the keys of one driver-side bucket."""
+    from org_rdkit_lucene_ray import util
+    from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
+
+    monkeypatch.setenv("ORL_FOLD_BUCKETS", "3")
+    monkeypatch.setattr(util, "FOLD_PARTITION_BYTES", 1)
+    vocab = [f"k{i}" for i in range(200)]
+    t = pa.table({"key": pa.array([vocab[i % 200] for i in range(600)])})
+    ds = rd.from_arrow([t.slice(i, 100) for i in range(0, 600, 100)])
+
+    def fold(g: pa.Table) -> pa.Table:
+        return pa.table({"keys": [sorted(set(g["key"].to_pylist()))]})
+
+    got = sorted(tuple(r["keys"]) for r in util.fold_by_key(ds, "key", fold).take_all())
+    b = stable_term_hash(pa.array(vocab)) % 3
+    want = sorted(tuple(sorted(k for k, kb in zip(vocab, b) if kb == j))
+                  for j in range(3))
+    assert got == want
+
+
 def test_bucket_fold_answers_independent_of_partition_count(ray_session,
                                                             monkeypatch):
     """Exact dedup, MinHash pairs, adjacent-pair counts and exact
