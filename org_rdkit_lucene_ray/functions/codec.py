@@ -213,13 +213,37 @@ def decode_position_streams(buf: bytes | np.ndarray,
     ``[cumsum(counts)[i-1], cumsum(counts)[i])``. One :func:`varint_decode`
     call + one segmented cumsum — no per-posting Python loop."""
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    deltas = varint_decode(buf, total)
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    G = np.cumsum(deltas.astype(np.int64))
-    bounds = np.cumsum(counts)
-    run_base = np.concatenate([[0], G[bounds[:-1] - 1]]) if counts.size > 1 \
-        else np.zeros(1, np.int64)
-    # empty postings can't occur (tf >= 1), so bounds[:-1]-1 is always valid
-    return G - np.repeat(run_base, counts)
+    return segmented_cumsum(
+        varint_decode(buf, int(counts.sum())).view(np.int64), counts)
+
+
+def segmented_cumsum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Running sum of the int64 ``values``, IN PLACE, restarting at each of
+    the consecutive runs ``counts`` (every count >= 1): how delta-coded doc
+    ids (a run per term row) and positions (a run per posting) come back,
+    since each run's first delta is absolute. Returns ``values``."""
+    np.cumsum(values, out=values)
+    if counts.size > 1:
+        ends = np.cumsum(counts[:-1])
+        values -= np.repeat(np.concatenate(([0], values[ends - 1])), counts)
+    return values
+
+
+def gather_position_runs(buf: np.ndarray, counts: np.ndarray,
+                         keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the byte runs of the postings that the bool mask ``keep``
+    selects out of a concatenated position stream, WITHOUT decoding a value.
+    Posting *i* holds ``counts[i]`` values (0 for a posting without
+    positions); its run ends at the terminator byte (``b < 0x80``) of its
+    last value, so one terminator scan finds every run's bounds and one
+    byte mask gathers the kept runs. A run is self-contained (the delta
+    resets at each posting), so the copied bytes equal re-encoding the kept
+    postings' positions. Returns ``(offsets, data)`` with
+    ``data[offsets[j]:offsets[j + 1]]`` the j-th kept run."""
+    ends = np.flatnonzero(buf < 0x80)
+    cum = np.concatenate(([0], np.cumsum(counts)))
+    if ends.size != cum[-1]:
+        raise ValueError(f"position stream held {ends.size} values, "
+                         f"expected {cum[-1]}")
+    lens = np.diff(np.concatenate(([-1], ends))[cum])
+    return np.concatenate(([0], np.cumsum(lens[keep]))), buf[np.repeat(keep, lens)]

@@ -67,6 +67,7 @@ import ray
 
 from org_rdkit_lucene_ray.config import IndexConfig
 from org_rdkit_lucene_ray.functions.analyze import postings_from_batch
+from org_rdkit_lucene_ray.functions.codec import encode_posting_block
 from org_rdkit_lucene_ray.functions.html import extract_text
 from org_rdkit_lucene_ray.state import checkpoint as ckpt
 from org_rdkit_lucene_ray.state.segment import (
@@ -74,7 +75,9 @@ from org_rdkit_lucene_ray.state.segment import (
     SEGMENT_SCHEMA_POS,
     atomic_write_json,
     atomic_write_table,
+    binary_views,
     gen_name,
+    one_array,
     read_chunk_table,
     segment_chunk_path,
     set_current_generation,
@@ -486,8 +489,11 @@ class FragmentTokenizer:
                     "doc_id": pa.array(doc_ids[parents], pa.int64()),
                     "dl": pa.array(dl_np[parents], pa.int32()),
                 })
+                # group_by's output order is unspecified; the spill and the
+                # encode need each term's rows in doc order
                 g = pairs.group_by(["doc_id", "term", "dl"]).aggregate(
-                    [("term", "count")])
+                    [("term", "count")]).sort_by([("term", "ascending"),
+                                                  ("doc_id", "ascending")])
                 parts.append(pa.table({
                     "term": g["term"],
                     "doc_id": pc.cast(g["doc_id"], pa.int64()),
@@ -658,73 +664,64 @@ def _write_bucketed_postings(postings: pa.Table, path: str, buckets: int) -> int
 
 
 # ------------------------------------------------------------------ phase B
-def _binary_from_offsets(buf: bytes, offsets: np.ndarray) -> pa.Array:
-    """Zero-copy binary array: value i = buf[offsets[i]:offsets[i+1]]."""
+def _binary_from_offsets(buf: bytes | np.ndarray, offsets: np.ndarray,
+                         valid: np.ndarray | None = None) -> pa.Array:
+    """Zero-copy binary array: value i = buf[offsets[i]:offsets[i+1]], null
+    where the bool mask ``valid`` is False."""
+    bitmap = None if valid is None else \
+        pa.py_buffer(np.packbits(valid, bitorder="little"))
     return pa.Array.from_buffers(
         pa.binary(), len(offsets) - 1,
-        [None, pa.py_buffer(offsets.astype(np.int32).tobytes()), pa.py_buffer(buf)],
-    )
+        [bitmap, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(buf)])
 
 
-def term_position_streams(data: pa.Buffer, posting_offs: np.ndarray,
-                          term_starts: np.ndarray) -> pa.Array:
-    """Fold per-POSTING position runs (in (term, doc) order) into one stream
-    per TERM, zero-copy: ``data[posting_offs[i]:posting_offs[i + 1]]`` is
-    posting i's self-contained delta+varint run, so a term's stream is the
-    byte concatenation of its postings' runs — per-term offsets into the
-    SAME buffer, no bytes moved. A term whose postings hold no bytes
+def encode_chunk_table(postings: pa.Table,
+                       path: str) -> tuple[dict, pa.Table]:
+    """Encode one (segment, bucket) postings slice into its chunk file: sort
+    it to (term, doc_id) order, find the term runs, then
+    :func:`write_chunk`. Returns what that returns.
+
+    Each fragment's rows are (term, doc_id)-sorted and the fragments come
+    in ascending doc order, so a STABLE sort on the term alone gives that
+    order (``encode_posting_block`` raises if it does not). The sort key is
+    each row's rank in the sorted term dictionary, so no string column is
+    sorted or gathered row by row."""
+    td = pc.dictionary_encode(one_array(postings["term"]))
+    by_term = pc.sort_indices(td.dictionary).to_numpy()
+    rank = np.empty(by_term.size, np.int64)
+    rank[by_term] = np.arange(by_term.size)
+    key = rank[td.indices.to_numpy(zero_copy_only=False)]
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    pos = None
+    if "pos_bytes" in postings.column_names:
+        pos = binary_views(postings["pos_bytes"].take(pa.array(order)))
+    docs, tfs, dls = (postings[c].to_numpy()[order] for c in ("doc_id", "tf", "dl"))
+    return write_chunk(td.dictionary.take(pa.array(by_term)), docs, tfs, dls,
+                       starts, pos, path)
+
+
+def write_chunk(terms: pa.Array, docs: np.ndarray, tfs: np.ndarray,
+                dls: np.ndarray, term_starts: np.ndarray,
+                pos: tuple[np.ndarray, np.ndarray] | None,
+                path: str) -> tuple[dict, pa.Table]:
+    """The one chunk assembly of build and merge: encode the flat
+    (term, doc_id)-sorted postings, term *i*'s run starting at
+    ``term_starts[i]``, in one vectorized pass (``encode_posting_block``),
+    fold the optional per-posting position runs into per-term streams, and
+    write the chunk atomically. Returns its stats and its
+    ``(term, df_chunk)`` columns. Chunk files are sorted by term ->
+    row-group stats allow term pruning (parquet); ipc chunks are mmap'd
+    whole, pruning happens at the bucket.
+
+    ``pos = (offsets, data)``: posting *i*'s self-contained delta+varint
+    position run is ``data[offsets[i]:offsets[i + 1]]``, so a term's stream
+    is the byte concatenation of its postings' runs — per-term offsets into
+    the SAME buffer, no bytes moved. A term whose postings hold no bytes
     (fielded ``col:value`` terms carry no positions) gets a NULL stream;
     text and fielded terms never mix under one term (fielded terms contain
-    ``:``, analyzer tokens cannot). Build and merge both assemble here."""
-    bounds = np.concatenate([term_starts, [posting_offs.size - 1]])
-    term_offs = posting_offs[bounds].astype(np.int64)
-    lengths = np.diff(term_offs)
-    validity = np.packbits((lengths > 0).astype(np.uint8), bitorder="little")
-    return pa.Array.from_buffers(
-        pa.large_binary(), term_starts.size,
-        [pa.py_buffer(validity.tobytes()), pa.py_buffer(term_offs.tobytes()),
-         data],
-        null_count=int((lengths == 0).sum())).cast(pa.binary())
-
-
-def encode_chunk_table(sorted_postings: pa.Table,
-                       path: str) -> tuple[dict, pa.Table]:
-    """Encode one (segment, bucket) postings slice (already sorted by
-    (term, doc_id)) into its chunk file — one vectorized pass over ALL
-    terms (encode_posting_block), no per-term Python loop. Returns what
-    :func:`write_chunk` returns."""
-    from org_rdkit_lucene_ray.functions.codec import encode_posting_block
-
-    g = sorted_postings
-    term_dict = pc.dictionary_encode(g["term"].combine_chunks())
-    idx = term_dict.indices.to_numpy(zero_copy_only=False)
-    docs = g["doc_id"].to_numpy()
-    tfs = g["tf"].to_numpy()
-    dls = g["dl"].to_numpy()
-    starts = np.concatenate([[0], np.flatnonzero(idx[1:] != idx[:-1]) + 1])
-    enc = encode_posting_block(docs, tfs, dls, starts)
-    terms = term_dict.dictionary.take(pa.array(idx[starts])).cast(pa.string())
-    pos = None
-    if "pos_bytes" in g.column_names:
-        # null per-posting blobs -> empty runs
-        arr = pc.fill_null(g["pos_bytes"].combine_chunks(), b"")
-        offs = np.frombuffer(arr.buffers()[1], np.int32)[
-            arr.offset: arr.offset + g.num_rows + 1]
-        pos = term_position_streams(arr.buffers()[2] or pa.py_buffer(b""),
-                                    offs, starts)
-    return write_chunk(terms, enc, pos, path)
-
-
-def write_chunk(terms: pa.Array, enc: dict, pos_bytes: pa.Array | None,
-                path: str) -> tuple[dict, pa.Table]:
-    """Assemble one chunk table from ``encode_posting_block`` output (plus
-    the per-term position streams, if stored) and write it atomically;
-    returns its stats and its ``(term, df_chunk)`` columns. Build and merge
-    both write chunks here. Chunk files are sorted by term -> row-group
-    stats allow term pruning (parquet); ipc chunks are mmap'd whole,
-    pruning happens at the bucket."""
-    from org_rdkit_lucene_ray.state.segment import atomic_write_chunk
-
+    ``:``, analyzer tokens cannot)."""
+    enc = encode_posting_block(docs, tfs, dls, term_starts)
     cols = {
         "term": terms,
         "df_chunk": pa.array(enc["df_chunk"], pa.int32()),
@@ -733,11 +730,14 @@ def write_chunk(terms: pa.Array, enc: dict, pos_bytes: pa.Array | None,
         "dl_bytes": _binary_from_offsets(enc["dl_buf"], enc["dl_off"]),
     }
     schema = SEGMENT_SCHEMA
-    if pos_bytes is not None:
-        cols["pos_bytes"] = pos_bytes
+    if pos is not None:
+        offs, data = pos
+        term_offs = offs[np.append(term_starts, offs.size - 1)]
+        cols["pos_bytes"] = _binary_from_offsets(data, term_offs,
+                                                 np.diff(term_offs) > 0)
         schema = SEGMENT_SCHEMA_POS
     chunk = pa.table(cols).cast(schema)
-    nbytes = atomic_write_chunk(chunk, path, row_group_size=8192)
+    nbytes = atomic_write_table(chunk, path, row_group_size=8192)
     return ({"terms": chunk.num_rows, "postings": int(np.sum(enc["df_chunk"])),
              "bytes_compressed": int(nbytes)}, chunk.select(_DF_COLUMNS))
 
@@ -952,11 +952,7 @@ def encode_segments(work_dir: str, gdir: str, cfg: IndexConfig,
                                read_cols)
         if t.num_rows == 0:
             return None
-        # each fragment's rows are (term, doc_id)-sorted, but a term's
-        # fragments interleave; one Arrow sort merges them
-        order = pc.sort_indices(t, sort_keys=[("term", "ascending"),
-                                              ("doc_id", "ascending")])
-        return encode_chunk_table(t.take(order), path)
+        return encode_chunk_table(t, path)
 
     return run_bucket_tasks(gdir, cfg.chunk_format,
                             {b: sids for b in range(cfg.term_buckets)},

@@ -19,15 +19,16 @@ immutable generations:
   generation. Because segment doc-id ranges are DISJOINT across generations
   (the ceiling alignment above), every ``(segment, bucket)`` chunk file
   belongs to exactly one generation — so the merge needs **zero shuffle**:
-  one task per term bucket re-encodes that bucket's chunk files
-  (decode -> drop tombstoned postings -> re-encode via the vectorized
-  multi-term ``encode_posting_block``) and writes
-  the bucket's df file, and one task per forward-index fragment
-  filters tombstones and rewrites it; both task sets are in flight at
-  once. All writes
-  are atomic temp+rename, so a crashed merge resumes by skipping existing
-  outputs. Doc ids are preserved (stable external references; Lucene
-  renumbers internally but keeps the pk — we keep both).
+  one task per term bucket rewrites that bucket's chunk files (decode the
+  doc/tf/dl streams through the chunk view the Searcher reads with, drop
+  tombstoned postings, copy the kept postings' position bytes without
+  decoding them, re-encode through the chunk assembly the build writes
+  with) and writes the bucket's df file, and one task per forward-index
+  fragment filters tombstones and rewrites it; both task sets are in
+  flight at once. All writes are atomic temp+rename, so a crashed merge
+  resumes by skipping existing outputs. Doc ids are preserved (stable
+  external references; Lucene renumbers internally but keeps the pk — we
+  keep both).
 
 A generation manifest lists ``includes`` (itself + parents) and
 ``deletes``; the searcher unions the included segment sets and masks
@@ -47,24 +48,26 @@ import pyarrow.parquet as pq
 import ray
 
 from org_rdkit_lucene_ray.config import AnalyzerConfig, BM25Params, IndexConfig
-from org_rdkit_lucene_ray.functions.codec import encode_posting_block, varint_decode
+from org_rdkit_lucene_ray.functions.codec import gather_position_runs
 from org_rdkit_lucene_ray.pipelines.build import (
     gather_tasks,
     run_bucket_tasks,
     submit_tasks,
     task_stats,
-    term_position_streams,
     write_chunk,
 )
 from org_rdkit_lucene_ray.state.segment import (
+    _ChunkIndex,
     atomic_write_json,
     check_format,
     atomic_write_table,
     chunk_bucket_of,
     current_generation,
+    decode_postings,
     gen_name,
     list_chunk_files,
     list_segment_ids,
+    one_array,
     read_chunk_table,
     read_manifest,
     set_current_generation,
@@ -287,95 +290,34 @@ def delete_by_query(index_dir: str, query: str, *, mode: str = "or") -> dict:
 
 
 # --------------------------------------------------------------------- merge
-def _decode_chunk_flat(t: pa.Table) -> tuple[pa.Array, np.ndarray, np.ndarray,
-                                             np.ndarray, np.ndarray]:
-    """One chunk table -> (terms, counts, docs, tfs, dls), fully vectorized.
-
-    The binary columns' data buffers ARE the concatenation of the per-term
-    varint streams (LEB128 is self-delimiting), so the whole column decodes
-    in ONE :func:`varint_decode` call; per-term doc-id cumsums are recovered
-    from the global cumsum by subtracting the run-start offsets (delta
-    encoding resets at each term start). No per-term Python loop."""
-    counts = t["df_chunk"].to_numpy().astype(np.int64)
-    total = int(counts.sum())
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-
-    def col_stream(name: str) -> np.ndarray:
-        arr = t[name].combine_chunks()
-        offs = np.frombuffer(arr.buffers()[1], np.int32)[arr.offset: arr.offset + len(arr) + 1]
-        data = np.frombuffer(arr.buffers()[2], np.uint8)
-        return varint_decode(data[offs[0]:offs[-1]], total)
-
-    deltas = col_stream("doc_bytes")
-    G = np.cumsum(deltas.astype(np.int64))
-    run_base = np.concatenate([[0], G[bounds[1:-1] - 1]]) if len(counts) > 1 \
-        else np.zeros(1, np.int64)
-    docs = G - np.repeat(run_base, counts)
-    tfs = col_stream("tf_bytes").view(np.int64)
-    dls = col_stream("dl_bytes").view(np.int64)
-    return t["term"].combine_chunks(), counts, docs, tfs, dls
-
-
 def _reencode_chunk(src_path: str, out_path: str,
                     deletes: np.ndarray) -> tuple[dict, pa.Table] | None:
-    """Decode one chunk file, drop tombstoned postings, re-encode
-    (vectorized across ALL terms via encode_posting_block) and write
-    atomically. Returns the chunk stats row and its ``(term, df_chunk)``
-    columns, or None if every posting was deleted."""
-    from org_rdkit_lucene_ray.functions.codec import (
-        decode_position_streams,
-        encode_position_streams,
-    )
-
+    """Rewrite one chunk file without its tombstoned postings: decode its
+    doc/tf/dl streams whole (:func:`decode_postings`), mask the
+    tombstones, copy the kept postings' position runs byte for byte
+    (:func:`gather_position_runs`; a run is self-contained, so no position
+    is decoded), and write through the shared :func:`write_chunk`. Returns
+    what it returns, or None if every posting was deleted."""
     t = read_chunk_table(src_path)
-    terms, counts, docs, tfs, dls = _decode_chunk_flat(t)
-    # positional sidecar (store_positions layouts): null term streams are
-    # fielded terms (no positions); valid streams hold one delta+varint run
-    # per posting (run i length = tf_i), concatenated in posting order, so
-    # the whole chunk's positions decode in ONE call over the valid
-    # postings' tf counts (null streams contribute zero bytes in between).
-    has_pos = "pos_bytes" in t.column_names
-    pos_flat = posting_valid = valid_term = None
-    if has_pos:
-        parr = t["pos_bytes"].combine_chunks()
-        valid_term = ~np.asarray(pc.is_null(parr))
-        posting_valid = np.repeat(valid_term, counts)
-        filled = pc.fill_null(parr, b"")
-        offs = np.frombuffer(filled.buffers()[1], np.int32)[
-            filled.offset: filled.offset + len(filled) + 1]
-        data = np.frombuffer(filled.buffers()[2] or b"", np.uint8)
-        pos_flat = decode_position_streams(
-            data[offs[0]:offs[-1]], tfs[posting_valid])
-    if deletes.size:
-        keep = ~np.isin(docs, deletes)
-        if not keep.all():
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            new_counts = np.add.reduceat(keep.astype(np.int64), starts)
-            # reduceat on an empty run start would misbehave, but counts>0
-            # always (chunk rows never hold empty posting lists)
-            if has_pos:
-                flat_keep = np.repeat(keep[posting_valid], tfs[posting_valid])
-                pos_flat = pos_flat[flat_keep]
-                posting_valid = posting_valid[keep]
-            docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
-            alive = new_counts > 0
-            terms = terms.filter(pa.array(alive))
-            counts = new_counts[alive]
-    if docs.size == 0:
+    view = _ChunkIndex(t)
+    docs, tfs, dls, counts = decode_postings([(view, 0, view.n)])
+    keep = ~np.isin(docs, deletes)
+    if not keep.any():
         return None
-    term_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    enc = encode_posting_block(docs, tfs, dls, term_starts)
+    # counts >= 1 (chunk rows never hold empty posting lists), so every
+    # reduceat start opens a non-empty run
+    kept = np.add.reduceat(keep.astype(np.int64), np.cumsum(counts) - counts)
     pos = None
-    if has_pos:
-        v_tfs = tfs[posting_valid]
-        v_starts = np.concatenate([[0], np.cumsum(v_tfs)[:-1]]).astype(np.int64)
-        buf, p_offs = encode_position_streams(pos_flat, v_starts)
-        # posting i's run starts after the valid postings before it; an
-        # invalid posting's run is empty
-        vcum = np.concatenate([[0], np.cumsum(posting_valid)])
-        pos = term_position_streams(pa.py_buffer(buf), p_offs[vcum],
-                                    term_starts)
-    return write_chunk(terms.cast(pa.string()), enc, pos, out_path)
+    if view.pos is not None:
+        offs, data = view.pos
+        # a null (fielded) term's postings hold no position bytes
+        pos = gather_position_runs(data[offs[0]:offs[-1]],
+                                   tfs * np.repeat(view.pos_valid, counts), keep)
+    alive = kept > 0
+    counts = kept[alive]
+    return write_chunk(one_array(t["term"]).filter(pa.array(alive)),
+                       docs[keep], tfs[keep], dls[keep],
+                       np.cumsum(counts) - counts, pos, out_path)
 
 
 def _rewrite_fwd(item: dict, dels: np.ndarray) -> dict:
@@ -408,18 +350,16 @@ def merge_generations(index_dir: str) -> dict:
     - fwd rewrite: filter tombstones per fragment -> new generation's fwd
       dir; per-task (n_docs, sum_dl) partials -> the manifest stats;
     - chunk re-encode, bucket-major: each of the bucket's chunks in
-      ascending segment order: decode -> drop tombstones -> vectorized
-      ``encode_posting_block`` -> atomic write; then
-      the bucket's df file from the re-encoded chunks (the same
-      ``write_bucket_df`` the build uses). A bucket whose chunks and df
-      file all exist is skipped; an existing chunk is read back.
+      ascending segment order goes through :func:`_reencode_chunk` (decode
+      doc/tf/dl -> drop tombstones -> copy the kept position bytes -> the
+      build's ``write_chunk``); then the bucket's df file from the
+      re-encoded chunks (the same ``write_bucket_df`` the build uses). A
+      bucket whose chunks and df file all exist is skipped; an existing
+      chunk is read back.
 
     The manifest's ``fwd_rewrite`` and ``chunk_reencode`` timings both
     start when the fwd tasks are submitted, so they overlap; the ``tasks``
     block holds each wave's in-worker body seconds.
-
-    Replaces the r1 design (driver-side fwd rewrite + Ray groupby over
-    decoded flat postings + per-term re-encode loop) per VERDICT #1.
     """
     base_gen = current_generation(index_dir)
     manifest = read_manifest(index_dir, base_gen)

@@ -26,9 +26,10 @@ Reference analogs:
 Distribution model: one actor scores whole queries against all segment
 chunks it holds (query-parallel). On a multi-node cluster the same classes
 shard by segment: each actor loads a subset of segments, queries fan out,
-and per-segment top-k heaps merge with the same (score desc, doc_id asc)
-comparator via ``sort().limit(k)`` — doc-id ranges are disjoint per segment
-so partial heaps concatenate safely (SURVEY K2). See ``topk_sharded``.
+and per-segment top-k heaps merge per query with the same (score desc,
+doc_id asc) comparator in a ``groupby("query_id").map_groups`` pass —
+doc-id ranges are disjoint per segment so partial heaps concatenate safely
+(SURVEY K2). See ``topk_sharded``.
 """
 
 from __future__ import annotations
@@ -44,14 +45,22 @@ import ray.data as rd
 
 from org_rdkit_lucene_ray.config import AnalyzerConfig, BM25Params
 from org_rdkit_lucene_ray.functions.analyze import analyze_text
-from org_rdkit_lucene_ray.functions.codec import varint_decode
+from org_rdkit_lucene_ray.functions.codec import (
+    decode_position_streams,
+    gather_position_runs,
+)
 from org_rdkit_lucene_ray.pipelines.build import stable_term_hash_one
 from org_rdkit_lucene_ray.state.segment import (
+    _ChunkIndex,
+    _SortedTermIndex,
     check_format,
     check_query_compat,
+    chunk_bucket_of,
+    decode_postings,
     gen_dir,
     list_chunk_files,
     list_segment_ids,
+    read_chunk_table,
     read_manifest,
 )
 
@@ -195,73 +204,6 @@ def _levenshtein_within(a: str, b: str, k: int) -> bool:
     return prev[lb] <= k
 
 
-def _one_array(col: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """A column as one Arrow array — zero-copy unless it has several chunks
-    (a multi-row-group Parquet read)."""
-    if isinstance(col, pa.ChunkedArray):
-        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-    return col
-
-
-def _binary_views(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-copy ``(int32 offsets, uint8 data)`` numpy views of a
-    string/binary column: row ``i`` is ``data[offs[i]:offs[i + 1]]``."""
-    arr = _one_array(col)
-    _, offs, data = arr.buffers()
-    offs = np.frombuffer(offs, np.int32)[arr.offset: arr.offset + len(arr) + 1]
-    return offs, (np.frombuffer(data, np.uint8) if data is not None
-                  else np.zeros(0, np.uint8))
-
-
-class _SortedTermIndex:
-    """Zero-copy binary search over a term-SORTED Arrow string column.
-
-    Replaces the r1 ``{term: row}`` Python dicts (built with ``to_pylist``
-    per chunk): per-actor memory was ∝ vocabulary and startup was per-row
-    Python. Here the dictionary IS the Arrow column — only the int32 offset
-    view and a memoryview of the UTF-8 data buffer are kept; a lookup is
-    ~log2(n) tiny byte-slice compares (chunk files are written term-sorted,
-    ``build.py`` Phase B)."""
-
-    __slots__ = ("offs", "data", "n")
-
-    def __init__(self, terms: pa.Array | pa.ChunkedArray):
-        self.n = len(terms)
-        self.offs, data = _binary_views(terms)
-        self.data = memoryview(data)
-
-    def find(self, term: str) -> int | None:
-        q = term.encode("utf-8")
-        lo, hi = 0, self.n
-        offs, data = self.offs, self.data
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            v = bytes(data[offs[mid]:offs[mid + 1]])
-            if v < q:
-                lo = mid + 1
-            elif v > q:
-                hi = mid
-            else:
-                return mid
-        return None
-
-
-class _ChunkIndex(_SortedTermIndex):
-    """One chunk table's term index plus zero-copy views of its posting
-    columns: ``df`` (the ``df_chunk`` values) and ``streams``, the
-    (offsets, data) views of ``doc_bytes``/``tf_bytes``/``dl_bytes``. A
-    term's postings are then plain slices of these views — no per-row
-    pyarrow scalars on the decode path."""
-
-    __slots__ = ("df", "streams")
-
-    def __init__(self, tbl: pa.Table):
-        super().__init__(tbl["term"])
-        self.df = _one_array(tbl["df_chunk"]).to_numpy()
-        self.streams = tuple(_binary_views(tbl[c])
-                             for c in ("doc_bytes", "tf_bytes", "dl_bytes"))
-
-
 class Searcher:
     """Open one index generation and answer the reference's search surface.
 
@@ -314,12 +256,10 @@ class Searcher:
         # may include parent generations (log-structured incremental adds,
         # pipelines/merge.py); segment ids are globally unique and
         # doc-range-ordered across included gens.
-        self._index_dir = index_dir
         self._gdirs: list[str] = [
             os.path.join(index_dir, g)
             for g in self.manifest.get("includes", [self.manifest["generation"]])
         ]
-        self._shard = shard
         self._term_buckets = int(self.manifest["config"]["term_buckets"])
         self._by_bucket: dict[int, list[tuple[int, pa.Table, _ChunkIndex]]] = {}
         mine: set[int] | None = None
@@ -359,8 +299,6 @@ class Searcher:
                 if mine is not None and sid not in mine:
                     continue
                 for f in list_chunk_files(gd, sid):
-                    from org_rdkit_lucene_ray.state.segment import chunk_bucket_of
-
                     self._bucket_files.setdefault(chunk_bucket_of(f), []) \
                         .append((sid, f))
                     n_chunks += 1
@@ -402,6 +340,10 @@ class Searcher:
         self.decode_hits = 0
         self.decode_misses = 0
         self.decode_cache_bytes = 0
+        # full positional decodes of dense phrase terms
+        # (_decode_term_positions), bounded by _POS_CACHE_MAX_VALUES
+        self._pos_cache: "OrderedDict[str, tuple]" = OrderedDict()
+        self._pos_cache_values = 0
         if warm_top_terms:
             # eagerly decode the highest-df terms — from the index's df
             # TABLE (one Arrow aggregate + select_k), not a vocab-sized
@@ -422,8 +364,6 @@ class Searcher:
         instead of a heap copy."""
         got = self._by_bucket.get(bucket)
         if got is None:
-            from org_rdkit_lucene_ray.state.segment import read_chunk_table
-
             got = []
             for sid, f in self._bucket_files.get(bucket, ()):
                 # ipc chunks map zero-copy (page-cache-resident buffers);
@@ -463,11 +403,7 @@ class Searcher:
             return 0 if i is None else int(self._gdf_vals[i])
         d = self._df_cache.get(term)
         if d is None:
-            d = sum(
-                int(tix.df[i])
-                for _, _, tix in self._bucket_chunks(self._term_bucket(term))
-                if (i := tix.find(term)) is not None
-            )
+            d = sum(int(v.df[i]) for v, i, _ in self._term_ranges(term))
             self._df_cache[term] = d
         return d
 
@@ -555,36 +491,25 @@ class Searcher:
                     cache.popitem(last=False)[1])
         return dec
 
-    def _decode_term_uncached(self, term: str):
-        """Concatenate this term's chunks across segments (ascending sid);
-        only the term's own bucket is probed (one binary search per chunk).
-        -> ``(docs, tfs, dls, df)`` with ``df`` the summed ``df_chunk``
-        before the tombstone mask, or None if no live posting.
+    def _term_ranges(self, term: str) -> list[tuple[_ChunkIndex, int, int]]:
+        """``(view, row, row + 1)`` of each chunk holding ``term``, in
+        ascending segment order — the :func:`decode_postings` ranges of one
+        term. Only the term's own bucket is probed, one binary search per
+        chunk."""
+        return [(tix, i, i + 1)
+                for _, _, tix in self._bucket_chunks(self._term_bucket(term))
+                if (i := tix.find(term)) is not None]
 
-        One varint pass per term: the term's doc, tf and dl byte slices
-        from every chunk are joined into ONE stream (varints are
-        self-delimiting) and decoded by a single ``varint_decode``."""
-        ns: list[int] = []
-        parts: tuple[list, list, list] = ([], [], [])
-        for _, _, tix in self._bucket_chunks(self._term_bucket(term)):
-            i = tix.find(term)
-            if i is None:
-                continue
-            ns.append(int(tix.df[i]))
-            for out, (offs, data) in zip(parts, tix.streams):
-                out.append(data[offs[i]:offs[i + 1]])
-        if not ns:
+    def _decode_term_uncached(self, term: str):
+        """Concatenate this term's chunks across segments (ascending sid)
+        -> ``(docs, tfs, dls, df)`` with ``df`` the summed ``df_chunk``
+        before the tombstone mask, or None if no live posting. One varint
+        pass per term (:func:`decode_postings`)."""
+        ranges = self._term_ranges(term)
+        if not ranges:
             return None
-        n = sum(ns)
-        vals = varint_decode(np.concatenate(parts[0] + parts[1] + parts[2]),
-                             3 * n).view(np.int64)
-        docs, tfs, dls = vals[:n], vals[n:2 * n], vals[2 * n:]
-        # every chunk's first delta is an absolute doc id: one running sum
-        # over all chunks, minus the total carried in from earlier chunks
-        np.cumsum(docs, out=docs)
-        if len(ns) > 1:
-            ends = np.cumsum(ns[:-1])
-            docs -= np.repeat(np.concatenate(([0], docs[ends - 1])), ns)
+        docs, tfs, dls, _ = decode_postings(ranges)
+        n = docs.size
         if self._deletes is not None and self._deletes.size:
             keep = ~np.isin(docs, self._deletes)
             if not keep.all():
@@ -1307,115 +1232,57 @@ class Searcher:
         :meth:`phrase_candidates`, whose ``_decode_term`` screen already
         excludes them.
 
-        ``only_docs`` (sorted) restricts the result to those docs AND —
-        the hot-path point — skips DECODING every other posting's
-        positions: LEB128 value boundaries are terminator bytes
-        (``b & 0x80 == 0``), so one flatnonzero over the raw stream maps
-        posting -> byte range without decoding, and only the selected
-        postings' slices are gathered and decoded. A phrase with one rare
-        term then pays O(candidate positions) on its HEAD terms too, not
-        O(head-term postings) (measured 102 s -> sub-second for a
+        Doc ids and tfs come from :func:`decode_postings` over the term's
+        chunk rows; the rows' ``pos_bytes`` slices join into one stream.
+        ``only_docs`` (sorted) restricts the result to those docs. When
+        they are SELECTIVE (under 1/8 of the term's postings) the other
+        postings' positions are never decoded: a terminator-byte scan finds
+        every posting's byte run and one vectorized gather copies the
+        candidates' runs (:func:`gather_position_runs`). A phrase with one
+        rare term then pays O(candidate positions) to decode its HEAD terms
+        too, not O(head-term postings) (measured 102 s -> sub-second for a
         head+rare phrase at 1.57M docs, BASELINE r4).
 
         DENSE decodes (candidate set not selective — stopword-pair
         phrases) are the expensive case, so their full per-term result is
         LRU-cached (bounded by total cached positions) and later calls
         subset the cached arrays whatever their candidate set."""
-        from org_rdkit_lucene_ray.functions.codec import decode_position_streams
-
         if not self.store_positions:
             raise ValueError(
                 "index was built without store_positions=True — phrase "
                 "verify must run over the stored text (search_phrases)")
         cached = self._pos_cache_get(term)
-        if cached is not None:
-            docs, tfs, pos = cached
-            if only_docs is not None:
-                sel = np.isin(docs, only_docs, assume_unique=True)
-                if not sel.all():
-                    pos = pos[np.repeat(sel, tfs)]
-                    docs, tfs = docs[sel], tfs[sel]
-            if docs.size == 0:
+        if cached is None:
+            ranges = self._term_ranges(term)
+            if not ranges:
                 return None
-            return docs, tfs, pos
-        docs_l, tfs_l, pos_l = [], [], []
-        full_l: list | None = []       # pre-filter arrays; None once any
-        for _, tbl, tix in self._bucket_chunks(self._term_bucket(term)):
-            i = tix.find(term)
-            if i is None:
-                continue
-            n = int(tix.df[i])
-            (doc_offs, doc_data), (tf_offs, tf_data), _ = tix.streams
-            docs = np.cumsum(varint_decode(
-                doc_data[doc_offs[i]:doc_offs[i + 1]], n), dtype=np.int64)
-            tfs = varint_decode(tf_data[tf_offs[i]:tf_offs[i + 1]], n) \
-                .view(np.int64)
-            blob = tbl["pos_bytes"][i]
-            if not blob.is_valid:
+            if not all(v.pos_valid[i] for v, i, _ in ranges):
                 raise ValueError(
                     f"term {term!r} carries no positions (fielded "
                     "'col:value' terms are whole-value, not positional)")
-            stream = np.frombuffer(blob.as_buffer(), np.uint8)
+            docs, tfs, _, _ = decode_postings(ranges)
+            stream = np.concatenate([v.pos[1][v.pos[0][i]:v.pos[0][i + 1]]
+                                     for v, i, _ in ranges])
             if only_docs is not None:
                 sel = np.isin(docs, only_docs, assume_unique=True)
-                n_sel = int(sel.sum())
-                if n_sel * 8 < n:
-                    # SELECTIVE: skip decoding non-candidate positions
-                    # (chunk not fully decoded -> not cacheable)
-                    full_l = None
-                    if n_sel == 0:
-                        continue
-                    # value ends without decoding: terminator-byte scan
-                    ends = np.flatnonzero((stream & 0x80) == 0)
-                    cumtf = np.concatenate([[0], np.cumsum(tfs)])
-                    # posting i's bytes: (end of its last value) + 1 back to
-                    # (end of previous posting's last value) + 1
-                    byte_hi = ends[cumtf[1:] - 1] + 1
-                    byte_lo = np.concatenate([[0], byte_hi[:-1]])
+                if int(sel.sum()) * 8 < docs.size:
+                    # SELECTIVE: not fully decoded -> not cacheable
+                    _, runs = gather_position_runs(stream, tfs, sel)
                     docs, tfs = docs[sel], tfs[sel]
-                    lo, hi = byte_lo[sel], byte_hi[sel]
-                    lens = hi - lo
-                    out = np.empty(int(lens.sum()), np.uint8)
-                    offs = np.concatenate([[0], np.cumsum(lens)])
-                    # gather selected slices (few candidates => few slices;
-                    # the 1/8 gate above bounds this loop)
-                    for j in range(lo.size):
-                        out[offs[j]:offs[j + 1]] = stream[lo[j]:hi[j]]
-                    pos = decode_position_streams(out, tfs)
-                    docs_l.append(docs)
-                    tfs_l.append(tfs)
-                    pos_l.append(pos)
-                    continue
-                # DENSE: decode everything once, filter flat (vectorized);
-                # the pre-filter arrays are cache-worthy — this is exactly
-                # the expensive stopword-term case that recurs across
-                # phrase queries
-                pos = decode_position_streams(stream, tfs)
-                if full_l is not None:
-                    full_l.append((docs, tfs, pos))
-                if not sel.all():
-                    pos = pos[np.repeat(sel, tfs)]
-                    docs, tfs = docs[sel], tfs[sel]
-                if docs.size:
-                    docs_l.append(docs)
-                    tfs_l.append(tfs)
-                    pos_l.append(pos)
-                continue
-            pos = decode_position_streams(stream, tfs)
-            if full_l is not None:
-                full_l.append((docs, tfs, pos))
-            docs_l.append(docs)
-            tfs_l.append(tfs)
-            pos_l.append(pos)
-        if full_l:
-            self._pos_cache_put(term, (
-                np.concatenate([x[0] for x in full_l]),
-                np.concatenate([x[1] for x in full_l]),
-                np.concatenate([x[2] for x in full_l])))
-        if not docs_l:
+                    if docs.size == 0:
+                        return None
+                    return docs, tfs, decode_position_streams(runs, tfs)
+            cached = (docs, tfs, decode_position_streams(stream, tfs))
+            self._pos_cache_put(term, cached)
+        docs, tfs, pos = cached
+        if only_docs is not None:
+            sel = np.isin(docs, only_docs, assume_unique=True)
+            if not sel.all():
+                pos = pos[np.repeat(sel, tfs)]
+                docs, tfs = docs[sel], tfs[sel]
+        if docs.size == 0:
             return None
-        return (np.concatenate(docs_l), np.concatenate(tfs_l),
-                np.concatenate(pos_l))
+        return docs, tfs, pos
 
     # positions LRU: caches FULL per-term decodes (the dense stopword
     # case) bounded by total cached position count, so repeated phrase
@@ -1423,20 +1290,12 @@ class Searcher:
     _POS_CACHE_MAX_VALUES = 64_000_000      # ~0.5 GB of int64 positions
 
     def _pos_cache_get(self, term: str):
-        cache = getattr(self, "_pos_cache", None)
-        if cache is None:
-            return None
-        hit = cache.get(term)
+        hit = self._pos_cache.get(term)
         if hit is not None:
-            cache.move_to_end(term)
+            self._pos_cache.move_to_end(term)
         return hit
 
     def _pos_cache_put(self, term: str, dec) -> None:
-        from collections import OrderedDict
-
-        if not hasattr(self, "_pos_cache"):
-            self._pos_cache = OrderedDict()
-            self._pos_cache_values = 0
         n = int(dec[2].size)
         if n > self._POS_CACHE_MAX_VALUES:
             return                           # never cache a monster alone

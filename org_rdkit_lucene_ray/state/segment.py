@@ -29,6 +29,11 @@ It stores only what a query reads. Block-max bounds are not stored: the
 searcher derives them from each term's live weights. Chunks from earlier
 writers, which carry three more (block-max) list columns after these, still
 open: readers address columns by name and never touch the extra ones.
+
+The read side lives here too: :class:`_ChunkIndex` is the one view of a
+chunk table and :func:`decode_postings` the one decoder of its posting
+streams, for the Searcher and merge alike (the write side is
+``pipelines/build.py`` ``write_chunk``).
 """
 
 from __future__ import annotations
@@ -37,8 +42,12 @@ import json
 import os
 import uuid
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from org_rdkit_lucene_ray.functions.codec import segmented_cumsum, varint_decode
 
 SEGMENT_SCHEMA = pa.schema([
     ("term", pa.string()),
@@ -56,13 +65,19 @@ SEGMENT_SCHEMA_POS = SEGMENT_SCHEMA.append(pa.field("pos_bytes", pa.binary()))
 
 
 def atomic_write_table(table: pa.Table, path: str, **pq_kw) -> int:
-    """Write a Parquet file atomically (temp in same dir + rename).
+    """Write a Parquet file — or, for an ``.arrow`` chunk path, an
+    uncompressed Arrow IPC file, which the read side maps zero-copy —
+    atomically (temp in same dir + rename); returns its size in bytes.
 
     Rename within one directory is atomic on POSIX; on object stores the
     equivalent is a conditional put — the commit point is identical."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = os.path.join(os.path.dirname(path), f".tmp-{uuid.uuid4().hex}")
-    pq.write_table(table, tmp, **pq_kw)
+    if path.endswith(".arrow"):
+        with pa.OSFile(tmp, "wb") as f, pa.ipc.new_file(f, table.schema) as w:
+            w.write_table(table)
+    else:
+        pq.write_table(table, tmp, **pq_kw)
     size = os.path.getsize(tmp)
     os.replace(tmp, path)
     return size
@@ -193,17 +208,101 @@ def read_chunk_table(path: str, columns: list[str] | None = None,
     return pq.read_table(path, columns=columns, memory_map=memory_map)
 
 
-def atomic_write_chunk(table: pa.Table, path: str, **pq_kw) -> int:
-    """Format-dispatching atomic chunk write (temp + rename, like
-    :func:`atomic_write_table`). IPC files are written uncompressed in one
-    record batch — the read side maps them zero-copy."""
-    if not path.endswith(".arrow"):
-        return atomic_write_table(table, path, **pq_kw)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = os.path.join(os.path.dirname(path), f".tmp-{uuid.uuid4().hex}")
-    with pa.OSFile(tmp, "wb") as f:
-        with pa.ipc.new_file(f, table.schema) as w:
-            w.write_table(table)
-    size = os.path.getsize(tmp)
-    os.replace(tmp, path)
-    return size
+def one_array(col: pa.Array | pa.ChunkedArray) -> pa.Array:
+    """A column as one Arrow array — zero-copy unless it has several chunks
+    (a multi-row-group Parquet read)."""
+    if isinstance(col, pa.ChunkedArray):
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    return col
+
+
+def binary_views(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy ``(int32 offsets, uint8 data)`` numpy views of a
+    string/binary column: row ``i`` is ``data[offs[i]:offs[i + 1]]``, so a
+    run of rows is ONE byte slice. Null rows must hold no bytes (every
+    writer and reader here keeps them empty); a column where one does
+    raises, since its byte runs would misalign."""
+    arr = one_array(col)
+    _, offs, data = arr.buffers()
+    offs = np.frombuffer(offs, np.int32)[arr.offset: arr.offset + len(arr) + 1]
+    if arr.null_count and np.diff(offs)[
+            ~pc.is_valid(arr).to_numpy(zero_copy_only=False)].any():
+        raise ValueError("binary column has null rows that hold bytes")
+    return offs, (np.frombuffer(data, np.uint8) if data is not None
+                  else np.zeros(0, np.uint8))
+
+
+class _SortedTermIndex:
+    """Zero-copy binary search over a term-SORTED Arrow string column.
+
+    The dictionary IS the Arrow column — only the int32 offset view and a
+    memoryview of the UTF-8 data buffer are kept, so memory is not ∝ a
+    Python dict of the vocabulary; a lookup is ~log2(n) tiny byte-slice
+    compares (chunk and df files are written term-sorted)."""
+
+    __slots__ = ("offs", "data", "n")
+
+    def __init__(self, terms: pa.Array | pa.ChunkedArray):
+        self.n = len(terms)
+        self.offs, data = binary_views(terms)
+        self.data = memoryview(data)
+
+    def find(self, term: str) -> int | None:
+        q = term.encode("utf-8")
+        lo, hi = 0, self.n
+        offs, data = self.offs, self.data
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            v = bytes(data[offs[mid]:offs[mid + 1]])
+            if v < q:
+                lo = mid + 1
+            elif v > q:
+                hi = mid
+            else:
+                return mid
+        return None
+
+
+class _ChunkIndex(_SortedTermIndex):
+    """The read view of one chunk table, shared by the Searcher and merge:
+    its term index plus zero-copy views of its posting columns — ``df``
+    (the ``df_chunk`` values), ``streams`` (the (offsets, data) views of
+    ``doc_bytes``/``tf_bytes``/``dl_bytes``) and, in a positional chunk,
+    ``pos`` (the view of ``pos_bytes``) with ``pos_valid`` read off its
+    validity bitmap (a null stream is a fielded term, which has no
+    positions). A run of rows is then one byte slice per stream — no
+    per-row pyarrow scalars on any decode path."""
+
+    __slots__ = ("df", "streams", "pos", "pos_valid")
+
+    def __init__(self, tbl: pa.Table):
+        super().__init__(tbl["term"])
+        self.df = one_array(tbl["df_chunk"]).to_numpy()
+        self.streams = tuple(binary_views(tbl[c])
+                             for c in ("doc_bytes", "tf_bytes", "dl_bytes"))
+        self.pos = self.pos_valid = None
+        if "pos_bytes" in tbl.column_names:
+            col = one_array(tbl["pos_bytes"])
+            self.pos = binary_views(col)
+            self.pos_valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+
+
+def decode_postings(ranges: list[tuple[_ChunkIndex, int, int]]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one decoder of the chunk posting streams: rows ``[lo, hi)`` of
+    each ``(view, lo, hi)`` in ``ranges``, in order -> int64
+    ``(docs, tfs, dls, counts)``, ``counts`` being each row's df_chunk. The
+    Searcher passes the one row of each chunk that holds a term, merge a
+    whole chunk. A run of rows is one byte slice per stream and varints
+    are self-delimiting, so every slice joins into ONE ``varint_decode``
+    call; each row's first doc delta is absolute, so doc ids come back by
+    one segmented cumsum over the row counts."""
+    counts = np.concatenate([v.df[lo:hi] for v, lo, hi in ranges]).astype(np.int64)
+    n = int(counts.sum())
+    parts = []
+    for k in range(3):
+        for v, lo, hi in ranges:
+            offs, data = v.streams[k]
+            parts.append(data[offs[lo]:offs[hi]])
+    vals = varint_decode(np.concatenate(parts), 3 * n).view(np.int64)
+    return segmented_cumsum(vals[:n], counts), vals[n:2 * n], vals[2 * n:], counts

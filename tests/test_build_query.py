@@ -161,6 +161,34 @@ def test_multi_valued_field_postings(ray_session, tmp_path_factory):
     assert tf_by_doc[1] == 2 and tf_by_doc[0] == 1
 
 
+def test_list_field_postings_in_doc_order():
+    """A list-valued field's postings hold each term's rows in ascending
+    doc order (Arrow's group_by leaves its output order unspecified): the
+    spill keeps each term's rows in arrival order, and the encode's stable
+    sort on the term alone relies on it."""
+    import pyarrow as pa
+
+    from org_rdkit_lucene_ray.config import IndexConfig
+    from org_rdkit_lucene_ray.pipelines.build import FragmentTokenizer
+
+    rng = np.random.default_rng(0)
+    n = 500
+    tags = [[f"t{x}" for x in rng.integers(0, 20, 3)] for _ in range(n)]
+    tok = FragmentTokenizer("", "", IndexConfig(field_columns=("tags",)), None,
+                            False, "text", None, None, None, None, False)
+    p = tok._field_postings(pa.table({"tags": pa.array(tags)}),
+                            np.arange(n, dtype=np.int64),
+                            pa.array(np.ones(n, np.int32)))
+    by_term: dict[str, list[int]] = {}
+    for term, d in zip(p["term"].to_pylist(), p["doc_id"].to_pylist()):
+        by_term.setdefault(term, []).append(d)
+    assert len(by_term) == 20
+    for term, docs in by_term.items():
+        assert docs == sorted(set(docs)), term
+    # multiplicity: tf counts a value listed twice in one doc
+    assert p["tf"].to_numpy().sum() == 3 * n
+
+
 def test_facet_counts_semantics(ray_session, tmp_path_factory):
     """Facet counts = |hits ∩ field:value postings| per value, ordered
     (count desc, value asc); docs without the field contribute nothing;

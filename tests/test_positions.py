@@ -447,3 +447,113 @@ def test_sharded_nshards_clamped_to_segments(pos_index, pages_dir):
         want = np.sort(s.phrase_hits(ptoks, slop))
         mine = np.sort(got[got["query_id"] == qid]["doc_id"].to_numpy())
         assert np.array_equal(mine, want), (ptoks, slop)
+
+
+def test_phrase_position_decode_branches(pos_index, pages_dir, monkeypatch):
+    """Both branches of the positional decode equal the stored-text truth.
+    A head term next to a rare term decodes only its candidates' position
+    runs (SELECTIVE: never cached, so a repeat decodes it again); two head
+    terms decode whole (DENSE: cached, so a repeat decodes nothing)."""
+    from collections import Counter
+
+    from org_rdkit_lucene_ray.pipelines import query as Q
+
+    idx, _ = pos_index
+    s = Searcher(idx)
+    ids, toks = _corpus_tokens(pages_dir, s.query_cfg)
+    stored = np.sort(np.concatenate(
+        [pq.read_table(p, columns=["doc_id"])["doc_id"].to_numpy()
+         for p in s._fwd_files()]))
+    bigrams = Counter((a, b) for row in toks.to_pylist()
+                      for a, b in zip(row, row[1:]) if a != b)
+    # the head term's candidates are under 1/8 of its postings
+    selective = next(list(p) for p in sorted(bigrams)
+                     if s.df(p[0]) >= 400 and s.df(p[1]) <= 20
+                     and 0 < s.phrase_candidates(list(p)).size * 8 < s.df(p[0]))
+    # no term shared with the selective phrase, whose cache state is asserted
+    dense = next(list(p) for p, _ in bigrams.most_common()
+                 if not set(p) & set(selective))
+    assert all(s.phrase_candidates(dense).size * 8 >= s.df(t) for t in dense)
+
+    decodes = []
+
+    def counting(ranges):
+        decodes.append(ranges)
+        return decode(ranges)
+
+    decode = Q.decode_postings
+    monkeypatch.setattr(Q, "decode_postings", counting)
+    for rnd in range(2):
+        for p in (selective, dense):
+            want = ids[_phrase_match_mask(toks, p, 0)]
+            want = want[np.isin(want, stored)]
+            assert want.size, p
+            decodes.clear()
+            assert np.array_equal(s.phrase_hits(p, 0), want), (p, rnd)
+            if rnd == 1:
+                # the head term of the selective phrase decodes again; the
+                # dense phrase is served from the positions cache
+                assert len(decodes) == (1 if p is selective else 0), p
+    assert selective[0] not in s._pos_cache
+    assert all(t in s._pos_cache for t in dense)
+
+
+def test_merge_chunk_bytes_match_per_term_reference(ray_session, pages_dir,
+                                                    tmp_path_factory):
+    """Every merged chunk equals, column for column, a chunk built per term
+    from the pre-merge postings minus the tombstones with the reference
+    encoders (``encode_posting_list``, ``encode_position_streams``): merge
+    copies position bytes instead of re-encoding them, and fielded terms
+    keep null position streams."""
+    from org_rdkit_lucene_ray.functions.codec import (
+        decode_position_streams, decode_posting_list, encode_position_streams,
+        encode_posting_list)
+    from org_rdkit_lucene_ray.pipelines.merge import (
+        delete_by_query, merge_generations, read_deletes)
+    from org_rdkit_lucene_ray.state.segment import (
+        SEGMENT_SCHEMA_POS, read_chunk_table)
+
+    idx = str(tmp_path_factory.mktemp("pos_merge_bytes"))
+    cfg = IndexConfig(docs_per_segment=256, term_buckets=8, block_size=32,
+                      store_positions=True, chunk_format="ipc",
+                      field_columns=("lang",))
+    m0 = build_index(pages_dir, idx, cfg=cfg)
+    delete_by_query(idx, "kiki", mode="or")
+    dead = read_deletes(idx)
+    assert dead.size
+    merged = merge_generations(idx)
+    g0 = os.path.join(idx, m0["generation"], "segments")
+    g1 = os.path.join(idx, merged["generation"], "segments")
+    n_chunks = n_dropped = n_null = 0
+    for rel in sorted(os.path.relpath(os.path.join(dp, f), g0)
+                      for dp, _, fs in os.walk(g0) for f in fs):
+        src = read_chunk_table(os.path.join(g0, rel)).to_pylist()
+        rows = []
+        for r in src:
+            docs, tfs, dls = decode_posting_list(r)
+            keep = ~np.isin(docs, dead)
+            n_dropped += int((~keep).sum())
+            if not keep.any():
+                continue
+            row = {"term": r["term"], **encode_posting_list(
+                docs[keep], tfs[keep], dls[keep]), "pos_bytes": None}
+            if r["pos_bytes"] is not None:
+                pos = decode_position_streams(
+                    np.frombuffer(r["pos_bytes"], np.uint8), tfs)
+                cum = np.concatenate([[0], np.cumsum(tfs)])
+                runs = [pos[cum[i]:cum[i + 1]] for i in np.flatnonzero(keep)]
+                starts = np.cumsum([0] + [x.size for x in runs[:-1]])
+                row["pos_bytes"] = encode_position_streams(
+                    np.concatenate(runs), starts)[0]
+            n_null += row["pos_bytes"] is None
+            rows.append(row)
+        out = os.path.join(g1, rel)
+        if not rows:
+            assert not os.path.exists(out), rel
+            continue
+        got = read_chunk_table(out)
+        want = pa.Table.from_pylist(rows).select(got.column_names) \
+            .cast(SEGMENT_SCHEMA_POS)
+        assert got.equals(want), rel
+        n_chunks += 1
+    assert n_chunks and n_dropped and n_null
