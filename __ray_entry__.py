@@ -21,7 +21,7 @@ def entry() -> Any:
     over the ``documents`` table (tokenize -> bucket-clustered postings ->
     storage-partitioned (segment, bucket) encode, zero Ray all-to-all ops ->
     delta/varint segments), then answer the reference BM25 query set with
-    the block-max searcher actor pool. Returns the top-k result table."""
+    block-max search tasks. Returns the top-k result table."""
     from org_rdkit_lucene_ray.pipelines.gate import q_bm25_topk
 
     return q_bm25_topk("/root/testdata/sf0.001")

@@ -91,7 +91,7 @@ def bench_headline(sf: str, num_cpus: int) -> dict:
     n_docs = manifest["stats"]["n_docs"]
 
     queries = gen_queries(n_random=60)
-    # throughput: the distributed searcher actor-pool path
+    # throughput: the distributed search-task path
     t1 = time.perf_counter()
     res = run_queries(idx, queries, mode="bmw", resolve_urls=False)
     n_hits = res.count()

@@ -12,8 +12,8 @@ structural analogy in SURVEY.md:
     TopScoreDocCollector     -> block-max WAND BM25 top-k, bounded min-heap
 
 Execution model is Ray Data first: `ray.data.Dataset` pipelines,
-`map_batches` over zero-copy Arrow batches, actor pools for stateful
-stages, explicit shuffle/skew handling for the wide steps.
+`map_batches` task functions over zero-copy Arrow batches (no actor
+pools), explicit shuffle/skew handling for the wide steps.
 
 No module in this package calls ``ray.init()`` — the driver owns the session.
 """

@@ -231,8 +231,8 @@ class Engine:
                               text_col=text_col, id_col=id_col)
 
     def run_queries(self, queries: pa.Table | rd.Dataset, **kw) -> rd.Dataset:
-        """Batch workload through the searcher actor pool (the
-        ``-benchmark`` surface)."""
+        """Batch workload through the search tasks (the ``-benchmark``
+        surface)."""
         from org_rdkit_lucene_ray.pipelines.query import run_queries
 
         return run_queries(self.index_dir, queries, **kw)

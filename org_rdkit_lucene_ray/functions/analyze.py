@@ -77,13 +77,6 @@ _STEM_PATTERN = r"^(.{2,}[^us])s$"
 _STEM_REWRITE = r"\1"
 
 
-def get_analyzer(name: str) -> AnalyzerConfig:
-    try:
-        return REGISTRY[name]
-    except KeyError:  # ChemicalIndex.java:148-151 analog: unknown/mismatched analyzer
-        raise ValueError(f"unknown analyzer {name!r}; known: {sorted(REGISTRY)}") from None
-
-
 # ---------------------------------------------------------------- python path
 _PY_RE_CACHE: dict[tuple, re.Pattern] = {}
 

@@ -47,10 +47,6 @@ class OracleIndex:
         for term, tf in sorted(Counter(toks).items()):
             self.postings.setdefault(term, []).append((doc_id, tf))
 
-    def add_corpus(self, doc_ids, texts) -> None:
-        for d, t in zip(doc_ids, texts):
-            self.add(int(d), t)
-
     # ------------------------------------------------------------------ stats
     @property
     def n_docs(self) -> int:

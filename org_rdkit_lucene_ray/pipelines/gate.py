@@ -1215,7 +1215,7 @@ FREE_QUERIES: list[tuple[int, str]] = [   # J5 bare-term all-field expansion
 def q_free_multifield(sf_dir: str) -> rd.Dataset:
     """J5 full analog (MultiFieldQueryParser, ChemicalIndex.java:466-491):
     bare terms searched across the text namespace AND every indexed field
-    namespace, disjunctive — via the distributed set-query actor pool."""
+    namespace, disjunctive — via the distributed set-query tasks."""
     from org_rdkit_lucene_ray.pipelines.query import run_set_queries
 
     queries = pa.table({
@@ -1223,7 +1223,7 @@ def q_free_multifield(sf_dir: str) -> rd.Dataset:
         "query": pa.array([q[1] for q in FREE_QUERIES], pa.string()),
     })
     return run_set_queries(gate_index(sf_dir), queries,
-                           method="search_free", concurrency=2)
+                           method="search_free")
 
 
 # ---------------------------------------------------------------------------
@@ -1587,7 +1587,7 @@ def q_bm25_topk(sf_dir: str) -> pa.Table:
         "k": pa.array([q[2] for q in BM25_QUERIES], pa.int32()),
     })
     res = run_queries(gate_index(sf_dir), queries, mode="bmw",
-                      resolve_urls=False, concurrency=2).to_pandas()
+                      resolve_urls=False).to_pandas()
     res = res.sort_values(["query_id", "rank"])
     return pa.table({
         "query_id": pa.array(res["query_id"].astype(np.int64)),
@@ -1610,8 +1610,7 @@ def q_tfidf_topk(sf_dir: str) -> pa.Table:
         "k": pa.array([q[2] for q in BM25_QUERIES], pa.int32()),
     })
     res = run_queries(gate_index(sf_dir), queries, mode="bmw",
-                      resolve_urls=False, concurrency=2,
-                      similarity="classic").to_pandas()
+                      resolve_urls=False, similarity="classic").to_pandas()
     res = res.sort_values(["query_id", "rank"])
     return pa.table({
         "query_id": pa.array(res["query_id"].astype(np.int64)),
@@ -2244,7 +2243,7 @@ def q_highlight(sf_dir: str) -> rd.Dataset:
         "k": pa.array([q[2] for q in BM25_QUERIES], pa.int32()),
     })
     res = run_queries(gate_index(sf_dir), queries, mode="bmw",
-                      resolve_urls=False, concurrency=2).to_pandas()
+                      resolve_urls=False).to_pandas()
     hits = pa.table({
         "query_id": pa.array(res["query_id"].astype(np.int64)),
         "rank": pa.array(res["rank"].astype(np.int64)),
@@ -2663,7 +2662,7 @@ PARSER_QUERIES: list[tuple[int, str]] = [   # full QueryParser-analog surface
 def q_parser_query(sf_dir: str) -> rd.Dataset:
     """One query-string surface over the whole multi-term family (the
     MultiFieldQueryParser grammar, ChemicalIndex.java:466-491) — run
-    through the DISTRIBUTED set-query actor pool (run_set_queries), so
+    through the DISTRIBUTED set-query tasks (run_set_queries), so
     the correctness gate exercises the batch surface, not just the
     in-process Searcher."""
     from org_rdkit_lucene_ray.pipelines.query import run_set_queries
@@ -2673,7 +2672,7 @@ def q_parser_query(sf_dir: str) -> rd.Dataset:
         "query": pa.array([q[1] for q in PARSER_QUERIES], pa.string()),
     })
     return run_set_queries(gate_index(sf_dir), queries,
-                           method="search_query", concurrency=2)
+                           method="search_query")
 
 
 PHRASE_QUERIES: list[tuple[int, str, int]] = [   # (query_id, phrase, slop)
@@ -3680,7 +3679,7 @@ def _bm25_results_and_qrels(sf_dir: str):
         "k": pa.array([q[2] for q in BM25_QUERIES], pa.int32()),
     })
     res = run_queries(gate_index(sf_dir), queries, mode="bmw",
-                      resolve_urls=False, concurrency=2).to_pandas()
+                      resolve_urls=False).to_pandas()
     results = pa.table({
         "query_id": pa.array(res["query_id"].astype(np.int64)),
         "rank": pa.array(res["rank"].astype(np.int64)),

@@ -1,11 +1,15 @@
-"""BM25 top-k query pipeline: searcher actor pool + vectorized block-max
+"""BM25 top-k query pipeline: searcher tasks + vectorized block-max
 pruning.
 
 Reference analogs:
-- ``IndexSearcher`` singleton (T3, ``ChemicalIndex.java:886-904``) ->
-  :class:`Searcher` held inside a ``map_batches`` actor pool
-  (:class:`SearcherStage`): segments are loaded ONCE per actor in
-  ``__init__``, every batch of queries reuses them.
+- ``IndexSearcher`` singleton opened lazily on the first query (T3,
+  ``ChemicalIndex.java:886-904``) -> :class:`Searcher`, lazy by default:
+  a bucket's chunks load on its first probe and every later query of
+  that Searcher reuses them. The batch surfaces (:func:`run_queries`,
+  :func:`run_set_queries`, :func:`topk_sharded`,
+  :func:`phrase_hits_sharded`) are plain ``map_batches`` task functions:
+  each task opens one Searcher per query block on the generation the
+  driver resolved for the call.
 - bounded top-k PQ with "lower score loses; tie -> larger docID loses"
   (``SubstructureHitQueue.java:98-118``) -> :func:`_top_hits`, the final
   select of every top-k scorer.
@@ -23,13 +27,13 @@ Reference analogs:
   :meth:`Searcher.resolve_urls` — predicate-pushdown read of the forward
   index for just the top-k doc ids (a broadcast-small-side join).
 
-Distribution model: one actor scores whole queries against all segment
-chunks it holds (query-parallel). On a multi-node cluster the same classes
-shard by segment: each actor loads a subset of segments, queries fan out,
-and per-segment top-k heaps merge per query with the same (score desc,
-doc_id asc) comparator in a ``groupby("query_id").map_groups`` pass —
-doc-id ranges are disjoint per segment so partial heaps concatenate safely
-(SURVEY K2). See ``topk_sharded``.
+Distribution model: a search task scores whole queries against all
+segment chunks (query-parallel). ``topk_sharded`` also shards by segment:
+each shard task searches one contiguous run of segments, and the driver
+merges the per-shard top-k rows with the same (score desc, doc_id asc)
+comparator in one ``np.lexsort`` — doc-id ranges are disjoint per segment
+so partial heaps concatenate safely (SURVEY K2), and a query has at most
+``n_shards × k`` rows to re-sort.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from org_rdkit_lucene_ray.config import AnalyzerConfig, BM25Params
@@ -250,7 +255,7 @@ class Searcher:
         # segment dictionaries: term -> per-chunk row locator, grouped by
         # term bucket (a term lives in exactly ONE bucket across every
         # segment, so a lookup probes only its bucket's chunk tables).
-        # Loaded once per actor (T3); columns stay zero-copy Arrow — the
+        # Loaded once per Searcher (T3); columns stay zero-copy Arrow — the
         # term dictionary is a _SortedTermIndex over the term-sorted chunk
         # column, NOT a Python dict (web-scale vocabularies). A generation
         # may include parent generations (log-structured incremental adds,
@@ -268,7 +273,7 @@ class Searcher:
             # shard i takes the i-th of n nearly-equal contiguous sid runs,
             # so its doc span shrinks ~1/n. The r2 `sid % n` interleave left
             # every shard spanning the FULL doc range, which made each
-            # sharded actor allocate a corpus-wide dense accumulator —
+            # shard searcher allocate a corpus-wide dense accumulator —
             # measured at soak scale: sharded p95 2.2x WORSE than a single
             # searcher from the concurrent span-wide memory traffic.
             # Contiguous ranges are also the multi-node layout (a shard =
@@ -281,10 +286,10 @@ class Searcher:
         # LAZY residency (r3 verdict #8 / north-star "mmap'd segment
         # shards"): __init__ only LISTS chunk files (no data read); a
         # bucket's chunk tables + term indexes load on the first probe of
-        # that bucket and stay cached for the actor's lifetime. A searcher
-        # serving a selective query mix touches only the buckets its terms
-        # hash to, so actor RSS and init time scale with the WORKING SET,
-        # not the shard — at web scale an actor over a 100 GB shard that
+        # that bucket and stay cached for the Searcher's lifetime. A
+        # searcher serving a selective query mix touches only the buckets
+        # its terms hash to, so its RSS and init time scale with the WORKING
+        # SET, not the shard — at web scale a searcher over a 100 GB shard that
         # answers head-term queries resides a few hot buckets. Parquet
         # reads use memory_map=True so the OS page cache backs the raw
         # column bytes (zstd pages still decompress into heap; the decoded
@@ -1079,7 +1084,7 @@ class Searcher:
         _check_topk_mode(mode)
         if mode == "phrase":
             # scored exact-phrase queries through the same distributed
-            # surface (SearcherStage actor pool); no pagination — phrase
+            # surface (run_queries / topk_sharded); no pagination — phrase
             # hit sets are verify-bounded, page via k
             if after is not None:
                 raise ValueError("phrase mode does not support search-after")
@@ -1286,7 +1291,7 @@ class Searcher:
 
     # positions LRU: caches FULL per-term decodes (the dense stopword
     # case) bounded by total cached position count, so repeated phrase
-    # queries over head terms pay the big decode once per actor
+    # queries over head terms pay the big decode once per Searcher
     _POS_CACHE_MAX_VALUES = 64_000_000      # ~0.5 GB of int64 positions
 
     def _pos_cache_get(self, term: str):
@@ -1771,58 +1776,76 @@ class Searcher:
         return out
 
 
-def _after_of_batch(batch: pa.Table):
-    """Optional per-query search-after columns (``after_score:float``,
-    ``after_doc:int``; null = first page) — the K2 collector-factory
-    surface at the Dataset level."""
+def _topk_of_batch(s: Searcher, batch: pa.Table, mode: str):
+    """``(query_id, k, hits)`` per query row of ``batch``. Optional per-row
+    columns: ``k`` (default 10), and ``after_score:float`` /
+    ``after_doc:int`` (null = first page), which resume the query strictly
+    after that (score, doc) position — search-after pagination, the K2
+    collector-factory surface at the Dataset level."""
     names = batch.column_names
-    if "after_score" not in names or "after_doc" not in names:
-        return None
-    return list(zip(batch["after_score"].to_pylist(),
-                    batch["after_doc"].to_pylist()))
+    ks = batch["k"].to_pylist() if "k" in names else None
+    afters = (list(zip(batch["after_score"].to_pylist(),
+                       batch["after_doc"].to_pylist()))
+              if "after_score" in names and "after_doc" in names else None)
+    for i, (qid, q) in enumerate(zip(batch["query_id"].to_pylist(),
+                                     batch["query"].to_pylist())):
+        k = int(ks[i]) if ks else 10
+        after = None
+        if afters is not None and afters[i][0] is not None:
+            after = (float(afters[i][0]), int(afters[i][1]))
+        yield qid, k, s.topk(q, k, mode=mode, after=after)
 
 
-class SearcherStage:
-    """``map_batches`` actor: batch of queries in, top-k result rows out.
+def _query_blocks(queries: pa.Table | rd.Dataset) -> rd.Dataset:
+    """One block, and so one search task, per cluster CPU. A known-size
+    Arrow query table is split driver-side into ``min(rows, CPUs)`` blocks
+    (no AllToAll Repartition — that extra exchange round was the bm25_topk
+    gate's dominant cost at small query counts, BENCH r2); a Dataset
+    repartitions to ``CPUs`` blocks."""
+    n_blocks = (int(ray.cluster_resources().get("CPU", 1))
+                if ray.is_initialized() else os.cpu_count() or 1)
+    if isinstance(queries, pa.Table):
+        n_blocks = max(1, min(n_blocks, queries.num_rows))
+        step = -(-queries.num_rows // n_blocks)
+        return rd.from_arrow([queries.slice(i * step, step)
+                              for i in range(n_blocks)
+                              if i * step < queries.num_rows])
+    return queries.repartition(n_blocks)
 
-    Optional per-row ``after_score``/``after_doc`` columns resume each
-    query strictly after that (score, doc) position (search-after
-    pagination). Output schema (FIXTURES.md §3): query_id:int32,
-    rank:int32, doc_id:int64, url:string, score:float32."""
 
-    def __init__(self, index_dir: str, mode: str = "bmw", default_k: int = 10,
-                 resolve_urls: bool = True, generation: str | None = None,
-                 warm_top_terms: int = 16, similarity: str = "bm25"):
-        _check_topk_mode(mode)
-        # serving actor: eager residency — init cost is amortized over the
-        # actor's lifetime and queries must never pay a first-probe load
-        # (lazy stays the default for driver-side / one-shot searchers)
-        self.searcher = Searcher(index_dir, generation,
-                                 warm_top_terms=warm_top_terms,
-                                 similarity=similarity, residency="eager")
-        self.mode = mode
-        self.default_k = default_k
-        self.resolve = resolve_urls
+def run_queries(
+    index_dir: str,
+    queries: pa.Table | rd.Dataset,
+    *,
+    mode: str = "bmw",
+    concurrency: int | None = None,
+    resolve_urls: bool = True,
+    similarity: str = "bm25",
+) -> rd.Dataset:
+    """The ``-benchmark`` query workload rebuilt (SURVEY §3.2): queries
+    table ``(query_id, query[, k, after_score, after_doc])`` -> one search
+    task per query block -> rows (FIXTURES.md §3) query_id:int32,
+    rank:int32, doc_id:int64, url:string, score:float32.
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    The driver resolves the CURRENT generation once, so every block of a
+    call reads one snapshot, and the next call sees a newer one. Each task
+    opens one lazy :class:`Searcher` on it. ``concurrency`` caps the
+    concurrent tasks (the reference ini's ``thread_count``)."""
+    _check_topk_mode(mode)
+    gen = read_manifest(index_dir)["generation"]
+
+    def search(batch: pa.Table) -> pa.Table:
+        s = Searcher(index_dir, gen, similarity=similarity)
         qids, ranks, docs, scores = [], [], [], []
-        ks = batch["k"].to_pylist() if "k" in batch.column_names else None
-        afters = _after_of_batch(batch)
-        for i, (qid, q) in enumerate(zip(batch["query_id"].to_pylist(),
-                                         batch["query"].to_pylist())):
-            k = int(ks[i]) if ks else self.default_k
-            after = None
-            if afters is not None and afters[i][0] is not None:
-                after = (float(afters[i][0]), int(afters[i][1]))
-            hits = self.searcher.topk(q, k, mode=self.mode, after=after)
-            for r, (d, s) in enumerate(hits):
+        for qid, _, hits in _topk_of_batch(s, batch, mode):
+            for r, (d, sc) in enumerate(hits):
                 qids.append(qid)
                 ranks.append(r)
                 docs.append(d)
-                scores.append(s)
+                scores.append(sc)
         urls = [None] * len(docs)
-        if self.resolve and docs:
-            lut = self.searcher.resolve_urls(docs)
+        if resolve_urls and docs:
+            lut = s.resolve_urls(docs)
             urls = [lut.get(d) for d in docs]
         return pa.table({
             "query_id": pa.array(qids, pa.int32()),
@@ -1832,46 +1855,42 @@ class SearcherStage:
             "score": pa.array(scores, pa.float32()),
         })
 
+    return _query_blocks(queries).map_batches(
+        search, batch_format="pyarrow", batch_size=None,
+        concurrency=concurrency)
 
-class ShardSearcherStage:
-    """``map_batches`` actor for ONE segment shard: emits per-shard top-k
-    rows (query_id, doc_id, score, k) for a cross-shard merge."""
 
-    def __init__(self, index_dir: str, shard_id: int, n_shards: int,
-                 mode: str = "bmw", default_k: int = 10,
-                 generation: str | None = None):
-        _check_topk_mode(mode)
-        # serving actor: eager residency (see SearcherStage)
-        self.searcher = Searcher(index_dir, generation,
-                                 shard=(shard_id, n_shards),
-                                 residency="eager")
-        self.mode = mode
-        self.default_k = default_k
+def run_set_queries(
+    index_dir: str,
+    queries: pa.Table | rd.Dataset,
+    *,
+    method: str = "search_query",
+    method_kwargs: dict | None = None,
+) -> rd.Dataset:
+    """Distributed batch surface for the SET-returning search family
+    (boolean / parser / fuzzy / prefix / wildcard / free — any Searcher
+    method taking ``(query, **kwargs)`` and returning a doc-id array):
+    queries table ``(query_id, query)`` -> one search task per query block
+    (one snapshot, as in :func:`run_queries`) -> ``(query_id, doc_id)``
+    membership rows. The batch analog of the reference's per-thread search
+    dispatch (``LuceneBenchmark.runTest`` :352-382) for the uncollected
+    search types."""
+    gen = read_manifest(index_dir)["generation"]
+    kwargs = method_kwargs or {}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, docs, scores, ks = [], [], [], []
-        kcol = batch["k"].to_pylist() if "k" in batch.column_names else None
-        afters = _after_of_batch(batch)
-        for i, (qid, q) in enumerate(zip(batch["query_id"].to_pylist(),
-                                         batch["query"].to_pylist())):
-            k = int(kcol[i]) if kcol else self.default_k
-            after = None
-            if afters is not None and afters[i][0] is not None:
-                after = (float(afters[i][0]), int(afters[i][1]))
-            # per-shard after-filter + cross-shard merge == global
-            # search-after: the after predicate is per-doc, so each global
-            # page-2 doc is in its own shard's after-filtered top-k
-            for d, s in self.searcher.topk(q, k, mode=self.mode, after=after):
-                qids.append(qid)
-                docs.append(d)
-                scores.append(s)
-                ks.append(k)
-        return pa.table({
-            "query_id": pa.array(qids, pa.int32()),
-            "doc_id": pa.array(docs, pa.int64()),
-            "score": pa.array(scores, pa.float32()),
-            "k": pa.array(ks, pa.int32()),
-        })
+    def search(batch: pa.Table) -> pa.Table:
+        fn = getattr(Searcher(index_dir, gen), method)
+        qids, docs = [], []
+        for qid, q in zip(batch["query_id"].to_pylist(),
+                          batch["query"].to_pylist()):
+            hits = fn(q, **kwargs)
+            qids.extend([int(qid)] * len(hits))
+            docs.extend(int(d) for d in hits)
+        return pa.table({"query_id": pa.array(qids, pa.int64()),
+                         "doc_id": pa.array(docs, pa.int64())})
+
+    return _query_blocks(queries).map_batches(
+        search, batch_format="pyarrow", batch_size=None)
 
 
 def _n_segments(index_dir: str, generation: str | None = None) -> int:
@@ -1879,13 +1898,40 @@ def _n_segments(index_dir: str, generation: str | None = None) -> int:
 
     Segment = the shard granularity of ``topk_sharded`` /
     ``phrase_hits_sharded``: a doc lives in exactly one segment, so shards
-    beyond the segment count would be empty actors (measured at soak scale:
-    a 1.54M-doc index at the default ``docs_per_segment=1M`` has only 2
-    segments, so ``n_shards=4`` left two eager-residency actors idle)."""
+    beyond the segment count would be tasks with no segment to search
+    (measured at soak scale: a 1.54M-doc index at the default
+    ``docs_per_segment=1M`` has only 2 segments, so ``n_shards=4`` left
+    two shards idle)."""
     manifest = read_manifest(index_dir, generation)
     gdirs = [os.path.join(index_dir, g)
              for g in manifest.get("includes", [manifest["generation"]])]
     return len({s for gd in gdirs for s in list_segment_ids(gd)})
+
+
+def _shard_union(index_dir: str, queries: pa.Table | rd.Dataset,
+                 n_shards: int, shard_fn) -> rd.Dataset:
+    """Fan ``queries`` out to one task per (query block, shard): the union
+    of ``n`` lazy ``map_batches`` passes, where ``shard_fn(searcher,
+    batch)`` answers a block from a lazy :class:`Searcher` over the i-th
+    contiguous segment run of one driver-resolved generation. ``n`` is
+    ``n_shards`` clamped to the segment count."""
+    gen = read_manifest(index_dir)["generation"]
+    n = max(1, min(n_shards, _n_segments(index_dir, gen)))
+    ds = rd.from_arrow(queries) if isinstance(queries, pa.Table) else queries
+
+    def on_shard(i: int):
+        return lambda batch: shard_fn(
+            Searcher(index_dir, gen, shard=(i, n)), batch)
+
+    shards = [ds.map_batches(on_shard(i), batch_format="pyarrow",
+                             batch_size=None) for i in range(n)]
+    return shards[0].union(*shards[1:]) if n > 1 else shards[0]
+
+
+_SHARD_TOPK_SCHEMA = pa.schema([("query_id", pa.int32()),
+                                ("doc_id", pa.int64()),
+                                ("score", pa.float32()),
+                                ("k", pa.int32())])
 
 
 def topk_sharded(
@@ -1897,79 +1943,44 @@ def topk_sharded(
 ) -> rd.Dataset:
     """Segment-sharded distributed top-k (intra-query parallelism).
 
-    Every query fans out to ``n_shards`` shard actors, each scoring only its
+    Every query fans out to ``n_shards`` shard tasks, each scoring only its
     contiguous run of segment ids (see :class:`Searcher`'s ``shard``) with
-    GLOBAL idf/avgdl; the cross-shard merge
-    re-applies the (score desc, doc_id asc) comparator per query — exact
-    because each global top-k doc is in its own shard's top-k (SURVEY K2).
-    On a multi-node cluster each shard actor holds ~1/n of the index.
+    GLOBAL idf/avgdl, and emitting that shard's top-k. The call runs them
+    and merges on the driver: one ``np.lexsort`` over (query_id, score
+    desc, doc_id asc) keeps each query's first k of its at most
+    ``n_shards × k`` rows — exact because each global top-k doc is in its
+    own shard's top-k (SURVEY K2). Search-after is per shard: the after
+    predicate is per-doc, so each global next-page doc is in its own
+    shard's after-filtered top-k. Returns rows query_id:int32, rank:int32,
+    doc_id:int64, score:float32, ordered by (query_id, rank).
     """
     _check_topk_mode(mode)
-    ds = rd.from_arrow(queries) if isinstance(queries, pa.Table) else queries
-    n_shards = max(1, min(n_shards, _n_segments(index_dir)))
-    shards = [
-        ds.map_batches(
-            ShardSearcherStage,
-            fn_constructor_kwargs=dict(index_dir=index_dir, shard_id=i,
-                                       n_shards=n_shards, mode=mode),
-            batch_format="pyarrow", batch_size=16, concurrency=1,
-        )
-        for i in range(n_shards)
-    ]
-    merged = shards[0].union(*shards[1:]) if len(shards) > 1 else shards[0]
 
-    def merge_group(g: pa.Table) -> pa.Table:
-        k = int(g["k"][0].as_py())
-        docs = g["doc_id"].to_numpy()
-        scores = g["score"].to_numpy()
-        order = np.lexsort((docs, -scores.astype(np.float64)))[:k]
-        return pa.table({
-            "query_id": pc.cast(g["query_id"], pa.int32())[:0].combine_chunks()
-            if order.size == 0 else
-            pa.array([g["query_id"][0].as_py()] * order.size, pa.int32()),
-            "rank": pa.array(np.arange(order.size, dtype=np.int32)),
-            "doc_id": pa.array(docs[order], pa.int64()),
-            "score": pa.array(scores[order], pa.float32()),
-        })
+    def shard_topk(s: Searcher, batch: pa.Table) -> pa.Table:
+        qids, docs, scores, ks = [], [], [], []
+        for qid, k, hits in _topk_of_batch(s, batch, mode):
+            for d, sc in hits:
+                qids.append(qid)
+                docs.append(d)
+                scores.append(sc)
+                ks.append(k)
+        return pa.table([qids, docs, scores, ks], schema=_SHARD_TOPK_SCHEMA)
 
-    return merged.groupby("query_id").map_groups(merge_group, batch_format="pyarrow")
-
-
-class PhraseShardStage:
-    """``map_batches`` actor for ONE contiguous segment shard of the
-    phrase surface: ``(query_id, query[, slop])`` batch in,
-    ``(query_id, doc_id)`` phrase-hit rows from this shard's positional
-    sidecar out. The shard holds ~1/n of the segments (contiguous doc
-    ranges, same layout as :class:`ShardSearcherStage`), so the dense
-    all-head-term worst case — where the candidate screen barely prunes
-    and the verify chain walks nearly every posting's positions — divides
-    its decode + chain work by ``n_shards``."""
-
-    def __init__(self, index_dir: str, shard_id: int, n_shards: int,
-                 slop: int = 0, generation: str | None = None):
-        self.searcher = Searcher(index_dir, generation,
-                                 shard=(shard_id, n_shards),
-                                 residency="eager")
-        self.slop = slop
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids: list[int] = []
-        docs: list[np.ndarray] = []
-        slops = (batch["slop"].to_pylist()
-                 if "slop" in batch.column_names else None)
-        for i, (qid, q) in enumerate(zip(batch["query_id"].to_pylist(),
-                                         batch["query"].to_pylist())):
-            toks = self.searcher._query_terms(q)
-            hits = self.searcher.phrase_hits(
-                toks, int(slops[i]) if slops is not None else self.slop)
-            qids.extend([int(qid)] * hits.size)
-            docs.append(hits)
-        return pa.table({
-            "query_id": pa.array(qids, pa.int64()),
-            "doc_id": pa.array(
-                np.concatenate(docs) if docs else np.zeros(0, np.int64),
-                pa.int64()),
-        })
+    merged = _shard_union(index_dir, queries, n_shards, shard_topk)
+    parts = [t for t in ray.get(merged.to_arrow_refs()) if t.num_rows]
+    t = pa.concat_tables(parts) if parts else _SHARD_TOPK_SCHEMA.empty_table()
+    qid, doc, score, k = (t[c].to_numpy() for c in _SHARD_TOPK_SCHEMA.names)
+    order = np.lexsort((doc, -score, qid))
+    qid, doc, score, k = qid[order], doc[order], score[order], k[order]
+    starts = np.flatnonzero(np.r_[True, qid[1:] != qid[:-1]])
+    rank = np.arange(qid.size) - np.repeat(starts, np.diff(np.r_[starts, qid.size]))
+    keep = rank < k
+    return rd.from_arrow(pa.table({
+        "query_id": pa.array(qid[keep], pa.int32()),
+        "rank": pa.array(rank[keep], pa.int32()),
+        "doc_id": pa.array(doc[keep], pa.int64()),
+        "score": pa.array(score[keep], pa.float32()),
+    }))
 
 
 def phrase_hits_sharded(
@@ -1981,125 +1992,37 @@ def phrase_hits_sharded(
 ) -> rd.Dataset:
     """Segment-sharded distributed phrase search (intra-query
     parallelism for :meth:`Searcher.phrase_hits` — VERDICT r4 #8): every
-    phrase fans out to ``n_shards`` shard actors, each screening +
-    position-verifying only its contiguous segment range. Docs live in
-    exactly one segment, so the union of per-shard hit sets IS the
-    global hit set — no merge/dedup step, and exactness is structural.
+    phrase fans out to ``n_shards`` shard tasks, each screening +
+    position-verifying only its contiguous segment range, so the dense
+    all-head-term worst case — where the candidate screen barely prunes
+    and the verify chain walks nearly every posting's positions — divides
+    its decode + chain work by ``n_shards``. Docs live in exactly one
+    segment, so the union of per-shard hit sets IS the global hit set — no
+    merge/dedup step, and exactness is structural.
 
     Queries: ``(query_id, query[, slop])``; output rows
     ``(query_id, doc_id)`` (unordered — phrase hits are a membership
-    set, same contract as :class:`SetSearcherStage`)."""
-    ds = rd.from_arrow(queries) if isinstance(queries, pa.Table) else queries
-    n_shards = max(1, min(n_shards, _n_segments(index_dir)))
-    shards = [
-        ds.map_batches(
-            PhraseShardStage,
-            fn_constructor_kwargs=dict(index_dir=index_dir, shard_id=i,
-                                       n_shards=n_shards, slop=slop),
-            batch_format="pyarrow", batch_size=16, concurrency=1,
-        )
-        for i in range(n_shards)
-    ]
-    return shards[0].union(*shards[1:]) if len(shards) > 1 else shards[0]
+    set, same contract as :func:`run_set_queries`)."""
 
+    def shard_hits(s: Searcher, batch: pa.Table) -> pa.Table:
+        qids: list[int] = []
+        docs: list[np.ndarray] = []
+        slops = (batch["slop"].to_pylist()
+                 if "slop" in batch.column_names else None)
+        for i, (qid, q) in enumerate(zip(batch["query_id"].to_pylist(),
+                                         batch["query"].to_pylist())):
+            hits = s.phrase_hits(s._query_terms(q),
+                                 int(slops[i]) if slops is not None else slop)
+            qids.extend([int(qid)] * hits.size)
+            docs.append(hits)
+        return pa.table({
+            "query_id": pa.array(qids, pa.int64()),
+            "doc_id": pa.array(
+                np.concatenate(docs) if docs else np.zeros(0, np.int64),
+                pa.int64()),
+        })
 
-class SetSearcherStage:
-    """``map_batches`` actor for the SET-returning search family (boolean /
-    parser / fuzzy / prefix / wildcard / free — any Searcher method taking
-    ``(query, **kwargs)`` and returning a doc-id array): batch of queries
-    in, ``(query_id, doc_id)`` membership rows out. The batch analog of the
-    reference's per-thread search dispatch (``LuceneBenchmark.runTest``
-    :352-382) for the uncollected search types."""
-
-    def __init__(self, index_dir: str, method: str = "search_query",
-                 method_kwargs: dict | None = None,
-                 generation: str | None = None):
-        # serving actor: eager residency (see SearcherStage)
-        self.searcher = Searcher(index_dir, generation, residency="eager")
-        self.fn = getattr(self.searcher, method)
-        self.kwargs = method_kwargs or {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, docs = [], []
-        for qid, q in zip(batch["query_id"].to_pylist(),
-                          batch["query"].to_pylist()):
-            hits = self.fn(q, **self.kwargs)
-            qids.extend([int(qid)] * len(hits))
-            docs.extend(int(d) for d in hits)
-        return pa.table({"query_id": pa.array(qids, pa.int64()),
-                         "doc_id": pa.array(docs, pa.int64())})
-
-
-def _query_blocks(queries: pa.Table | rd.Dataset, concurrency) -> rd.Dataset:
-    """Driver-side split of a known-size Arrow query table into blocks (no
-    Repartition exchange); Dataset inputs repartition as before."""
-    n_blocks = max(int(concurrency) if not isinstance(concurrency, tuple)
-                   else concurrency[1], 1) * 2
-    if isinstance(queries, pa.Table):
-        n_blocks = max(1, min(n_blocks, queries.num_rows))
-        step = -(-queries.num_rows // n_blocks)
-        return rd.from_arrow([queries.slice(i * step, step)
-                              for i in range(n_blocks)
-                              if i * step < queries.num_rows])
-    return queries.repartition(n_blocks)
-
-
-def run_set_queries(
-    index_dir: str,
-    queries: pa.Table | rd.Dataset,
-    *,
-    method: str = "search_query",
-    method_kwargs: dict | None = None,
-    concurrency: int | tuple[int, int] | None = None,
-) -> rd.Dataset:
-    """Distributed batch surface for the set-returning search family:
-    queries table ``(query_id, query)`` -> searcher actor pool ->
-    ``(query_id, doc_id)`` rows."""
-    if concurrency is None:
-        import ray
-
-        concurrency = max(1, int(ray.cluster_resources().get("CPU", 4)) // 2) \
-            if ray.is_initialized() else 2
-    return _query_blocks(queries, concurrency).map_batches(
-        SetSearcherStage,
-        fn_constructor_kwargs=dict(index_dir=index_dir, method=method,
-                                   method_kwargs=method_kwargs),
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=concurrency,
-    )
-
-
-def run_queries(
-    index_dir: str,
-    queries: pa.Table | rd.Dataset,
-    *,
-    mode: str = "bmw",
-    concurrency: int | tuple[int, int] | None = None,
-    resolve_urls: bool = True,
-    similarity: str = "bm25",
-) -> rd.Dataset:
-    """The ``-benchmark`` query workload rebuilt (SURVEY §3.2): queries table
-    -> searcher actor pool -> (query_id, rank, doc_id, url, score)."""
-    _check_topk_mode(mode)
-    if concurrency is None:
-        import ray
-
-        concurrency = max(1, int(ray.cluster_resources().get("CPU", 4)) // 2) \
-            if ray.is_initialized() else 2
-    # a small query table arrives as ONE block; split driver-side (no
-    # AllToAll Repartition — that extra exchange round was the bm25_topk
-    # gate's dominant cost at small query counts, BENCH r2)
-    ds = _query_blocks(queries, concurrency)
-    return ds.map_batches(
-        SearcherStage,
-        fn_constructor_kwargs=dict(index_dir=index_dir, mode=mode,
-                                   resolve_urls=resolve_urls,
-                                   similarity=similarity),
-        batch_format="pyarrow",
-        batch_size=8,
-        concurrency=concurrency,
-    )
+    return _shard_union(index_dir, queries, n_shards, shard_hits)
 
 
 def search_block_join(

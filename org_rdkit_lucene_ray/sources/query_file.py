@@ -110,9 +110,11 @@ def read_benchmark_config(path: str, *, time_stamp: str = "time") -> dict:
 
 def run_benchmark_config(config_path: str, *, time_stamp: str = "time") -> dict:
     """End-to-end ``-benchmark`` analog: ini config -> query-file reader
-    (row range, seeded shuffle) -> searcher actor pool -> CSV results sink
+    (row range, seeded shuffle) -> search tasks -> CSV results sink
     (``LuceneBenchmark.java:630-714`` condensed to one Dataset pipeline).
-    Returns the parsed config + result row count."""
+    The ini's ``thread_count`` caps the concurrent query tasks (the
+    reference's fixed thread pool). Returns the parsed config + result row
+    count."""
     from org_rdkit_lucene_ray.pipelines.query import run_queries
 
     cfg = read_benchmark_config(config_path, time_stamp=time_stamp)

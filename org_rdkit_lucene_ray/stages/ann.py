@@ -157,11 +157,6 @@ class IVFIndex:
         self.centroids = C
         return self
 
-    def assign_batch(self, batch: pa.Table, emb_col: str = "embedding") -> pa.Table:
-        E = _normalize(_emb_matrix(batch, emb_col))
-        assign = np.argmax(E @ self.centroids.T, axis=1).astype(np.int32)
-        return batch.append_column("cluster", pa.array(assign))
-
     def probe_clusters(self, qvec: np.ndarray, nprobe: int) -> np.ndarray:
         sims = _normalize(qvec.reshape(1, -1)) @ self.centroids.T
         return np.argsort(-sims[0])[:nprobe].astype(np.int32)

@@ -1087,22 +1087,16 @@ def test_suggest_terms_ordering(searcher, oracle_index):
 
 def test_topk_mode_rejects_unknown(built_index, searcher):
     """An unknown top-k mode raises with the valid modes listed — from
-    Searcher.topk, from the serving stages at construction, and from
-    run_queries/topk_sharded before any batch runs."""
-    from org_rdkit_lucene_ray.pipelines.query import (
-        SearcherStage,
-        ShardSearcherStage,
-        topk_sharded,
-    )
+    Searcher.topk, and from run_queries/topk_sharded before any batch
+    runs."""
+    from org_rdkit_lucene_ray.pipelines.query import topk_sharded
 
     idx, _ = built_index
     for mode in ("wand", "BMW", ""):
         with pytest.raises(ValueError, match="valid modes: bmw, exhaustive, phrase"):
             searcher.topk("baba", 5, mode=mode)
     queries = gen_queries(n_random=2)
-    for make in (lambda: SearcherStage(idx, mode="wand"),
-                 lambda: ShardSearcherStage(idx, 0, 2, mode="wand"),
-                 lambda: run_queries(idx, queries, mode="wand"),
+    for make in (lambda: run_queries(idx, queries, mode="wand"),
                  lambda: topk_sharded(idx, queries, mode="wand")):
         with pytest.raises(ValueError, match="'wand'"):
             make()

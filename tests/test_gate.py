@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import signal
 import subprocess
@@ -170,6 +171,36 @@ def _session_pids(sid: int) -> list[int]:
     return out
 
 
+def _run_in_own_session(args: list[str], cwd, timeout: float):
+    """``python -c *args`` in a child with its own session (so its Ray
+    cluster too). On timeout the whole process group — Ray's raylet, GCS
+    and workers included — is killed. Returns (timed_out, returncode,
+    stdout, stderr, pids of the session still alive 20 s after the exit,
+    which are killed as well)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", *args], cwd=str(cwd), env=env,
+        start_new_session=True, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+        timed_out = False
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+        timed_out = True
+    deadline = time.monotonic() + 20
+    while _session_pids(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.5)
+    left = _session_pids(proc.pid)
+    if left:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    return timed_out, proc.returncode, out, err, left
+
+
 def test_join_gates_finish_at_one_cpu(con, tmp_path):
     """The join gates and the read-fed map-stage gates finish on a 1-CPU
     Ray cluster; those with an oracle match DuckDB. Neither Ray's
@@ -182,35 +213,89 @@ def test_join_gates_finish_at_one_cpu(con, tmp_path):
     outlive the test."""
     import __ray_entry__ as e
 
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_GATES, SF_DIR, str(tmp_path),
-         *ONE_CPU_GATES],
-        cwd=str(tmp_path), env=env, start_new_session=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
-        _, err = proc.communicate(timeout=120)
-        timed_out = False
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        _, err = proc.communicate()
-        timed_out = True
-    deadline = time.monotonic() + 20
-    while _session_pids(proc.pid) and time.monotonic() < deadline:
-        time.sleep(0.5)
-    left = _session_pids(proc.pid)
-    if left:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
+    timed_out, rc, _, err, left = _run_in_own_session(
+        [_ONE_CPU_GATES, SF_DIR, str(tmp_path), *ONE_CPU_GATES], tmp_path, 120)
     assert not timed_out, "gates did not finish in 120 s at num_cpus=1"
-    assert proc.returncode == 0, err[-3000:]
+    assert rc == 0, err[-3000:]
     assert not left, f"Ray processes outlived the child: {left}"
     for name in ONE_CPU_GATES:
         got = pd.read_parquet(tmp_path / f"{name}.parquet")
         if name in e.oracle_sql():
             _compare(name, got, con.execute(e.oracle_sql()[name]).fetch_df())
+
+
+# Child-process body of test_query_calls_finish_at_one_cpu: one small
+# positional index, then back-to-back calls of each batch query surface in
+# one 1-CPU Ray session (no gc.collect() between them). Each call's rows
+# must equal a driver-side Searcher's; each call prints its wall seconds.
+_ONE_CPU_QUERIES = textwrap.dedent("""
+    import json, sys, time
+    import ray
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    ray.data.DataContext.get_current().enable_progress_bars = False
+    from org_rdkit_lucene_ray import synth
+    from org_rdkit_lucene_ray.config import IndexConfig
+    from org_rdkit_lucene_ray.pipelines.build import build_index
+    from org_rdkit_lucene_ray.pipelines.query import (
+        Searcher, phrase_hits_sharded, run_queries, run_set_queries,
+        topk_sharded)
+    tmp = sys.argv[1]
+    synth.write_pages_dir(f"{tmp}/pages", 1000, n_fragments=4, seed=42)
+    idx = f"{tmp}/idx"
+    build_index(f"{tmp}/pages", idx, cfg=IndexConfig(
+        docs_per_segment=256, term_buckets=8, block_size=32,
+        store_positions=True))
+    queries = synth.gen_queries(42)
+    s = Searcher(idx)
+    rows = list(zip(*(queries[c].to_pylist() for c in ("query_id", "query", "k"))))
+    want_topk = sorted((qid, r, d, sc) for qid, q, k in rows
+                       for r, (d, sc) in enumerate(s.topk(q, k)))
+    want_or = sorted((qid, int(d)) for qid, q, _ in rows for d in s.search_or(q))
+    want_phrase = sorted((qid, int(d)) for qid, q, _ in rows
+                         for d in s.phrase_hits(s._query_terms(q), 0))
+    assert want_topk and want_or and want_phrase
+
+    def timed(name, call):
+        t = time.perf_counter()
+        df = call().to_pandas()
+        print(json.dumps([name, time.perf_counter() - t]), flush=True)
+        return df
+
+    for _ in range(6):
+        df = timed("run_queries", lambda: run_queries(idx, queries, resolve_urls=False))
+        assert sorted(zip(df.query_id, df["rank"], df.doc_id, df.score)) == want_topk
+    df = timed("run_set_queries",
+               lambda: run_set_queries(idx, queries, method="search_or"))
+    assert sorted(zip(df.query_id, df.doc_id)) == want_or
+    df = timed("topk_sharded", lambda: topk_sharded(idx, queries, n_shards=2))
+    assert sorted(zip(df.query_id, df["rank"], df.doc_id, df.score)) == want_topk
+    df = timed("phrase_hits_sharded",
+               lambda: phrase_hits_sharded(idx, queries, n_shards=2))
+    assert sorted(zip(df.query_id, df.doc_id)) == want_phrase
+    ray.shutdown()
+""")
+
+
+def test_query_calls_finish_at_one_cpu(tmp_path):
+    """Back-to-back batch query calls in one 1-CPU Ray session each finish
+    within a few seconds and answer exactly as a driver-side Searcher: six
+    ``run_queries`` calls, then ``run_set_queries``, ``topk_sharded`` and
+    ``phrase_hits_sharded``. As actor pools, one of six ``run_queries``
+    calls stalled for 12-21 s, and ``topk_sharded`` took 15-29 s. The
+    first call also starts the worker process, so it gets 10 s; every
+    later call gets 5 s."""
+    timed_out, rc, out, err, left = _run_in_own_session(
+        [_ONE_CPU_QUERIES, str(tmp_path)], tmp_path, 180)
+    calls = [json.loads(line) for line in out.splitlines()
+             if line.startswith("[")]
+    assert not timed_out, f"query calls did not finish in 180 s: {calls}"
+    assert rc == 0, err[-3000:]
+    assert not left, f"Ray processes outlived the child: {left}"
+    assert [n for n, _ in calls] == ["run_queries"] * 6 + [
+        "run_set_queries", "topk_sharded", "phrase_hits_sharded"]
+    for i, (name, secs) in enumerate(calls):
+        assert secs <= (10.0 if i == 0 else 5.0), (i, name, calls)
 
 
 # Child-process body of test_gate_temp_dirs_removed_at_exit: builds every

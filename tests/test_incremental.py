@@ -394,6 +394,38 @@ def test_chained_deltas_three_generations(ray_session, pages_dir, tmp_path_facto
             s2.topk_exhaustive(q["query"], int(q["k"])), q["query"]
 
 
+def test_run_queries_sees_new_generation(ray_session, tmp_path_factory):
+    """A ``run_queries`` call after ``add_documents`` answers from the new
+    generation, equal to a fresh Searcher's top-k, although an earlier call
+    in the same session searched the old one."""
+    from org_rdkit_lucene_ray.pipelines.query import run_queries
+    from org_rdkit_lucene_ray.synth import gen_pages
+
+    d = tmp_path_factory.mktemp("newgen_pages")
+    pq.write_table(gen_pages(300, seed=31), str(d / "base.parquet"))
+    pq.write_table(gen_pages(100, seed=32, index_offset=300),
+                   str(d / "delta.parquet"))
+    idx = str(tmp_path_factory.mktemp("newgen_idx"))
+    build_index([str(d / "base.parquet")], idx, cfg=CFG)
+    queries = gen_queries(n_random=10)
+
+    def rows():
+        df = run_queries(idx, queries, resolve_urls=False).to_pandas()
+        return sorted(zip(df.query_id, df["rank"], df.doc_id, df.score))
+
+    def want():
+        s = Searcher(idx)
+        return sorted((q["query_id"], r, d, sc) for q in queries.to_pylist()
+                      for r, (d, sc) in enumerate(s.topk(q["query"], q["k"])))
+
+    before = rows()
+    assert before == want()
+    add_documents(idx, [str(d / "delta.parquet")])
+    after = rows()
+    assert after == want()
+    assert after != before
+
+
 def test_merge_crash_resume(ray_session, pages_dir, tmp_path_factory):
     """A merge killed mid-flight resumes by skip-if-exists: rerunning after
     deleting the new generation's manifest + a slice of its outputs
