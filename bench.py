@@ -104,7 +104,7 @@ def bench_headline(sf: str, num_cpus: int) -> dict:
     # TIMED run of each query, after the warm-up sweep below (r5 change;
     # r1-r4 had no warm-up sweep, so their p95 included cold decode).
     searches_per_type = int((os.environ.get("RAY_GRAFT_SEARCHES_PER_TYPE") or "3"))
-    s = Searcher(idx, warm_top_terms=16)
+    s = Searcher(idx)
     # untimed warm-up sweep over the full query set BEFORE the timed loop —
     # the reference benchmark's own protocol (LuceneBenchmark.java:645-664
     # runs 5 warm-up searches per type before measuring). Without it the

@@ -155,7 +155,8 @@ def _sum_by_doc(parts_d: list, parts_w: list):
     ``(docs sorted, weights in that order, group starts)``. The stable sort
     keeps clause order within a doc, so ``np.add.reduceat`` over the starts
     sums left-to-right in the oracle's order (it is sequential below its
-    128-element pairwise threshold; queries have far fewer clauses)."""
+    128-element pairwise threshold; queries have far fewer clauses). A
+    weight part may be 2-D: its rows travel with their docs."""
     docs = np.concatenate(parts_d)
     order = np.argsort(docs, kind="stable")
     docs_s, ws_s = docs[order], np.concatenate(parts_w)[order]
@@ -164,17 +165,51 @@ def _sum_by_doc(parts_d: list, parts_w: list):
     return docs_s, ws_s, starts
 
 
-def _fold_topk(parts_d: list, parts_w: list, k: int) -> list[tuple[int, float]]:
-    """Shared clause-fold for the boosted/synonym scorers: per-doc sum in
-    concat order (:func:`_sum_by_doc`) -> float32 cast -> (score desc,
-    doc asc) top-k."""
-    if not parts_d or k <= 0:
-        return []
+def _fold_scores(parts_d: list, parts_w: list) -> tuple[np.ndarray, np.ndarray]:
+    """The one exhaustive fold: per-clause (docs, float64 weights) ->
+    ``(docs ascending, float32 scores)``, each doc's weights summed in
+    clause order (:func:`_sum_by_doc`) and cast to float32 once."""
+    if not parts_d:
+        return np.zeros(0, np.int64), np.zeros(0, np.float32)
     docs_s, ws_s, starts = _sum_by_doc(parts_d, parts_w)
-    sums = np.add.reduceat(ws_s, starts).astype(np.float32)
-    docs_u = docs_s[starts]
-    top = np.lexsort((docs_u, -sums.astype(np.float64)))[:k]
-    return [(int(docs_u[i]), float(sums[i])) for i in top]
+    return docs_s[starts], np.add.reduceat(ws_s, starts).astype(np.float32)
+
+
+# Doc-set algebra over ascending, duplicate-free doc-id arrays (Lucene
+# BooleanQuery doc-set semantics); every result is ascending too.
+def _intersect(sets: list[np.ndarray]) -> np.ndarray:
+    """MUST: shortest set first, stopping as soon as the result is empty."""
+    if not sets:
+        return np.zeros(0, np.int64)
+    sets = sorted(sets, key=len)
+    out = sets[0]
+    for s in sets[1:]:
+        if out.size == 0:
+            break
+        out = out[np.isin(out, s, assume_unique=True)]
+    return out
+
+
+def _union(sets: list[np.ndarray]) -> np.ndarray:
+    """SHOULD: every doc of any set."""
+    return np.unique(np.concatenate(sets)) if sets else np.zeros(0, np.int64)
+
+
+def _combine(musts: list[np.ndarray], shoulds: list[np.ndarray],
+             must_nots: list[np.ndarray]) -> np.ndarray:
+    """MUST sets intersect; SHOULD sets union only when no MUST exists
+    (beside a MUST they only score); MUST_NOT sets always subtract. A query
+    of MUST_NOT clauses alone matches nothing."""
+    out = _intersect(musts) if musts else _union(shoulds)
+    if must_nots and out.size:
+        out = out[~np.isin(out, _union(must_nots), assume_unique=True)]
+    return out
+
+
+def _cap(docs: np.ndarray, max_hits: int | None) -> np.ndarray:
+    """The reference's ``iMaxHits`` cap (``ChemicalIndex.java:513``): the
+    first ``max_hits`` docs in ascending doc-id order."""
+    return docs if max_hits is None else docs[:max_hits]
 
 
 # scorers :meth:`Searcher.topk` dispatches to
@@ -221,8 +256,7 @@ class Searcher:
     """
 
     def __init__(self, index_dir: str, generation: str | None = None,
-                 shard: tuple[int, int] | None = None,
-                 warm_top_terms: int = 0, similarity: str = "bm25",
+                 shard: tuple[int, int] | None = None, similarity: str = "bm25",
                  residency: str = "lazy"):
         if similarity not in ("bm25", "classic"):
             raise ValueError(f"unknown similarity {similarity!r} "
@@ -319,13 +353,14 @@ class Searcher:
         # sharded scoring needs GLOBAL df — from the df table, not the
         # shard's partial chunk counts. Kept Arrow-native: a term-sorted
         # (term, df) table + binary search, not a vocab-sized Python dict.
+        # The sorted table replaces the cached one, so one copy serves the
+        # df lookups and the vocabulary scans (whose answers are sorted).
         self._gdf_index: _SortedTermIndex | None = None
         self._gdf_vals: np.ndarray | None = None
         if shard is not None:
-            dfs = self._read_df_tables()
+            dfs = self._dfs()
             if dfs is not None:
-                order = pc.sort_indices(dfs["term"])
-                dfs = dfs.take(order)
+                dfs = self._dfs_cache = dfs.take(pc.sort_indices(dfs["term"]))
                 self._gdf_index = _SortedTermIndex(dfs["term"])
                 self._gdf_vals = dfs["df"].to_numpy()
         # tombstones (upserted-away docs): masked at decode time; like
@@ -349,18 +384,6 @@ class Searcher:
         # (_decode_term_positions), bounded by _POS_CACHE_MAX_VALUES
         self._pos_cache: "OrderedDict[str, tuple]" = OrderedDict()
         self._pos_cache_values = 0
-        if warm_top_terms:
-            # eagerly decode the highest-df terms — from the index's df
-            # TABLE (one Arrow aggregate + select_k), not a vocab-sized
-            # Python dict scan (T3 warm-up; the reference's 5 warm-up FP
-            # queries, LuceneBenchmark.java:645-664)
-            dfs = self._read_df_tables()
-            if dfs is not None:
-                top = dfs.take(pc.select_k_unstable(
-                    dfs, k=min(warm_top_terms, dfs.num_rows),
-                    sort_keys=[("df", "descending")]))
-                for t in top["term"].to_pylist():
-                    self._decode_term(t)
 
     def _bucket_chunks(self, bucket: int) -> list[tuple[int, pa.Table, _ChunkIndex]]:
         """Chunk tables + term indexes (with posting-column views) of one
@@ -380,9 +403,14 @@ class Searcher:
         return got
 
     # ------------------------------------------------------------- stats/meta
-    def _read_df_tables(self) -> pa.Table | None:
-        """Concat + combine the per-bucket (term, df) tables across included
-        generations (terms repeat only across generations)."""
+    def _dfs(self) -> pa.Table | None:
+        """The (term, df) table: the per-bucket df tables concatenated and,
+        across included generations (where terms repeat), combined. Read
+        once per Searcher, the one place the df Parquet files are read — for
+        the sharded global df, the multi-term rewrites (vocab scans) and the
+        suggester (df weights)."""
+        if hasattr(self, "_dfs_cache"):
+            return self._dfs_cache
         tabs = []
         for gd in self._gdirs:
             df_dir = os.path.join(gd, "df")
@@ -391,12 +419,11 @@ class Searcher:
             tabs.extend(pq.read_table(os.path.join(df_dir, f))
                         for f in sorted(os.listdir(df_dir))
                         if f.endswith(".parquet"))
-        if not tabs:
-            return None
-        t = pa.concat_tables(tabs)
-        if len(self._gdirs) > 1:
+        t = pa.concat_tables(tabs) if tabs else None
+        if t is not None and len(self._gdirs) > 1:
             g = t.group_by("term").aggregate([("df", "sum")])
             t = pa.table({"term": g["term"], "df": g["df_sum"]})
+        self._dfs_cache = t
         return t
 
     def _term_bucket(self, term: str) -> int:
@@ -557,13 +584,9 @@ class Searcher:
 
         float-exact vs the oracle: contributions concatenated in ascending
         term-occurrence order and summed per doc in that order
-        (:func:`_sum_by_doc`)."""
+        (:func:`_fold_scores`)."""
         reps = [p for p, mult in self._clauses(query) for _ in range(mult)]
-        if not reps:
-            return np.zeros(0, np.int64), np.zeros(0, np.float32)
-        docs_s, ws_s, starts = _sum_by_doc([p.docs for p in reps],
-                                           [p.weights for p in reps])
-        return docs_s[starts], np.add.reduceat(ws_s, starts).astype(np.float32)
+        return _fold_scores([p.docs for p in reps], [p.weights for p in reps])
 
     @staticmethod
     def _after_mask(docs: np.ndarray, s32: np.ndarray,
@@ -579,14 +602,13 @@ class Searcher:
 
     def topk_exhaustive(self, query: str, k: int,
                         after: tuple[float, int] | None = None) -> list[tuple[int, float]]:
+        if k <= 0:
+            return []
         docs, scores = self.score_all(query)
-        if after is not None and docs.size:
+        if after is not None:
             m = self._after_mask(docs, scores, after)
             docs, scores = docs[m], scores[m]
-        if docs.size == 0:
-            return []
-        order = np.lexsort((docs, -scores.astype(np.float64)))[:k]
-        return [(int(docs[i]), float(scores[i])) for i in order]
+        return _top_hits(docs, scores, k)
 
     @classmethod
     def _theta(cls, docs: np.ndarray, s32: np.ndarray, k: int,
@@ -703,42 +725,14 @@ class Searcher:
         terms present, SHOULD terms only influence scoring (Lucene
         semantics) — this method returns the doc SET, sorted ascending.
         """
-        musts, must_nots, shoulds = [], [], []
+        terms: dict[str, set[str]] = {"+": set(), "": set(), "-": set()}
         for raw in query.split():
-            if raw.startswith("+") and len(raw) > 1:
-                musts.extend(self._query_terms(raw[1:]))
-            elif raw.startswith("-") and len(raw) > 1:
-                must_nots.extend(self._query_terms(raw[1:]))
-            else:
-                shoulds.extend(self._query_terms(raw))
-
-        def docs_of(term: str) -> np.ndarray:
-            d = self._decode_term(term)
-            return d[0] if d is not None else np.zeros(0, np.int64)
-
-        if musts:
-            sets = [docs_of(t) for t in set(musts)]
-            if any(s.size == 0 for s in sets):
-                return np.zeros(0, np.int64)
-            sets.sort(key=len)
-            out = sets[0]
-            for s in sets[1:]:
-                out = out[np.isin(out, s, assume_unique=True)]
-                if out.size == 0:
-                    return out
-        elif shoulds:
-            parts = [docs_of(t) for t in set(shoulds)]
-            parts = [p for p in parts if p.size]
-            if not parts:
-                return np.zeros(0, np.int64)
-            out = np.unique(np.concatenate(parts))
-        else:
-            return np.zeros(0, np.int64)
-        for t in set(must_nots):
-            ex = docs_of(t)
-            if ex.size:
-                out = out[~np.isin(out, ex, assume_unique=True)]
-        return out if max_hits is None else out[:max_hits]
+            role = raw[0] if raw[0] in "+-" and len(raw) > 1 else ""
+            terms[role].update(self._query_terms(raw[len(role):]))
+        if terms["+"]:
+            terms[""] = set()        # beside a MUST, SHOULDs only score: no decode
+        sets = {r: [self._term_docs(t) for t in ts] for r, ts in terms.items()}
+        return _cap(_combine(sets["+"], sets[""], sets["-"]), max_hits)
 
     def search_free(self, query: str, max_hits: int | None = None) -> np.ndarray:
         """J5 full analog — ``MultiFieldQueryParser`` over ALL live fields
@@ -751,17 +745,11 @@ class Searcher:
         """
         fields = list(self.manifest["config"].get("field_columns", []))
         expansions: list[str] = []
-        for raw in query.split():
-            for t in self._query_terms(raw):
-                expansions.append(t)
-                if ":" not in t:                    # bare term -> all fields
-                    expansions.extend(f"{f}:{t}" for f in fields)
-        parts = [d[0] for t in set(expansions)
-                 if (d := self._decode_term(t)) is not None]
-        if not parts:
-            return np.zeros(0, np.int64)
-        out = np.unique(np.concatenate(parts))
-        return out if max_hits is None else out[:max_hits]
+        for t in self._query_terms(query):
+            expansions.append(t)
+            if ":" not in t:                        # bare term -> all fields
+                expansions.extend(f"{f}:{t}" for f in fields)
+        return self._union_docs(expansions, max_hits)
 
     # ------------------------------------------ term-dictionary expansions
     # Lucene 3.6 multi-term query family (PrefixQuery / WildcardQuery /
@@ -770,15 +758,6 @@ class Searcher:
     # then SHOULD-union the expansions' posting lists. Pre-4.0 Lucene
     # rewrites all of these by enumerating the dictionary; ours is the df
     # table (bounded vocabulary), scanned with vectorized Arrow kernels.
-    def _dfs(self) -> pa.Table | None:
-        """The concatenated (term, df) table, read once per Searcher —
-        shared by the multi-term rewrites (vocab scans) and the
-        suggester (df weights), so the per-bucket df Parquet files are
-        scanned exactly once."""
-        if not hasattr(self, "_dfs_cache"):
-            self._dfs_cache = self._read_df_tables()
-        return self._dfs_cache
-
     def _vocab(self) -> pa.Array:
         if not hasattr(self, "_vocab_cache"):
             dfs = self._dfs()
@@ -804,14 +783,14 @@ class Searcher:
             self._text_vocab_cache = v.filter(pc.invert(fielded))
         return self._text_vocab_cache
 
+    def _term_docs(self, term: str) -> np.ndarray:
+        """The ascending live doc ids holding ``term`` (empty if none)."""
+        d = self._decode_term(term)
+        return np.zeros(0, np.int64) if d is None else d.docs
+
     def _union_docs(self, terms: list[str],
                     max_hits: int | None = None) -> np.ndarray:
-        parts = [d[0] for t in set(terms)
-                 if (d := self._decode_term(t)) is not None]
-        if not parts:
-            return np.zeros(0, np.int64)
-        out = np.unique(np.concatenate(parts))
-        return out if max_hits is None else out[:max_hits]
+        return _cap(_union([self._term_docs(t) for t in set(terms)]), max_hits)
 
     def prefix_terms(self, prefix: str) -> list[str]:
         """PrefixQuery expansion (``term*``): vectorized starts_with scan."""
@@ -993,40 +972,14 @@ class Searcher:
                     self.fuzzy_terms(norm(m.group(1)), max_edits=edits))
             if "*" in body or "?" in body:
                 return self._union_docs(self.wildcard_terms(norm(body)))
-            toks = self._query_terms(body)
-            if not toks:
-                return np.zeros(0, np.int64)
-            sets = [d[0] if (d := self._decode_term(t)) is not None
-                    else np.zeros(0, np.int64) for t in set(toks)]
-            sets.sort(key=len)
-            out = sets[0]
-            for s in sets[1:]:
-                out = out[np.isin(out, s, assume_unique=True)]
-            return out
+            return _intersect([self._term_docs(t)
+                               for t in set(self._query_terms(body))])
 
-        musts, must_nots, shoulds = [], [], []
+        sets: dict[str, list[np.ndarray]] = {"+": [], "": [], "-": []}
         for raw in Searcher._CLAUSE_RE.findall(query):
-            if raw.startswith("+") and len(raw) > 1:
-                musts.append(clause_docs(raw[1:]))
-            elif raw.startswith("-") and len(raw) > 1:
-                must_nots.append(clause_docs(raw[1:]))
-            else:
-                shoulds.append(clause_docs(raw))
-        if musts:
-            musts.sort(key=len)
-            out = musts[0]
-            for s in musts[1:]:
-                out = out[np.isin(out, s, assume_unique=True)]
-        elif shoulds:
-            parts = [p for p in shoulds if p.size]
-            out = np.unique(np.concatenate(parts)) if parts \
-                else np.zeros(0, np.int64)
-        else:
-            out = np.zeros(0, np.int64)
-        for ex in must_nots:
-            if ex.size and out.size:
-                out = out[~np.isin(out, ex, assume_unique=True)]
-        return out if max_hits is None else out[:max_hits]
+            role = raw[0] if raw[0] in "+-" and len(raw) > 1 else ""
+            sets[role].append(clause_docs(raw[len(role):]))
+        return _cap(_combine(sets["+"], sets[""], sets["-"]), max_hits)
 
     def search_fp_scored(self, query: str, k: int) -> list[tuple[int, float]]:
         """The reference's FP-search type (``searchMoleculesByFingerprintMatch``
@@ -1056,24 +1009,9 @@ class Searcher:
         3. collect verified hits carrying the SCREEN score (`:697`), stop
            at ``k`` in screen-rank order.
         """
-        n_screen = min(k * prescreen_multiplier, prescreen_cap)
-        screened = self.topk(query, n_screen)
-        if not screened:
-            return []
-        terms = set(self._query_terms(query))
-        # verify: membership in every term's posting list (sorted arrays)
-        decs = {t: self._decode_term(t) for t in terms}
-        if any(d is None for d in decs.values()):
-            return []
-        out: list[tuple[int, float]] = []
-        for doc, score in screened:               # screen-rank order
-            if all(np.searchsorted(d[0], doc) < d[0].size
-                   and d[0][np.searchsorted(d[0], doc)] == doc
-                   for d in decs.values()):
-                out.append((doc, score))
-                if len(out) >= k:
-                    break
-        return out
+        screened = self.topk(query, min(k * prescreen_multiplier, prescreen_cap))
+        ok = np.isin([d for d, _ in screened], self.search_and(query))
+        return [hit for hit, o in zip(screened, ok) if o][:k]
 
     def topk(self, query: str, k: int, mode: str = "bmw",
              after: tuple[float, int] | None = None) -> list[tuple[int, float]]:
@@ -1102,32 +1040,14 @@ class Searcher:
         (``ChemicalIndex.java:513``, used at ``LuceneBenchmark.java:358-365``):
         at most that many hits are returned, in ascending doc-id order —
         a head-term query over a web-scale index stays bounded."""
-        terms = set(self._query_terms(query))
-        if not terms:
-            return np.zeros(0, np.int64)
-        sets = []
-        for t in terms:
-            dec = self._decode_term(t)
-            if dec is None:
-                return np.zeros(0, np.int64)
-            sets.append(dec[0])
-        sets.sort(key=len)
-        out = sets[0]
-        for s in sets[1:]:
-            out = out[np.isin(out, s, assume_unique=True)]
-            if out.size == 0:
-                break
-        return out if max_hits is None else out[:max_hits]
+        return _cap(_intersect([self._term_docs(t)
+                                for t in set(self._query_terms(query))]),
+                    max_hits)
 
     def search_or(self, query: str, max_hits: int | None = None) -> np.ndarray:
         """J4: disjunctive union (BooleanQuery SHOULD, ``:538-554``);
         ``max_hits`` caps per the iMaxHits contract (see search_and)."""
-        terms = set(self._query_terms(query))
-        parts = [d[0] for t in terms if (d := self._decode_term(t)) is not None]
-        if not parts:
-            return np.zeros(0, np.int64)
-        out = np.unique(np.concatenate(parts))
-        return out if max_hits is None else out[:max_hits]
+        return self._union_docs(self._query_terms(query), max_hits)
 
     def search_min_should(self, query: str, min_match: int,
                           max_hits: int | None = None) -> np.ndarray:
@@ -1141,13 +1061,12 @@ class Searcher:
         a SHOULD clause that matches nothing."""
         if min_match <= 0:
             return self.search_or(query, max_hits)
-        terms = set(self._query_terms(query))
-        parts = [d[0] for t in terms if (d := self._decode_term(t)) is not None]
+        parts = [d for t in set(self._query_terms(query))
+                 if (d := self._term_docs(t)).size]
         if len(parts) < min_match:
             return np.zeros(0, np.int64)
         u, cnt = np.unique(np.concatenate(parts), return_counts=True)
-        out = u[cnt >= min_match]
-        return out if max_hits is None else out[:max_hits]
+        return _cap(u[cnt >= min_match], max_hits)
 
     def topk_dismax(self, query: str, k: int = 10,
                     tie: float = 0.1) -> list[tuple[int, float]]:
@@ -1170,34 +1089,24 @@ class Searcher:
                                            [p.weights for p, _ in clauses])
         mx = np.maximum.reduceat(ws_s, starts)
         sm = np.add.reduceat(ws_s, starts)
-        s32 = (mx + tie * (sm - mx)).astype(np.float32)
-        u = docs_s[starts]
-        top = np.lexsort((u, -s32.astype(np.float64)))[:k]
-        return [(int(u[i]), float(s32[i])) for i in top]
+        return _top_hits(docs_s[starts],
+                         (mx + tie * (sm - mx)).astype(np.float32), k)
 
     def search_exact(self, text: str, max_hits: int | None = None) -> np.ndarray:
         """J2: exact-match after canonicalization. Canonical form = the token
         multiset (the analyzer is our 'canonical SMILES',
         ``ChemicalIndex.java:574-589``): doc matches iff it has exactly the
         query's tf for every query term and the same total length."""
-        toks = analyze_text(text, self.query_cfg)
-        if not toks:
-            return np.zeros(0, np.int64)
         from collections import Counter
-        want = Counter(toks)
-        dl_want = len(toks)
-        out = None
-        for t, tf_want in sorted(want.items()):
-            dec = self._decode_term(t)
-            if dec is None:
+
+        toks = analyze_text(text, self.query_cfg)
+        sets = []
+        for t, tf_want in Counter(toks).items():
+            d = self._decode_term(t)
+            if d is None:
                 return np.zeros(0, np.int64)
-            docs, tfs, dls = dec[0], dec[1], dec[2]
-            m = (tfs == tf_want) & (dls == dl_want)
-            cand = docs[m]
-            out = cand if out is None else out[np.isin(out, cand, assume_unique=True)]
-            if out.size == 0:
-                return out
-        return out if max_hits is None else out[:max_hits]
+            sets.append(d.docs[(d.tfs == tf_want) & (d.dls == len(toks))])
+        return _cap(_intersect(sets), max_hits)
 
     def phrase_candidates(self, tokens: list[str],
                           max_hits: int | None = None) -> np.ndarray:
@@ -1213,20 +1122,13 @@ class Searcher:
         :func:`search_phrases`."""
         from collections import Counter
 
-        if not tokens:
-            return np.zeros(0, np.int64)
-        out: np.ndarray | None = None
-        for t, mult in sorted(Counter(tokens).items()):
-            dec = self._decode_term(t)
-            if dec is None:
+        sets = []
+        for t, mult in Counter(tokens).items():
+            d = self._decode_term(t)
+            if d is None:
                 return np.zeros(0, np.int64)
-            docs = dec[0] if mult == 1 else dec[0][dec[1] >= mult]
-            out = docs if out is None else out[np.isin(out, docs,
-                                                       assume_unique=True)]
-            if out.size == 0:
-                break
-        assert out is not None
-        return out if max_hits is None else out[:max_hits]
+            sets.append(d.docs if mult == 1 else d.docs[d.tfs >= mult])
+        return _cap(_intersect(sets), max_hits)
 
     def _decode_term_positions(self, term: str,
                                only_docs: np.ndarray | None = None):
@@ -1360,8 +1262,7 @@ class Searcher:
         cand, start, cur, alive = chain
         span_extra = (cur & 0xFFFFFFFF) - (start & 0xFFFFFFFF) - (len(tokens) - 1)
         good = alive & (span_extra <= slop)
-        hits = cand[np.unique(start[good] >> 32)]
-        return hits if max_hits is None else hits[:max_hits]
+        return _cap(cand[np.unique(start[good] >> 32)], max_hits)
 
     def _phrase_freqs(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """(docs, exact-phrase frequency) over the candidate set — freq =
@@ -1471,10 +1372,8 @@ class Searcher:
         prefix = field + ":"
         out: list[tuple[str, int]] = []
         for term in self.prefix_terms(prefix):
-            dec = self._decode_term(term)
-            if dec is None:
-                continue
-            c = int(np.intersect1d(hits, dec[0], assume_unique=True).size)
+            c = int(np.intersect1d(hits, self._term_docs(term),
+                                   assume_unique=True).size)
             if c:
                 out.append((term[len(prefix):], c))
         out.sort(key=lambda x: (-x[1], x[0]))
@@ -1583,34 +1482,24 @@ class Searcher:
         expansion would. Groups contribute in ascending base-term order
         (float64, then one float32 cast), the repo's score-parity protocol.
         """
-        occurrences = sorted(self._query_terms(query))
+        if k <= 0:
+            return []
         parts_d, parts_w = [], []
-        for base in occurrences:
+        for base in sorted(self._query_terms(query)):
             grp = sorted({base, *(s.lower() for s in synonyms.get(base, []))})
-            docs_l, tfs_l, dls_l, dfs = [], [], [], []
-            for t in grp:
-                dfs.append(self.df(t))
-                dec = self._decode_term(t)
-                if dec is None:
-                    continue
-                docs_l.append(dec[0])
-                tfs_l.append(dec[1])
-                dls_l.append(dec[2])
-            if not docs_l:
+            decs = [d for t in grp if (d := self._decode_term(t)) is not None]
+            if not decs:
                 continue
-            docs = np.concatenate(docs_l)
-            tfs = np.concatenate(tfs_l)
-            dls = np.concatenate(dls_l)
-            order = np.argsort(docs, kind="stable")
-            docs, tfs, dls = docs[order], tfs[order], dls[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], docs[1:] != docs[:-1]]))
-            gtf = np.add.reduceat(tfs, starts).astype(np.float64)
-            w = self._weight_arrays(self._sim_idf_of_df(max(dfs)), gtf,
-                                    dls[starts].astype(np.float64))
+            # group members by doc: (tf, dl) rows ride the doc sort
+            docs, tl, starts = _sum_by_doc(
+                [d.docs for d in decs],
+                [np.column_stack((d.tfs, d.dls)) for d in decs])
             parts_d.append(docs[starts])
-            parts_w.append(w)
-        return _fold_topk(parts_d, parts_w, k)
+            parts_w.append(self._weight_arrays(
+                self._sim_idf_of_df(max(self.df(t) for t in grp)),
+                np.add.reduceat(tl[:, 0], starts).astype(np.float64),
+                tl[starts, 1].astype(np.float64)))
+        return _top_hits(*_fold_scores(parts_d, parts_w), k)
 
     _BOOST_RE = None
 
@@ -1623,6 +1512,8 @@ class Searcher:
         same float-parity protocol as :meth:`score_all`."""
         import re as _re
 
+        if k <= 0:
+            return []
         if Searcher._BOOST_RE is None:
             Searcher._BOOST_RE = _re.compile(r"^(.*?)\^(\d+(?:\.\d+)?)$")
         clauses: list[tuple[str, float]] = []
@@ -1631,15 +1522,10 @@ class Searcher:
             body, boost = (m.group(1), float(m.group(2))) if m else (raw, 1.0)
             for t in self._query_terms(body):
                 clauses.append((t, boost))
-        clauses.sort()
-        parts_d, parts_w = [], []
-        for t, boost in clauses:
-            dec = self._decode_term(t)
-            if dec is None:
-                continue
-            parts_d.append(dec[0])
-            parts_w.append(boost * dec.weights)
-        return _fold_topk(parts_d, parts_w, k)
+        decs = [(d, boost) for t, boost in sorted(clauses)
+                if (d := self._decode_term(t)) is not None]
+        return _top_hits(*_fold_scores([d.docs for d, _ in decs],
+                                       [b * d.weights for d, b in decs]), k)
 
     def search_numeric_range(self, field: str, lo, hi, *,
                              include_lo: bool = True,
@@ -1659,10 +1545,8 @@ class Searcher:
                               filters=[(field, opl, lo), (field, oph, hi)])
             if t.num_rows:
                 parts.append(self._not_deleted(t)["doc_id"].to_numpy())
-        if not parts:
-            return np.zeros(0, np.int64)
-        out = np.sort(np.concatenate(parts))
-        return out if max_hits is None else out[:max_hits]
+        out = np.sort(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
+        return _cap(out, max_hits)
 
     def collapse_topk(self, query: str, field: str,
                       k: int = 10) -> list[tuple[str, int, float]]:
@@ -1680,15 +1564,10 @@ class Searcher:
         prefix = field + ":"
         out: list[tuple[str, int, float]] = []
         for term in self.prefix_terms(prefix):
-            dec = self._decode_term(term)
-            if dec is None:
-                continue
-            m = np.isin(docs, dec[0], assume_unique=True)
-            if not m.any():
-                continue
-            d, s = docs[m], scores[m]
-            best = np.lexsort((d, -s.astype(np.float64)))[0]
-            out.append((term[len(prefix):], int(d[best]), float(s[best])))
+            m = np.isin(docs, self._term_docs(term), assume_unique=True)
+            if m.any():
+                out.append((term[len(prefix):],
+                            *_top_hits(docs[m], scores[m], 1)[0]))
         out.sort(key=lambda r: (-np.float64(np.float32(r[2])), r[1]))
         return out[:k]
 

@@ -742,6 +742,23 @@ def test_search_query_parser_semantics(searcher):
     # range clause == search_term_range
     assert searcher.search_query("[baba TO bace]").tolist() == \
         searcher.search_term_range("baba", "bace").tolist()
+    # a multi-token body: its tokens union as a search_boolean SHOULD body,
+    # intersect as one search_query clause
+    assert searcher.search_boolean("baba-cece").tolist() == \
+        searcher.search_or("baba cece").tolist()
+    assert searcher.search_query("baba-cece").tolist() == \
+        searcher.search_and("baba cece").tolist()
+    cece = set(searcher.search_or("cece").tolist())
+    for search in (searcher.search_boolean, searcher.search_query):
+        # MUST_NOT clauses alone match nothing; an absent MUST empties
+        assert search("-baba").size == search("-baba -cece").size == 0
+        assert search("+zzznotaterm baba").size == 0
+        # max_hits caps after MUST_NOT subtracts
+        full = search("baba -cece")
+        assert full.size > 3 and not set(full.tolist()) & cece
+        assert search("baba -cece", max_hits=3).tolist() == full[:3].tolist()
+    # the first three baba docs hold cece, so capping first would differ
+    assert set(searcher.search_or("baba")[:3].tolist()) & cece
 
 
 def test_engine_facade(ray_session, built_index, oracle_index, pages_dir,
@@ -961,6 +978,17 @@ def test_topk_boosted_semantics(searcher):
     assert [d for d, _ in two] == [d for d, _ in one]
     for (_, s1), (_, s2) in zip(one, two):
         assert s2 == 2.0 * s1
+    # a ^0 boost still matches: every score ties at 0.0, so doc id orders
+    baba = searcher.search_or("baba").tolist()
+    for k in (5, 1000):
+        assert searcher.topk_boosted("baba^0", k=k) == [(d, 0.0) for d in baba[:k]]
+    # k=0 selects nothing, on every scored path through the shared select
+    for got in (searcher.topk_exhaustive("baba cece", 0),
+                searcher.topk_boosted("baba cece", k=0),
+                searcher.topk_synonyms("baba", {"baba": ["cece"]}, k=0),
+                searcher.topk_dismax("baba cece", 0),
+                searcher.search_screen_verify("baba cece", 0)):
+        assert got == []
 
 
 def test_explain_matches_score(searcher, oracle_index):
