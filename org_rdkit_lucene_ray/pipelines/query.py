@@ -142,6 +142,8 @@ def _top_hits(docs: np.ndarray, s32: np.ndarray,
     """The first ``k`` of parallel doc/float32-score arrays in (score desc,
     doc_id asc) order — the reference's hit-queue comparator
     (``SubstructureHitQueue.java:98-118``)."""
+    if k <= 0:
+        return []
     if docs.size > max(k, _SORT_ALL_MAX):
         kth = s32[np.argpartition(-s32, k - 1)[:k]].min()
         sel = np.flatnonzero(s32 >= kth)          # keep ties for doc-id order

@@ -44,6 +44,20 @@ logger = logging.getLogger(__name__)
 _MERSENNE = (1 << 61) - 1
 
 
+def _mod_mersenne(v: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``v % (2^61 - 1)`` for uint64 ``v``, in place and without a
+    division: ``2^61 = 1 (mod P)``, so ``(v & P) + (v >> 61)`` is ``v`` mod
+    P up to one subtraction (it is at most ``P + 7``), and ``min(r, r - P)``
+    takes it exactly when ``r >= P`` (below P, ``r - P`` wraps above ``r``).
+    ``tmp`` is scratch of ``v``'s shape."""
+    m = np.uint64(_MERSENNE)
+    np.right_shift(v, np.uint64(61), out=tmp)
+    np.bitwise_and(v, m, out=v)
+    np.add(v, tmp, out=v)
+    np.subtract(v, m, out=tmp)
+    return np.minimum(v, tmp, out=v)
+
+
 # --------------------------------------------------------------- exact dedup
 def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
                        id_col: str = "doc_id") -> rd.Dataset:
@@ -201,9 +215,11 @@ class MinHashStage:
         starts = np.flatnonzero(np.concatenate([[True], parents[1:] != parents[:-1]]))
         present = parents[starts]
         x = (flat % np.uint64(_MERSENNE)).astype(np.uint64)
+        hp, tmp = np.empty_like(x), np.empty_like(x)
         for p in range(self.num_perm):
-            hp = (self.a[p] * x + self.b[p]) % np.uint64(_MERSENNE)
-            sig[present, p] = np.minimum.reduceat(hp, starts)
+            np.multiply(self.a[p], x, out=hp)     # wraps mod 2^64
+            np.add(hp, self.b[p], out=hp)
+            sig[present, p] = np.minimum.reduceat(_mod_mersenne(hp, tmp), starts)
         return sig
 
     def band_rows(self, ids: np.ndarray, sig: np.ndarray) -> pa.Table:
@@ -308,6 +324,9 @@ def _pairs_of_bucket_groups(g: pa.Table) -> pa.Table:
 
 
 def exact_jaccard(tokens_a: list[str], tokens_b: list[str], shingle: int = 3) -> float:
+    """Exact Jaccard of two token lists' ``shingle``-gram hash sets (two
+    empty sets score 1.0). Not on any pipeline path: it stays as the
+    oracle the MinHash tests check verified pairs against."""
     sa = set(_shingle_hashes(tokens_a, shingle).tolist())
     sb = set(_shingle_hashes(tokens_b, shingle).tolist())
     if not sa and not sb:

@@ -1,9 +1,20 @@
 """Small shared utilities: driver-side log hygiene, md5 columns and the
-bucket-fold exchange (:func:`bucket_fold`)."""
+one bucket-fold exchange (:func:`bucket_fold`, :func:`fold_by_key`).
+
+The exchange is every curation fold's and every join's shuffle. It runs
+on plain Ray tasks over a materialized Dataset's block refs: at one
+partition a single task folds every block; past it one split task per
+block cuts the rows at fixed bucket boundaries and one fold task per
+partition folds its slices. Its output is a materialized Dataset."""
 
 from __future__ import annotations
 
 import logging
+
+import numpy as np
+import pyarrow as pa
+import ray
+import ray.data
 
 
 class _EmptySchemaDivergenceFilter(logging.Filter):
@@ -58,9 +69,6 @@ def md5_hex_column(arr, *, null_value=None):
     """
     import hashlib
 
-    import numpy as np
-    import pyarrow as pa
-
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     if arr.type == pa.large_string():
@@ -85,15 +93,12 @@ def md5_hex_column(arr, *, null_value=None):
     return pa.array(out, pa.string())
 
 
-def md5_digest64_column(arr) -> "np.ndarray":
+def md5_digest64_column(arr) -> np.ndarray:
     """md5 digests of a UTF-8 Arrow string column as an (n, 2) int64 array
     (the 16-byte digest viewed as two little-endian int64 words — the
     paragraph/span dedup key layout). Same buffer-slice path as
     :func:`md5_hex_column`; null rows hash as empty strings."""
     import hashlib
-
-    import numpy as np
-    import pyarrow as pa
 
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
@@ -135,8 +140,6 @@ def fold_buckets(n_buckets=None) -> int:
     if env:
         return int(env)
     try:
-        import ray
-
         cpus = int(ray.cluster_resources().get("CPU", 0)) \
             if ray.is_initialized() else 0
     except Exception:
@@ -148,71 +151,113 @@ def fold_partitions(exchange_bytes: int, n_buckets: int) -> int:
     """Partition count of a bucket-fold exchange: one partition per
     :data:`FOLD_PARTITION_BYTES` of exchanged rows, clamped to
     ``[1, n_buckets]`` so a bucket is never split across partitions.
-    Sized by the data, not by the upstream block count (Ray's sort
-    shuffle would give one partition per input block)."""
+    Sized by the data, not by the upstream block count."""
     return max(1, min(n_buckets, -(-exchange_bytes // FOLD_PARTITION_BYTES)))
 
 
-def append_bucket_column(t, key_col: str, n_buckets: int):
-    """Append ``_bkt``, an int64 hash bucket of ``key_col`` (FNV for
-    strings, identity-mod for integers) in ``[0, n_buckets)`` — the front
-    half of :func:`bucket_fold`: all rows of one key share a bucket, and
-    the exchange moves whole buckets. ``n_buckets`` is the domain the
-    driver resolved (:func:`fold_buckets`), so no worker batch asks the
-    cluster for it."""
-    import numpy as np
-    import pyarrow as pa
-
-    keys = t[key_col].combine_chunks() if hasattr(t[key_col], "combine_chunks") \
-        else t[key_col]
+def _bucket_ids(keys, n_buckets: int) -> np.ndarray:
+    """int64 hash buckets of a key column in ``[0, n_buckets)`` (FNV for
+    strings, identity-mod for integers): all rows of one key share a
+    bucket, and the exchange moves whole buckets. ``n_buckets`` is the
+    domain the driver resolved (:func:`fold_buckets`), so no worker asks
+    the cluster for it."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
     if pa.types.is_integer(keys.type):
-        b = keys.to_numpy(zero_copy_only=False).astype(np.int64) % n_buckets
-    else:
-        from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
+        return keys.to_numpy(zero_copy_only=False).astype(np.int64) % n_buckets
+    from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
 
-        b = (stable_term_hash(keys) % np.uint64(n_buckets)).astype(np.int64)
-    return t.append_column("_bkt", pa.array(b, pa.int64()))
+    return (stable_term_hash(keys) % np.uint64(n_buckets)).astype(np.int64)
+
+
+def append_bucket_column(t, key_col: str, n_buckets: int):
+    """Append ``_bkt`` = :func:`_bucket_ids` of ``key_col``: a
+    :func:`bucket_fold` input whose parts bucket on different columns
+    (the two sides of a join) carries its bucket in this column."""
+    return t.append_column(
+        "_bkt", pa.array(_bucket_ids(t[key_col], n_buckets), pa.int64()))
+
+
+@ray.remote
+def _split_block(t: pa.Table, key_col: str | None, n_buckets: int,
+                 bounds: list[int]) -> list[pa.Table]:
+    """One input block -> ``len(bounds) + 1`` slices, slice ``i`` holding
+    the rows whose bucket lies in ``[bounds[i-1], bounds[i])``. The bucket
+    is ``_bkt`` (dropped here, so it never moves) or, with ``key_col``,
+    :func:`_bucket_ids` of that column."""
+    if not t.num_rows:
+        return [t] * (len(bounds) + 1)
+    if key_col is None:
+        b = t["_bkt"].to_numpy()
+        t = t.drop_columns(["_bkt"])
+    else:
+        b = _bucket_ids(t[key_col], n_buckets)
+    part = np.searchsorted(bounds, b, side="right")
+    ends = np.cumsum(np.bincount(part, minlength=len(bounds) + 1))
+    t = t.take(np.argsort(part, kind="stable"))
+    return [t.slice(s, e - s) for s, e in zip([0, *ends[:-1]], ends)]
+
+
+@ray.remote
+def _fold_partition(fold, *blocks: pa.Table) -> pa.Table:
+    """One partition's rows from every input block -> ``fold`` called once
+    on them, ``_bkt`` dropped. An empty partition never reaches ``fold``:
+    it comes back as a zero-column empty block."""
+    blocks = [b for b in blocks if b.num_rows]
+    if not blocks:
+        return pa.table({})
+    t = pa.concat_tables(blocks, promote_options="default")
+    return fold(t.drop_columns(["_bkt"]) if "_bkt" in t.column_names else t)
+
+
+def _exchange(ds, fold, n_buckets: int, key_col: str | None):
+    """The exchange behind :func:`bucket_fold` and :func:`fold_by_key`, on
+    plain Ray tasks over the materialized blocks' refs."""
+    parts = ds.materialize()
+    p = fold_partitions(parts.size_bytes(), n_buckets)
+    blocks = parts.to_arrow_refs()
+    fold_ref = ray.put(fold)
+    if p == 1:
+        outs = [_fold_partition.remote(fold_ref, *blocks)]
+    else:
+        bounds = [n_buckets * i // p for i in range(1, p)]
+        cuts = [_split_block.options(num_returns=p).remote(
+            b, key_col, n_buckets, bounds) for b in blocks]
+        outs = [_fold_partition.remote(fold_ref, *(c[i] for c in cuts))
+                for i in range(p)]
+    return ray.data.from_arrow_refs(outs)
 
 
 def fold_by_key(ds, key_col: str, fold, n_buckets: int | None = None):
-    """:func:`bucket_fold` of ``ds`` bucketed on ``key_col``: the bucket
-    domain is resolved once, here on the driver, and closed over by the
-    :func:`append_bucket_column` map."""
-    n_buckets = fold_buckets(n_buckets)
-    return bucket_fold(
-        ds.map_batches(lambda t: append_bucket_column(t, key_col, n_buckets),
-                       batch_format="pyarrow"),
-        fold, n_buckets)
+    """:func:`bucket_fold` of ``ds`` bucketed on ``key_col``. The rows are
+    materialized as they are: at ``P`` = 1 no key is hashed, and at
+    ``P`` > 1 the split tasks bucket each block with the domain resolved
+    here, once, on the driver."""
+    return _exchange(ds, fold, fold_buckets(n_buckets), key_col)
 
 
 def bucket_fold(ds, fold, n_buckets: int | None = None):
     """The bucket-fold exchange: rows carrying a ``_bkt`` column in
     ``[0, fold_buckets(n_buckets))`` -> ``fold`` called once per
-    partition of whole buckets, ``_bkt`` dropped before the call.
+    partition of whole buckets, ``_bkt`` dropped before the call. It runs
+    on plain Ray tasks, not on Ray Data's all-to-all operators:
 
     1. materialize the bucketed rows (the exchange is a full barrier
        anyway), so their byte size is known metadata;
     2. ``P`` = :func:`fold_partitions` of that size;
-    3. range-partition on ``_bkt`` at fixed boundaries ``nb*i//P`` — no
-       sampling pass, no aggregator actors; ``P`` = 1 is one
-       ``repartition(1)`` block;
-    4. ``map_batches(fold, batch_size=None)``: one call per partition.
+    3. ``P`` = 1: one task concatenates every block and calls ``fold``;
+    4. ``P`` > 1: one split task per block cuts its rows at the fixed
+       bucket boundaries ``nb*i//P`` (``num_returns=P``; no sampling
+       pass), then one fold task per partition takes that partition's
+       slice of every block and calls ``fold`` once.
 
-    ``fold`` must be correct on any union of whole buckets — i.e. segment
-    by its real key (Arrow ``group_by`` or a lexsort) — and return a
-    schema-stable table. Empty partitions never reach it (Ray emits them
-    as zero-column blocks). The materialized rows stay referenced by the
-    returned Dataset's plan until it is dropped."""
-    n_buckets = fold_buckets(n_buckets)
-    parts = ds.materialize()
-    p = fold_partitions(parts.size_bytes(), n_buckets)
-    if p == 1:
-        exchanged = parts.repartition(1)   # boundaries=[] would sample
-    else:
-        exchanged = parts.sort(
-            "_bkt", boundaries=[n_buckets * i // p for i in range(1, p)])
-    return exchanged.map_batches(lambda t: fold(t.drop_columns(["_bkt"])),
-                                 batch_format="pyarrow", batch_size=None)
+    ``fold`` is put in the object store once per call. It must be correct
+    on any union of whole buckets — i.e. segment by its real key (Arrow
+    ``group_by`` or a lexsort) — and return a schema-stable table. Empty
+    partitions never reach it; they come back as zero-column empty
+    blocks. Returns a materialized Dataset of the fold outputs, one block
+    per partition."""
+    return _exchange(ds, fold, fold_buckets(n_buckets), None)
 
 
 def fold_grouped_counts(parts, key_col: str, count_cols: list[str],
@@ -228,8 +273,6 @@ def fold_grouped_counts(parts, key_col: str, count_cols: list[str],
     repo's vocabulary-sized exchanges (BASELINE r3). Output: one
     (key, *count_cols) row per distinct key, bucket-partitioned.
     """
-    import pyarrow as pa
-
     def fold(g: pa.Table) -> pa.Table:
         gg = g.group_by(key_col).aggregate(
             [(c, "sum") for c in count_cols])

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from org_rdkit_lucene_ray.pipelines.query import Searcher, run_queries
+from org_rdkit_lucene_ray.pipelines.query import Searcher, _top_hits, run_queries
 from org_rdkit_lucene_ray.synth import gen_queries
 
 
@@ -989,6 +989,8 @@ def test_topk_boosted_semantics(searcher):
                 searcher.topk_dismax("baba cece", 0),
                 searcher.search_screen_verify("baba cece", 0)):
         assert got == []
+    # ... also past the argpartition threshold of the select itself
+    assert _top_hits(np.arange(600), np.ones(600, np.float32), 0) == []
 
 
 def test_explain_matches_score(searcher, oracle_index):

@@ -116,7 +116,10 @@ def test_fold_partitions_is_data_sized():
 def test_bucket_fold_keeps_buckets_whole(ray_session, monkeypatch):
     """At P = fold_buckets() every key still folds in exactly one call:
     each key's rows, spread over 8 input blocks, come back as ONE row
-    with the full count, and the exchange really ran P partitions."""
+    with the full count, and the exchange really ran P partitions. The
+    same holds with an empty block among the inputs and with keys that
+    fill only 3 of the buckets; an empty Dataset folds to no rows. At
+    both P the fold never sees an empty table and the answers agree."""
     import pyarrow.compute as pc
 
     from org_rdkit_lucene_ray import util
@@ -124,21 +127,31 @@ def test_bucket_fold_keeps_buckets_whole(ray_session, monkeypatch):
     nb = util.fold_buckets()
     keys = np.arange(3000, dtype=np.int64) % 500
     t = pa.table({"key": pa.array(keys), "_bkt": pa.array(keys % nb)})
-    ds = rd.from_arrow([t.slice(i, 375) for i in range(0, 3000, 375)])
+    few = t.set_column(1, "_bkt", pa.array(keys % 3))
+    blocks = [t.slice(i, 375) for i in range(0, 3000, 375)]
+    inputs = {
+        "spread": rd.from_arrow(blocks),
+        "empty_block": rd.from_arrow(blocks[:3] + [t.slice(0, 0)] + blocks[3:]),
+        "few_buckets": rd.from_arrow([few.slice(i, 375) for i in range(0, 3000, 375)]),
+        "empty": rd.from_arrow(t.slice(0, 0)),
+    }
 
     def fold(g: pa.Table) -> pa.Table:
-        assert "_bkt" not in g.column_names
+        assert "_bkt" not in g.column_names and g.num_rows
         gg = g.group_by("key").aggregate([("key", "count")])
         return pa.table({"key": gg["key"],
                          "n": pc.cast(gg["key_count"], pa.int64())})
 
     for part_bytes, want_blocks in ((util.FOLD_PARTITION_BYTES, 1), (1, nb)):
         monkeypatch.setattr(util, "FOLD_PARTITION_BYTES", part_bytes)
-        out = util.bucket_fold(ds, fold).materialize()
-        assert out.num_blocks() == want_blocks
-        got = out.to_pandas().sort_values("key")
-        assert got["key"].tolist() == list(range(500))
-        assert set(got["n"].tolist()) == {6}
+        for name, ds in inputs.items():
+            out = util.bucket_fold(ds, fold).materialize()
+            got = sorted((r["key"], r["n"]) for r in out.take_all())
+            if name == "empty":
+                assert got == []
+            else:
+                assert out.num_blocks() == want_blocks, name
+                assert got == [(k, 6) for k in range(500)], name
 
 
 def test_fold_bucket_domain_resolved_on_driver(ray_session, monkeypatch):
@@ -171,7 +184,8 @@ def test_bucket_fold_answers_independent_of_partition_count(ray_session,
     """Exact dedup, MinHash pairs, adjacent-pair counts and exact
     distinct counts are identical at P = 1 and at P = fold_buckets()
     (FOLD_PARTITION_BYTES forced to 1 byte): every fold is correct on
-    any union of whole buckets."""
+    any union of whole buckets. At both P an empty Dataset gives no
+    exact groups and no MinHash pairs."""
     from org_rdkit_lucene_ray import synth, util
     from org_rdkit_lucene_ray.stages.lm import top_adjacent_pairs
     from org_rdkit_lucene_ray.stages.window import tumbling_distinct
@@ -194,9 +208,14 @@ def test_bucket_fold_answers_independent_of_partition_count(ray_session,
                     .reset_index(drop=True))
         return groups, mh, pairs, distinct
 
+    empty_docs = rd.from_arrow(t.slice(0, 0))
     one = answers()
+    assert exact_dedup_groups(empty_docs).take_all() == []
+    assert minhash_dup_pairs(empty_docs).num_rows == 0
     monkeypatch.setattr(util, "FOLD_PARTITION_BYTES", 1)
     many = answers()
+    assert exact_dedup_groups(empty_docs).take_all() == []
+    assert minhash_dup_pairs(empty_docs).num_rows == 0
     assert any(n > 1 for _, n in one[0])
     assert one[0] == many[0]
     assert one[1].num_rows > 0 and one[1].equals(many[1])
@@ -539,6 +558,43 @@ def test_batch_shingles_match_per_doc():
         want = np.sort(_shingle_hashes(doc, 3))
         got = hashes[parents == i]
         assert got.tolist() == want.tolist(), i
+
+
+def test_minhash_signatures_match_modulo_reference():
+    """The division-free Mersenne fold equals ``v % (2^61 - 1)`` on random
+    uint64 and on its edge values, and ``MinHashStage.signatures`` is
+    bit-identical to the plain ``(a*x + b) % (2^61 - 1)`` permutation
+    over a synth slice; a doc with no shingles keeps the all-max
+    sentinel row."""
+    from org_rdkit_lucene_ray import synth
+    from org_rdkit_lucene_ray.functions.analyze import tokenize_column
+    from org_rdkit_lucene_ray.stages.dedup import (
+        _MERSENNE,
+        MinHashStage,
+        _batch_shingles,
+        _mod_mersenne,
+    )
+
+    P = np.uint64(_MERSENNE)
+    edge = np.array([0, 1, P - 1, P, P + 1, 2 * P, 2 * P + 7, 2 ** 64 - 1],
+                    np.uint64)
+    rand = np.random.default_rng(3).integers(0, 2 ** 64 - 1, 100_000,
+                                             np.uint64, endpoint=True)
+    v = np.concatenate([edge, rand])
+    assert np.array_equal(_mod_mersenne(v.copy(), np.empty_like(v)), v % P)
+
+    texts = synth.gen_pages(200, seed=3)["text"].to_pylist() + ["", "one two"]
+    arr = pa.array(texts, pa.string())
+    st = MinHashStage()
+    got = st.signatures(arr)
+    parents, flat = _batch_shingles(tokenize_column(arr, st.cfg), st.shingle)
+    want = np.full((len(texts), st.num_perm), np.iinfo(np.uint64).max, np.uint64)
+    x = flat % P
+    for p in range(st.num_perm):
+        np.minimum.at(want[:, p], parents, (st.a[p] * x + st.b[p]) % P)
+    assert np.array_equal(got, want)
+    assert (got[200] == np.iinfo(np.uint64).max).all()
+    assert not (got[:200] == np.iinfo(np.uint64).max).all(axis=1).any()
 
 
 def test_simhash_batch_matches_per_doc(ray_session):
