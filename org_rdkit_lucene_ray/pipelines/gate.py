@@ -3906,9 +3906,8 @@ def q_vocab_growth(sf_dir: str) -> pa.Table:
         return pa.table({"term": gg["term"],
                          "first_doc": gg["first_doc_min"]})
 
-    folded = fold_by_key(_docs(sf_dir, columns=["doc_id", "text"])
-                         .map_batches(partial, batch_format="pyarrow"),
-                         "term", merge)
+    folded = fold_by_key(_docs(sf_dir, columns=["doc_id", "text"]), "term",
+                         merge, pre=partial)
     firsts = np.concatenate(
         [t["first_doc"].to_numpy(zero_copy_only=False).astype(np.int64)
          for t in folded.iter_batches(batch_format="pyarrow")] or

@@ -412,21 +412,17 @@ def embedding_dup_pairs_lsh(ds: rd.Dataset, *, threshold: float = 0.95,
 
     from org_rdkit_lucene_ray.stages.dedup import (_distinct_pairs,
                                                    _per_band_segments)
-    from org_rdkit_lucene_ray.util import fold_by_key
+    from org_rdkit_lucene_ray.util import _exchange
 
     # composite (band, sign-key) segmentation via the shared LSH
     # dispatcher; the sign-key domain never reaches a Ray sort
-    cand = fold_by_key(
-        ds.map_batches(band_rows, batch_format="pyarrow"), "key",
-        lambda g: _per_band_segments(g, pairs_in_bucket, hash_col="key"))
+    cand = _exchange(
+        ds, lambda g: _per_band_segments(g, pairs_in_bucket, hash_col="key"),
+        key_col="key", pre=band_rows)
 
-    # drop the zero-column blocks Ray emits for empty exchange partitions
-    # (the candidate set is fold-backed) before concat
-    pair_tabs = [t for t in _ray.get(
-        _distinct_pairs(cand)
-        .map_batches(lambda t: t.select(["a", "b"]),
-                     batch_format="pyarrow").to_arrow_refs())
-        if t.num_columns]
+    # drop the zero-column blocks of empty exchange partitions before concat
+    pair_tabs = [t.select(["a", "b"])
+                 for t in _ray.get(_distinct_pairs(cand)) if t.num_columns]
     pairs = pa.concat_tables(pair_tabs) if pair_tabs else pa.table(
         {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
     if pairs.num_rows == 0:

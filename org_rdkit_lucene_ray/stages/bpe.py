@@ -68,8 +68,7 @@ def word_counts_ds(ds: rd.Dataset, *, text_column: str = "text",
 
     from org_rdkit_lucene_ray.util import fold_grouped_counts
 
-    return fold_grouped_counts(
-        ds.map_batches(partial, batch_format="pyarrow"), "word", ["n"])
+    return fold_grouped_counts(ds, "word", ["n"], pre=partial)
 
 
 def word_counts(ds: rd.Dataset, *, text_column: str = "text",

@@ -16,8 +16,8 @@ Algorithms follow the public literature: MinHash resemblance sketches
 Leskovec-Rajaraman-Ullman ch.3), SimHash (Charikar, STOC 2002; Manku et
 al., WWW 2007 for the Hamming-band trick).
 
-Scale notes are inline: signatures/bands flow through ``groupby`` shuffles;
-only verified-candidate handling assumes "near-dup pairs << corpus", the
+Scale notes are inline: signatures/bands flow through the bucket-fold
+exchange (``util``) on plain Ray tasks; only verified-candidate handling assumes "near-dup pairs << corpus", the
 standard LSH operating regime. Candidate counts are logged, never silently
 capped. SimHash hot buckets (statistically homogeneous corpora concentrate
 simhashes) are handled losslessly — identical-hash clusters compress to
@@ -29,12 +29,14 @@ an object-store blowup.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 from org_rdkit_lucene_ray.functions.analyze import REGISTRY, tokenize_column
@@ -64,12 +66,13 @@ def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
     """Exact content dedup -> one row per distinct content:
     ``(doc_id = min id of the group, n_copies)``.
 
-    Shape: map_batches(md5 fingerprint — the content hash shuffles, never
-    the full text; per-batch partial (fp, min-id, count) combine first) ->
-    :func:`util.bucket_fold` on a hash of the fingerprint, the real
-    min/count merge an Arrow hash-aggregate per data-sized partition —
-    never a global sort over the corpus-sized digest domain. Shuffle
-    payload stays ~50 B/row regardless of document size."""
+    Shape: one :func:`util.fold_by_key` on the fingerprint. Its ``pre``
+    map task per input block computes the md5 fingerprints (the content
+    hash shuffles, never the full text) and combines them to per-block
+    partial (fp, min-id, count) rows; the fold is the real min/count
+    merge, an Arrow hash-aggregate per data-sized partition — never a
+    global sort over the corpus-sized digest domain. Shuffle payload
+    stays ~50 B/row regardless of document size."""
 
     def fingerprint_partial(t: pa.Table) -> pa.Table:
         from org_rdkit_lucene_ray.util import md5_hex_column
@@ -90,9 +93,7 @@ def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
             "n_copies": pc.cast(gg["n_sum"], pa.int64()),
         })
 
-    return fold_by_key(
-        docs.map_batches(fingerprint_partial, batch_format="pyarrow"),
-        "fp", merge)
+    return fold_by_key(docs, "fp", merge, pre=fingerprint_partial)
 
 
 def _fnv1a_tokens(tokens: list[str]) -> np.ndarray:
@@ -251,11 +252,12 @@ class MinHashStage:
         return self.band_rows(ids[nonempty], sig[nonempty])
 
 
-# task-fn wrappers with a per-worker-process stage cache: the sketch
-# stages' state (seeded permutation params) is light, so Ray's warm worker
-# processes beat a dedicated actor pool (~1-2s pool startup per run on
-# a 1-CPU host). The cache key holds every constructor argument, so a
-# cached stage always matches its caller.
+# task-fn wrappers with a per-worker-process stage cache: the MinHash
+# sketch runs as the band exchange's ``pre`` map task and the SimHash one
+# in ``map_batches``; their state (seeded permutation params) is light, so
+# Ray's warm worker processes beat a dedicated actor pool (~1-2s pool
+# startup per run on a 1-CPU host). The cache key holds every constructor
+# argument, so a cached stage always matches its caller.
 _STAGE_CACHE: dict[tuple, object] = {}
 
 
@@ -352,54 +354,58 @@ def _bcast(ref):
     return obj
 
 
-def _distinct_pairs(pairs_ds: rd.Dataset) -> rd.Dataset:
-    """Dedupe candidate pairs across bands: per-batch distinct combine,
-    then :func:`util.bucket_fold` on a hash of (a, b) with the real
-    aggregation as an Arrow hash-aggregate per partition — the shuffle
-    moves ~24 B per per-batch-distinct pair, never document content, and
-    never sorts the pair domain. MATERIALIZED: the result is the (small)
-    candidate set, consumed twice (id collection + verify); without this
-    the whole LSH chain would re-execute per consumer."""
-    from org_rdkit_lucene_ray.util import bucket_fold, fold_buckets
+def _distinct_pairs(src) -> list:
+    """Dedupe candidate pairs across bands: one :func:`util._exchange`
+    whose ``pre`` map task per block makes the block's distinct
+    ``(a, b, n)`` rows, bucketed on a hash of (a, b), and whose fold is
+    the real aggregation, an Arrow hash-aggregate per partition — the
+    exchange moves ~24 B per per-block-distinct pair, never document
+    content, and never sorts the pair domain. ``src`` is a Dataset or a
+    list of block refs; the result is the fold outputs' refs (the small
+    candidate set), which the id collection and the verify both read
+    without re-running the LSH chain."""
+    from org_rdkit_lucene_ray.util import _exchange, fold_buckets
 
-    n_buckets = np.uint64(fold_buckets())
+    nb = fold_buckets()
+    n_buckets = np.uint64(nb)
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by(["a", "b"]).aggregate([("a", "count")])
-        return pa.table({"a": g["a"], "b": g["b"],
-                         "n": pc.cast(g["a_count"], pa.int64())})
-
-    def with_bucket(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        a = g["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        b = g["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
         with np.errstate(over="ignore"):
             bkt = ((a * np.uint64(0x9E3779B97F4A7C15) ^ b)
                    % n_buckets).astype(np.int64)
-        return t.append_column("_bkt", pa.array(bkt, pa.int64()))
+        return pa.table({"a": g["a"], "b": g["b"],
+                         "n": pc.cast(g["a_count"], pa.int64()),
+                         "_bkt": pa.array(bkt, pa.int64())})
 
     def merge(g: pa.Table) -> pa.Table:
         gg = g.group_by(["a", "b"]).aggregate([("n", "sum")])
         return pa.table({"a": gg["a"], "b": gg["b"],
                          "n_bands": pc.cast(gg["n_sum"], pa.int64())})
 
-    return bucket_fold(pairs_ds.map_batches(partial, batch_format="pyarrow")
-                       .map_batches(with_bucket, batch_format="pyarrow"),
-                       merge).materialize()
+    return _exchange(src, merge, n_buckets=nb, pre=partial)
 
 
-def _candidate_ids(pairs_ds: rd.Dataset) -> list[int]:
-    """Distinct doc ids appearing in any candidate pair. The driver holds
-    ONLY this int64 id list (the broadcast-small-side key set), bounded by
-    2x the candidate count — the standard LSH operating regime
+@ray.remote
+def _pair_ids(t: pa.Table) -> np.ndarray:
+    """Distinct doc ids of one candidate-pair block."""
+    if not t.num_rows:
+        return np.zeros(0, np.int64)
+    return np.unique(np.concatenate([
+        t["a"].to_numpy(zero_copy_only=False).astype(np.int64),
+        t["b"].to_numpy(zero_copy_only=False).astype(np.int64)]))
+
+
+def _candidate_ids(pairs: list) -> np.ndarray:
+    """Sorted distinct doc ids appearing in any candidate pair, from one
+    small task per pair block (``pairs``: block refs). The driver holds
+    ONLY this int64 id array (the broadcast-small-side key set), bounded
+    by 2x the candidate count — the standard LSH operating regime
     (pairs << corpus). Document payloads never ride the driver."""
-    def ids_of(t: pa.Table) -> pa.Table:
-        both = pa.concat_arrays([t["a"].combine_chunks().cast(pa.int64()),
-                                 t["b"].combine_chunks().cast(pa.int64())])
-        return pa.table({"doc_id": pc.unique(both)})
-
-    rows = pairs_ds.map_batches(ids_of, batch_format="pyarrow").take_all()
-    return np.unique(np.asarray([r["doc_id"] for r in rows],
-                                dtype=np.int64)).tolist()
+    return np.unique(np.concatenate(
+        [np.zeros(0, np.int64)] + ray.get([_pair_ids.remote(p) for p in pairs])))
 
 
 def _pair_jaccard(sa: np.ndarray | None, sb: np.ndarray | None) -> float:
@@ -422,38 +428,46 @@ _VERIFIED_SCHEMA = pa.schema([
 ])
 
 
-def _verify_pairs_distributed(sh_ds: rd.Dataset, pairs_ds: rd.Dataset,
-                              threshold: float) -> list[dict]:
-    """Hash-partitioned shingle-set join + verify — NO driver LUT.
+@ray.remote
+def _requests_by_a(t: pa.Table) -> pa.Table:
+    """One candidate-pair block -> request rows keyed by ``a``."""
+    if not t.num_rows:
+        return _ATTACH_SCHEMA.empty_table()
+    return pa.table({
+        "key": pc.cast(t["a"], pa.int64()),
+        "other": pc.cast(t["b"], pa.int64()),
+        "sh": pa.nulls(t.num_rows, pa.large_binary()),
+    }, schema=_ATTACH_SCHEMA)
 
-    The broadcast verify path materializes every candidate doc's shingle
-    set on the driver; at web scale a boilerplate-heavy corpus can make
+
+def _verify_pairs_distributed(sh: list, pairs: list,
+                              threshold: float) -> list:
+    """Hash-partitioned shingle-set join + verify — NO shingle table in
+    any one task.
+
+    The broadcast verify path hands every candidate doc's shingle set to
+    each verify task; at web scale a boilerplate-heavy corpus can make
     that millions of docs x ~150 hashes (VERDICT r2 #2). Here the shingle
-    payloads only ever move through two ``groupby(doc_id)`` exchanges:
+    payloads only ever move through two exchanges keyed by doc id:
 
-    1. union(shingle rows keyed by doc, pair requests keyed by ``a``)
-       -> groupby(key) -> attach ``sh_a`` to each request (a "join" by
-       co-grouping — no experimental join operator, no aggregator actors);
-    2. union(shingle rows, stage-1 rows keyed by ``b``) -> groupby(key)
+    1. shingle blocks + pair requests keyed by ``a`` (one list of block
+       refs) -> fold on ``key`` -> attach ``sh_a`` to each request (a
+       "join" by co-grouping — no experimental join operator, no
+       aggregator actors);
+    2. shingle blocks + stage-1 outputs keyed by ``b`` -> fold on ``key``
        -> the group's own shingle row IS ``sh_b``: compute the exact
        Jaccard right there and emit only the verified ``(a, b, jaccard)``.
 
     Row kinds share one schema (``key:int64, other:int64, sh:binary``);
     a SHINGLE row is identified by ``other IS NULL`` (its ``sh`` may be an
-    EMPTY blob but is never null), a request row by ``other`` set. The
-    driver holds only the final verified pairs.
+    EMPTY blob but is never null), a request row by ``other`` set.
+    ``sh`` and ``pairs`` are block refs; so is the result, the verified
+    pairs' blocks.
 
-    Both exchanges are :func:`util.bucket_fold` on a hash of the doc key
+    Both exchanges are :func:`util._exchange` on a hash of the doc key
     (whole keys land in one bucket, whole buckets in one partition) and
     each partition folds ALL its resident keys in one vectorized
     segmentation pass — the doc-id domain never reaches a Ray sort."""
-    def reqs_a(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": pc.cast(t["a"], pa.int64()),
-            "other": pc.cast(t["b"], pa.int64()),
-            "sh": pa.nulls(t.num_rows, pa.large_binary()),
-        }, schema=_ATTACH_SCHEMA)
-
     def _segment(g: pa.Table):
         """-> (keys, is_sh, order, seg_id_sorted, sh_row_of_seg) over the
         bucket group; sh_row is -1 for keys with no shingle row."""
@@ -517,20 +531,80 @@ def _verify_pairs_distributed(sh_ds: rd.Dataset, pairs_ds: rd.Dataset,
             "jaccard": pa.array(jacs, pa.float64()),
         }, schema=_VERIFIED_SCHEMA)
 
-    from org_rdkit_lucene_ray.util import fold_by_key
+    from org_rdkit_lucene_ray.util import _exchange
 
-    stage1 = (
-        fold_by_key(sh_ds.union(pairs_ds.map_batches(
-            reqs_a, batch_format="pyarrow")), "key", attach_a)
-        # barrier: stage 1 and stage 2 reuse sh_ds; materializing the small
-        # (pair-count-bounded) intermediate avoids re-executing the shingle
-        # scan twice AND the two-actor-chain starvation trap (r2 memory)
-        .materialize()
-    )
-    return (
-        fold_by_key(sh_ds.union(stage1), "key", finish_b)
-        .take_all()
-    )
+    stage1 = _exchange(sh + [_requests_by_a.remote(p) for p in pairs],
+                       attach_a, key_col="key")
+    return _exchange(sh + stage1, finish_b, key_col="key")
+
+
+@ray.remote
+def _shingle_rows(t: pa.Table, need: np.ndarray, shingle: int,
+                  text_col: str, id_col: str) -> pa.Table:
+    """The candidate docs of one doc block -> (key=doc_id, other=null,
+    sh=blob of the SORTED distinct shingle hashes as raw little-endian
+    uint64 bytes)."""
+    from org_rdkit_lucene_ray.pipelines.build import _binary_from_offsets
+
+    if t.num_rows:
+        t = t.filter(pc.is_in(pc.cast(t[id_col], pa.int64()),
+                              value_set=pa.array(need, pa.int64())))
+    if not t.num_rows:
+        return _ATTACH_SCHEMA.empty_table()
+    toks = tokenize_column(t[text_col].combine_chunks(), REGISTRY["standard"])
+    parents, hashes = _batch_shingles(toks, shingle)
+    counts = np.zeros(t.num_rows, dtype=np.int64)
+    if parents.size:
+        u, c = np.unique(parents, return_counts=True)
+        counts[u] = c
+    byte_offs = np.concatenate([[0], np.cumsum(counts)]) * 8
+    # hashes are sorted within each doc (lexsort in _batch_shingles)
+    blobs = _binary_from_offsets(
+        np.ascontiguousarray(hashes).tobytes(), byte_offs).cast(pa.large_binary())
+    return pa.table({
+        "key": pc.cast(t[id_col], pa.int64()),
+        "other": pa.nulls(t.num_rows, pa.int64()),
+        "sh": blobs,
+    }, schema=_ATTACH_SCHEMA)
+
+
+@ray.remote
+def _verify_block(pairs: pa.Table, threshold: float,
+                  *sh: pa.Table) -> pa.Table:
+    """Exact Jaccard of one candidate-pair block, joined in the task to
+    the candidate docs' shingle tables (passed as arguments, so each
+    worker reads them from the object store; the driver never holds
+    them) -> the verified ``(a, b, jaccard)`` rows."""
+    if not pairs.num_rows:
+        return _VERIFIED_SCHEMA.empty_table()
+    lut = {}
+    for t in sh:
+        if t.num_rows:
+            lut.update(zip(t["key"].to_pylist(),
+                           (np.frombuffer(b, np.uint64)
+                            for b in t["sh"].to_pylist())))
+    a = pairs["a"].to_numpy()
+    b = pairs["b"].to_numpy()
+    jac = np.empty(a.size, dtype=np.float64)
+    for i in range(a.size):          # per PAIR (not per doc): sorted uint64
+        jac[i] = _pair_jaccard(lut.get(int(a[i])),   # intersect, vectorized
+                               lut.get(int(b[i])))   # per pair
+    keep = jac >= threshold
+    return pa.table({
+        "a": pa.array(a[keep], pa.int64()),
+        "b": pa.array(b[keep], pa.int64()),
+        "jaccard": pa.array(np.round(jac[keep], 6), pa.float64()),
+    }, schema=_VERIFIED_SCHEMA)
+
+
+def _sorted_pairs(outs: list, empty: pa.Table) -> pa.Table:
+    """Verified pair blocks (refs) -> one table sorted by (a, b)."""
+    outs = [t for t in ray.get(outs) if t.num_rows]
+    if not outs:
+        return empty
+    out = pa.concat_tables(outs).cast(empty.schema).combine_chunks()
+    return out.take(pc.sort_indices(
+        out, sort_keys=[("a", "ascending"), ("b", "ascending")]))
 
 
 def minhash_dup_pairs(
@@ -550,96 +624,46 @@ def minhash_dup_pairs(
     Shape (everything distributed; the driver only ever holds the candidate
     ID LIST and the final result):
 
-    1. map_batches(signatures) -> groupby(band, band_hash) -> per-bucket
-       candidate pairs -> groupby(a, b) distinct;
-    2. shingle sets of JUST the candidate docs computed by a filtered
-       map_batches over the corpus (binary blobs of sorted uint64 hashes);
-    3. exact-Jaccard verify over the pairs Dataset. Up to
-       ``broadcast_candidate_limit`` candidate docs the shingle table is
-       ``ray.put``-broadcast (one object fetch per worker — the fast path
-       for the normal LSH regime where pairs << corpus); past it the
-       verify switches to :func:`_verify_pairs_distributed`, a
-       hash-partitioned co-group join that never materializes shingles on
-       the driver (the 100 TB boilerplate-heavy-corpus path). Both paths
-       share :func:`_pair_jaccard` and are equality-tested.
+    Every step runs on plain Ray tasks over block refs, from the input
+    blocks to the answer (no Ray Data execution of its own):
+
+    1. the band exchange (:func:`util._exchange` on ``band_hash``), whose
+       ``pre`` map task per doc block computes the signatures and LSH band
+       rows, folds per-bucket candidate pairs; :func:`_distinct_pairs`
+       dedupes them across bands in a second exchange;
+    2. :func:`_candidate_ids` (one small task per pair block), then one
+       shingle task per doc block makes the shingle sets of JUST the
+       candidate docs (binary blobs of sorted uint64 hashes);
+    3. exact-Jaccard verify. Up to ``broadcast_candidate_limit``
+       candidate docs, one verify task per pair block takes the pair
+       block and every shingle table as arguments and joins them in the
+       worker (the fast path for the normal LSH regime where pairs <<
+       corpus); past it the verify switches to
+       :func:`_verify_pairs_distributed`, a hash-partitioned co-group join
+       in which no task holds every shingle set (the 100 TB
+       boilerplate-heavy-corpus path). Both paths share
+       :func:`_pair_jaccard` and are equality-tested.
     Candidate volume is logged (no silent caps)."""
-    import ray
+    from org_rdkit_lucene_ray.util import _exchange
 
-    band_ds = docs.map_batches(
-        _minhash_task,
-        fn_kwargs=dict(params=dict(num_perm=num_perm, bands=bands,
-                                   shingle=shingle, text_col=text_col,
-                                   id_col=id_col)),
-        batch_format="pyarrow",
-    )
-    from org_rdkit_lucene_ray.util import fold_by_key
-
-    pairs_ds = _distinct_pairs(
-        fold_by_key(band_ds, "band_hash", _pairs_of_bucket_groups))
-    need = _candidate_ids(pairs_ds)
-    logger.info("minhash-lsh: %d candidate docs in distinct pairs", len(need))
+    blocks = docs.to_arrow_refs()
+    pairs = _distinct_pairs(_exchange(
+        blocks, _pairs_of_bucket_groups, key_col="band_hash",
+        pre=functools.partial(_minhash_task, params=dict(
+            num_perm=num_perm, bands=bands, shingle=shingle,
+            text_col=text_col, id_col=id_col))))
+    need = _candidate_ids(pairs)
+    logger.info("minhash-lsh: %d candidate docs in distinct pairs", need.size)
     empty = _VERIFIED_SCHEMA.empty_table()
-    if not need:
+    if not need.size:
         return empty
-
-    need_arr = pa.array(need, pa.int64())
-
-    def shingles_of(t: pa.Table) -> pa.Table:
-        """Candidate docs -> (key=doc_id, other=null, sh=blob of the SORTED
-        distinct shingle hashes as raw little-endian uint64 bytes)."""
-        from org_rdkit_lucene_ray.pipelines.build import _binary_from_offsets
-
-        t = t.filter(pc.is_in(pc.cast(t[id_col], pa.int64()), value_set=need_arr))
-        toks = tokenize_column(t[text_col].combine_chunks(), REGISTRY["standard"])
-        parents, hashes = _batch_shingles(toks, shingle)
-        counts = np.zeros(t.num_rows, dtype=np.int64)
-        if parents.size:
-            u, c = np.unique(parents, return_counts=True)
-            counts[u] = c
-        byte_offs = np.concatenate([[0], np.cumsum(counts)]) * 8
-        # hashes are sorted within each doc (lexsort in _batch_shingles)
-        blobs = _binary_from_offsets(
-            np.ascontiguousarray(hashes).tobytes(), byte_offs).cast(pa.large_binary())
-        return pa.table({
-            "key": pc.cast(t[id_col], pa.int64()),
-            "other": pa.nulls(t.num_rows, pa.int64()),
-            "sh": blobs,
-        }, schema=_ATTACH_SCHEMA)
-
-    sh_ds = docs.map_batches(shingles_of, batch_format="pyarrow")
-
-    if len(need) > broadcast_candidate_limit:
-        verified = _verify_pairs_distributed(sh_ds, pairs_ds, threshold)
+    sh = [_shingle_rows.remote(b, need, shingle, text_col, id_col)
+          for b in blocks]
+    if need.size > broadcast_candidate_limit:
+        verified = _verify_pairs_distributed(sh, pairs, threshold)
     else:
-        sh_rows = sh_ds.take_all()   # bounded by broadcast_candidate_limit
-        sh_ref = ray.put({int(r["key"]): np.frombuffer(r["sh"], np.uint64)
-                          for r in sh_rows})
-
-        def verify_jaccard(t: pa.Table) -> pa.Table:
-            # task fn (Ray's warm worker processes + _BCAST_CACHE), not an
-            # actor pool: a second pool's startup dominated small-corpus runs
-            lut = _bcast(sh_ref)
-            a = t["a"].to_numpy()
-            b = t["b"].to_numpy()
-            jac = np.empty(a.size, dtype=np.float64)
-            for i in range(a.size):          # per PAIR (not per doc): sorted
-                jac[i] = _pair_jaccard(lut.get(int(a[i])),  # uint64 intersect,
-                                       lut.get(int(b[i])))  # vectorized per pair
-            keep = jac >= threshold
-            return pa.table({
-                "a": pa.array(a[keep], pa.int64()),
-                "b": pa.array(b[keep], pa.int64()),
-                "jaccard": pa.array(np.round(jac[keep], 6), pa.float64()),
-            }, schema=_VERIFIED_SCHEMA)
-
-        verified = pairs_ds.map_batches(
-            verify_jaccard, batch_format="pyarrow").take_all()
-    if not verified:
-        return empty
-    out = pa.Table.from_pylist(verified).select(["a", "b", "jaccard"])
-    out = out.cast(_VERIFIED_SCHEMA)
-    order = pc.sort_indices(out, sort_keys=[("a", "ascending"), ("b", "ascending")])
-    return out.take(order)
+        verified = [_verify_block.remote(p, threshold, *sh) for p in pairs]
+    return _sorted_pairs(verified, empty)
 
 
 # ------------------------------------------------------------------- simhash
@@ -928,64 +952,64 @@ def simhash_dup_pairs(docs: rd.Dataset, *, max_hamming: int = 3,
             }))
         return pa.concat_tables(parts)
 
-    import functools
-
-    import ray
-
-    from org_rdkit_lucene_ray.util import fold_by_key
+    from org_rdkit_lucene_ray.util import _exchange
 
     fold = functools.partial(_simhash_group_pairs, max_hamming=max_hamming)
-    pairs_ds = _distinct_pairs(fold_by_key(
-        sig.map_batches(to_bands, batch_format="pyarrow"), "band_hash",
-        lambda g: _per_band_segments(g, fold)))
-    need = _candidate_ids(pairs_ds)
-    logger.info("simhash: %d candidate docs in distinct pairs", len(need))
+    pairs = _distinct_pairs(_exchange(
+        sig, lambda g: _per_band_segments(g, fold), key_col="band_hash",
+        pre=to_bands))
+    need = _candidate_ids(pairs)
+    logger.info("simhash: %d candidate docs in distinct pairs", need.size)
     empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
                       "hamming": pa.array([], pa.int32())})
-    if not need:
+    if not need.size:
         return empty
-    # broadcast the (tiny: 16 B/candidate) id -> simhash LUT; verify the
-    # Hamming distance INSIDE map_batches over the pairs Dataset (vectorized
-    # popcount via uint8 bit_count), never on the driver
-    need_arr = pa.array(need, pa.int64())
-    lut_rows = sig.map_batches(
-        lambda t: t.filter(pc.is_in(pc.cast(t[id_col], pa.int64()),
-                                    value_set=need_arr)),
-        batch_format="pyarrow",
-    ).take_all()
+    # the (tiny: 16 B/candidate) id -> simhash rows of the candidates, one
+    # filter task per signature block; the Hamming verify runs in one task
+    # per pair block that takes them as arguments, never on the driver
+    lut = [_rows_in.remote(b, need, id_col) for b in sig.to_arrow_refs()]
+    verified = [_verify_hamming.remote(p, max_hamming, id_col, *lut)
+                for p in pairs]
+    return _sorted_pairs(verified, empty)
+
+
+@ray.remote
+def _rows_in(t: pa.Table, need: np.ndarray, id_col: str) -> pa.Table:
+    """The rows of one block whose ``id_col`` is in ``need``."""
+    if not t.num_rows:
+        return t
+    return t.filter(pc.is_in(pc.cast(t[id_col], pa.int64()),
+                             value_set=pa.array(need, pa.int64())))
+
+
+@ray.remote
+def _verify_hamming(pairs: pa.Table, max_hamming: int, id_col: str,
+                    *lut: pa.Table) -> pa.Table:
+    """Hamming distance of one candidate-pair block's simhashes
+    (vectorized popcount via uint8 unpackbits) -> the pairs within
+    ``max_hamming``."""
+    if not pairs.num_rows:
+        return pa.table({"a": pa.array([], pa.int64()),
+                         "b": pa.array([], pa.int64()),
+                         "hamming": pa.array([], pa.int32())})
     # stored simhash is the int64 VIEW of the uint64 hash; reinterpret the
     # bits (np.uint64(negative int) is deprecated and will raise on future
     # numpy)
-    lut_hashes = np.array([r["simhash"] for r in lut_rows],
-                          np.int64).view(np.uint64)
-    lut_ref = ray.put({int(r[id_col]): h
-                       for r, h in zip(lut_rows, lut_hashes)})
-
-    def verify_hamming(t: pa.Table) -> pa.Table:
-        lut = _bcast(lut_ref)
-        a = t["a"].to_numpy()
-        b = t["b"].to_numpy()
-        ha = np.array([lut[int(x)] for x in a], dtype=np.uint64)
-        hb = np.array([lut[int(x)] for x in b], dtype=np.uint64)
-        x = (ha ^ hb).view(np.uint8).reshape(-1, 8)
-        dist = np.unpackbits(x, axis=1).sum(axis=1).astype(np.int32)
-        keep = dist <= max_hamming
-        return pa.table({
-            "a": pa.array(a[keep], pa.int64()),
-            "b": pa.array(b[keep], pa.int64()),
-            "hamming": pa.array(dist[keep], pa.int32()),
-        })
-
-    verified = pairs_ds.map_batches(
-        verify_hamming, batch_format="pyarrow").take_all()
-    if not verified:
-        return empty
-    out = pa.Table.from_pylist(verified).select(["a", "b", "hamming"])
-    out = pa.table({"a": pc.cast(out["a"], pa.int64()),
-                    "b": pc.cast(out["b"], pa.int64()),
-                    "hamming": pc.cast(out["hamming"], pa.int32())})
-    order = pc.sort_indices(out, sort_keys=[("a", "ascending"), ("b", "ascending")])
-    return out.take(order)
+    rows = pa.concat_tables([t for t in lut if t.num_rows])
+    h = dict(zip(rows[id_col].to_pylist(), rows["simhash"].to_numpy(
+        zero_copy_only=False).astype(np.int64).view(np.uint64)))
+    a = pairs["a"].to_numpy()
+    b = pairs["b"].to_numpy()
+    ha = np.array([h[int(x)] for x in a], dtype=np.uint64)
+    hb = np.array([h[int(x)] for x in b], dtype=np.uint64)
+    x = (ha ^ hb).view(np.uint8).reshape(-1, 8)
+    dist = np.unpackbits(x, axis=1).sum(axis=1).astype(np.int32)
+    keep = dist <= max_hamming
+    return pa.table({
+        "a": pa.array(a[keep], pa.int64()),
+        "b": pa.array(b[keep], pa.int64()),
+        "hamming": pa.array(dist[keep], pa.int32()),
+    })
 
 
 # ------------------------------------------------------- exact jaccard oracle
@@ -1196,7 +1220,7 @@ def duplicate_span_stats(docs: rd.Dataset, *, k: int = 5,
     """
     from org_rdkit_lucene_ray.functions.analyze import _list_counts_offsets
     from org_rdkit_lucene_ray.pipelines.build import stable_term_hash
-    from org_rdkit_lucene_ray.util import bucket_fold, fold_buckets
+    from org_rdkit_lucene_ray.util import _exchange, bucket_fold, fold_buckets
 
     n_buckets = fold_buckets(n_buckets)
     cfg = REGISTRY["standard"]
@@ -1298,6 +1322,6 @@ def duplicate_span_stats(docs: rd.Dataset, *, k: int = 5,
             "covered_tokens": pa.array(covered),
         })
 
-    occ = docs.map_batches(occurrences, batch_format="pyarrow")
-    return bucket_fold(bucket_fold(occ, mark_dups, n_buckets), cover,
-                       n_buckets)
+    return bucket_fold(
+        _exchange(docs, mark_dups, n_buckets=n_buckets, pre=occurrences),
+        cover, n_buckets)

@@ -85,13 +85,11 @@ def unigram_logratio_lut(ds: rd.Dataset, *, target_col: str,
 
     cfg = REGISTRY[analyzer]
     agg = fold_grouped_counts(
-        ds.map_batches(
-            lambda t: _count_partials(t, text_column=text_column,
+        ds, "feature", ["c_tgt", "c_raw"],
+        pre=lambda t: _count_partials(t, text_column=text_column,
                                       target_col=target_col,
                                       target_value=target_value, cfg=cfg,
-                                      n_buckets=n_buckets),
-            batch_format="pyarrow"),
-        "feature", ["c_tgt", "c_raw"])
+                                      n_buckets=n_buckets))
     rows = agg.take_all()
     if not rows:                        # empty / all-empty-text corpus
         if n_buckets is not None:

@@ -64,9 +64,7 @@ def _prep_edges(edges: rd.Dataset) -> rd.Dataset:
         return pa.table({"src": pa.array(uniq, pa.int64()),
                          "outdeg": pa.array(counts.astype(np.int64))})
 
-    outdeg = fold_grouped_counts(
-        edges.map_batches(deg_part, batch_format="pyarrow"),
-        "src", ["outdeg"]).materialize()
+    outdeg = fold_grouped_counts(edges, "src", ["outdeg"], pre=deg_part)
     return fold_join(edges, outdeg, on="src").map_batches(lambda t: pa.table({
             "src": pc.cast(t["src"], pa.int64()),
             "dst": pc.cast(t["dst"], pa.int64()),
@@ -328,9 +326,8 @@ def keyword_textrank(docs: rd.Dataset, *, k: int = 20, n_iter: int = 4,
         return pa.table({"e": pa.array(packed),
                          "one": pa.array(np.ones(packed.size, np.int64))})
 
-    edge_keys = fold_grouped_counts(
-        _exact_pair_counts(docs, cfg, text_col)
-        .map_batches(edge_rows, batch_format="pyarrow"), "e", ["one"])
+    edge_keys = fold_grouped_counts(_exact_pair_counts(docs, cfg, text_col),
+                                    "e", ["one"], pre=edge_rows)
 
     def unpack(t: pa.Table) -> pa.Table:
         e = t["e"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -30,6 +30,7 @@ negligible false-merge risk at any corpus a driver-side model fits.
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -264,17 +265,17 @@ def _pair_partial(t: pa.Table, cfg, text_col: str) -> pa.Table:
                      "c": pc.cast(g["pair_count"], pa.int64())})
 
 
-def _exact_pair_counts(docs: rd.Dataset, cfg, text_col: str) -> rd.Dataset:
-    """Global (pair, c) counts — per-batch partials through the shared
-    bucket fold, :func:`util.fold_grouped_counts` (never a sort over the
-    pair-string domain)."""
-    from org_rdkit_lucene_ray.util import fold_grouped_counts
+def _exact_pair_counts(docs, cfg, text_col: str) -> list:
+    """Global (pair, c) counts as the fold outputs' block refs — the
+    per-block partials (:func:`_pair_partial`, the exchange's ``pre``)
+    through the shared bucket fold of :func:`util.fold_grouped_counts`
+    (never a sort over the pair-string domain). ``docs`` is a Dataset
+    or a list of block refs."""
+    from org_rdkit_lucene_ray.util import _exchange, _grouped_sum
 
-    return fold_grouped_counts(
-        docs.map_batches(lambda t: _pair_partial(t, cfg, text_col),
-                         batch_format="pyarrow"),
-        "pair", ["c"])
-
+    return _exchange(docs, _grouped_sum("pair", ["c"]), key_col="pair",
+                     pre=functools.partial(_pair_partial, cfg=cfg,
+                                           text_col=text_col))
 
 
 def top_adjacent_pairs(docs: rd.Dataset, *, k: int = 30,
@@ -287,11 +288,12 @@ def top_adjacent_pairs(docs: rd.Dataset, *, k: int = 30,
 
     Two executions with identical output (equality-tested):
 
-    - ``exact``: per-batch pair strings pre-aggregated inside the batch,
-      then a ``groupby("pair")`` + partial-top-k cut. Exact by
-      construction, but the groupby is a sort-based shuffle over every
-      distinct (batch, pair) partial — measured 137 s at 400k docs — so
-      it is the small-corpus path.
+    - ``exact``: per-block pair strings pre-aggregated inside the block
+      (the exchange's ``pre`` map task), summed by one bucket fold on the
+      pair string, then one Arrow top-k over the fold outputs. Exact by
+      construction, but every distinct (block, pair) partial rides the
+      exchange as a string (the former sort-based ``groupby`` measured
+      137 s at 400k docs), so it is the small-corpus path.
     - ``hashed``: the ``train_bigram_lm`` fold shape. Pass 1 counts
       64-bit FNV pair hashes through the bucket-packed blob exchange
       (per-batch unique arrays pre-split into hash ranges; only ~32
@@ -314,23 +316,15 @@ def top_adjacent_pairs(docs: rd.Dataset, *, k: int = 30,
     if method == "hashed":
         return _top_adjacent_pairs_hashed(docs, k=k, text_col=text_col,
                                           analyzer=analyzer)
-    cfg = REGISTRY[analyzer]
-    agg = _exact_pair_counts(docs, cfg, text_col).map_batches(
-        lambda t: pa.table({"pair": t["pair"], "n": t["c"]}),
-        batch_format="pyarrow")
-
-    def block_top(t: pa.Table) -> pa.Table:
-        sel = pc.select_k_unstable(t, k=min(k, t.num_rows), sort_keys=[
-            ("n", "descending"), ("pair", "ascending")])
-        return t.take(sel)
-
-    rows = agg.map_batches(block_top, batch_format="pyarrow").take_all()
-    rows.sort(key=lambda r: (-r["n"], r["pair"]))
-    rows = rows[:k]
-    return pa.table({
-        "pair": pa.array([r["pair"] for r in rows], pa.string()),
-        "n": pa.array([r["n"] for r in rows], pa.int64()),
-    })
+    outs = [t for t in ray.get(_exact_pair_counts(docs, REGISTRY[analyzer],
+                                                  text_col)) if t.num_rows]
+    if not outs:
+        return pa.table({"pair": pa.array([], pa.string()),
+                         "n": pa.array([], pa.int64())})
+    t = pa.concat_tables(outs)
+    top = t.take(pc.select_k_unstable(t, k=min(k, t.num_rows), sort_keys=[
+        ("c", "descending"), ("pair", "ascending")]))
+    return pa.table({"pair": top["pair"].cast(pa.string()), "n": top["c"]})
 
 
 def _top_adjacent_pairs_hashed(docs: rd.Dataset, *, k: int, text_col: str,
@@ -496,7 +490,11 @@ def collocation_topk(docs: rd.Dataset, *, k: int = 20, min_count: int = 5,
     t_total = int(wc_ds.sum("n") or 0)
     if method == "auto":
         method = "exact" if wc_ds.count() <= max_vocab else "hashed"
-    pairs = _exact_pair_counts(docs, cfg, text_col).materialize()
+    from org_rdkit_lucene_ray.util import fold_grouped_counts
+
+    pairs = fold_grouped_counts(
+        docs, "pair", ["c"],
+        pre=functools.partial(_pair_partial, cfg=cfg, text_col=text_col))
     p_total = int(pairs.sum("c") or 0)
     if p_total == 0:
         return pa.table({"rank": pa.array([], pa.int64()),

@@ -42,9 +42,9 @@ def _window_fold(ds: rd.Dataset, key_col: str, fold) -> rd.Dataset:
     from org_rdkit_lucene_ray.util import bucket_fold, fold_buckets
 
     n_buckets = fold_buckets()
-    return bucket_fold(ds.map_batches(
-        lambda t: _composite_window_bucket(t, key_col, n_buckets),
-        batch_format="pyarrow"), fold, n_buckets)
+    return bucket_fold(
+        ds, fold, n_buckets,
+        pre=lambda t: _composite_window_bucket(t, key_col, n_buckets))
 
 
 def _window_bucket_combine(parts: rd.Dataset, key_col: str) -> rd.Dataset:

@@ -2,10 +2,13 @@
 one bucket-fold exchange (:func:`bucket_fold`, :func:`fold_by_key`).
 
 The exchange is every curation fold's and every join's shuffle. It runs
-on plain Ray tasks over a materialized Dataset's block refs: at one
-partition a single task folds every block; past it one split task per
-block cuts the rows at fixed bucket boundaries and one fold task per
-partition folds its slices. Its output is a materialized Dataset."""
+on plain Ray tasks over block refs: an optional per-block map (``pre``)
+runs as one task per input block; at one partition a single task folds
+every block; past it one split task per block cuts the rows at fixed
+bucket boundaries and one fold task per partition folds its slices.
+The public wrappers return a materialized Dataset; stages that chain
+exchanges use the ref-level :func:`_exchange` and pass the fold
+outputs' refs on."""
 
 from __future__ import annotations
 
@@ -210,40 +213,78 @@ def _fold_partition(fold, *blocks: pa.Table) -> pa.Table:
     return fold(t.drop_columns(["_bkt"]) if "_bkt" in t.column_names else t)
 
 
-def _exchange(ds, fold, n_buckets: int, key_col: str | None):
-    """The exchange behind :func:`bucket_fold` and :func:`fold_by_key`, on
-    plain Ray tasks over the materialized blocks' refs."""
-    parts = ds.materialize()
-    p = fold_partitions(parts.size_bytes(), n_buckets)
-    blocks = parts.to_arrow_refs()
+@ray.remote(num_returns=2)
+def _map_block(pre, t: pa.Table):
+    """One input block -> ``(pre(t), its nbytes)``. An empty block never
+    reaches ``pre`` (as with ``map_batches``): it comes back as a
+    zero-column empty block of 0 bytes."""
+    if not t.num_rows:
+        return pa.table({}), 0
+    out = pre(t)
+    return out, out.nbytes
+
+
+@ray.remote
+def _block_nbytes(t: pa.Table) -> int:
+    return t.nbytes
+
+
+def _exchange(src, fold, *, key_col: str | None = None,
+              n_buckets: int | None = None, pre=None) -> list:
+    """The exchange behind :func:`bucket_fold`, :func:`fold_by_key` and
+    :func:`fold_grouped_counts`, at the level of block refs: ``src`` (a
+    Dataset or a list of Arrow block refs) -> the fold outputs' refs, one
+    per partition. Stages that chain exchanges pass these refs on as the
+    next ``src`` and never build a Dataset in between."""
+    n_buckets = fold_buckets(n_buckets)
+    if isinstance(src, ray.data.Dataset):
+        if pre is None:
+            src = src.materialize()
+            size, blocks = src.size_bytes(), src.to_arrow_refs()
+        else:
+            blocks = src.to_arrow_refs()
+    else:
+        blocks = list(src)
+    if pre is not None:
+        pre_ref = ray.put(pre)
+        mapped = [_map_block.remote(pre_ref, b) for b in blocks]
+        blocks = [m[0] for m in mapped]
+        size = sum(ray.get([m[1] for m in mapped]))
+    elif not isinstance(src, ray.data.Dataset):
+        size = sum(ray.get([_block_nbytes.remote(b) for b in blocks]))
+    p = fold_partitions(size, n_buckets)
     fold_ref = ray.put(fold)
     if p == 1:
-        outs = [_fold_partition.remote(fold_ref, *blocks)]
-    else:
-        bounds = [n_buckets * i // p for i in range(1, p)]
-        cuts = [_split_block.options(num_returns=p).remote(
-            b, key_col, n_buckets, bounds) for b in blocks]
-        outs = [_fold_partition.remote(fold_ref, *(c[i] for c in cuts))
-                for i in range(p)]
-    return ray.data.from_arrow_refs(outs)
+        return [_fold_partition.remote(fold_ref, *blocks)]
+    bounds = [n_buckets * i // p for i in range(1, p)]
+    cuts = [_split_block.options(num_returns=p).remote(
+        b, key_col, n_buckets, bounds) for b in blocks]
+    return [_fold_partition.remote(fold_ref, *(c[i] for c in cuts))
+            for i in range(p)]
 
 
-def fold_by_key(ds, key_col: str, fold, n_buckets: int | None = None):
+def fold_by_key(ds, key_col: str, fold, n_buckets: int | None = None,
+                pre=None):
     """:func:`bucket_fold` of ``ds`` bucketed on ``key_col``. The rows are
-    materialized as they are: at ``P`` = 1 no key is hashed, and at
-    ``P`` > 1 the split tasks bucket each block with the domain resolved
-    here, once, on the driver."""
-    return _exchange(ds, fold, fold_buckets(n_buckets), key_col)
+    exchanged as they are: at ``P`` = 1 no key is hashed, and at ``P`` > 1
+    the split tasks bucket each block with the domain resolved here, once,
+    on the driver. ``ds`` and ``pre`` are as in :func:`bucket_fold`."""
+    return ray.data.from_arrow_refs(_exchange(
+        ds, fold, key_col=key_col, n_buckets=n_buckets, pre=pre))
 
 
-def bucket_fold(ds, fold, n_buckets: int | None = None):
+def bucket_fold(ds, fold, n_buckets: int | None = None, pre=None):
     """The bucket-fold exchange: rows carrying a ``_bkt`` column in
     ``[0, fold_buckets(n_buckets))`` -> ``fold`` called once per
     partition of whole buckets, ``_bkt`` dropped before the call. It runs
     on plain Ray tasks, not on Ray Data's all-to-all operators:
 
-    1. materialize the bucketed rows (the exchange is a full barrier
-       anyway), so their byte size is known metadata;
+    1. the input blocks: ``ds`` is a Dataset or a list of Arrow block
+       refs. With ``pre``, one map task per block returns ``pre(block)``
+       and its byte size (``pre`` is never called on an empty block, as
+       ``map_batches`` never did); without it a Dataset is materialized
+       (the exchange is a full barrier anyway), so its byte size is known
+       metadata, and refs are sized by one small task each;
     2. ``P`` = :func:`fold_partitions` of that size;
     3. ``P`` = 1: one task concatenates every block and calls ``fold``;
     4. ``P`` > 1: one split task per block cuts its rows at the fixed
@@ -251,28 +292,20 @@ def bucket_fold(ds, fold, n_buckets: int | None = None):
        pass), then one fold task per partition takes that partition's
        slice of every block and calls ``fold`` once.
 
-    ``fold`` is put in the object store once per call. It must be correct
-    on any union of whole buckets — i.e. segment by its real key (Arrow
-    ``group_by`` or a lexsort) — and return a schema-stable table. Empty
-    partitions never reach it; they come back as zero-column empty
-    blocks. Returns a materialized Dataset of the fold outputs, one block
-    per partition."""
-    return _exchange(ds, fold, fold_buckets(n_buckets), None)
+    The map and split tasks take the previous tasks' output refs
+    directly. ``pre`` and ``fold`` are put in the object store once per
+    call. ``fold`` must be correct on any union of whole buckets — i.e.
+    segment by its real key (Arrow ``group_by`` or a lexsort) — and
+    return a schema-stable table. Empty partitions never reach it; they
+    come back as zero-column empty blocks. Returns a materialized Dataset
+    of the fold outputs, one block per partition."""
+    return ray.data.from_arrow_refs(_exchange(
+        ds, fold, n_buckets=n_buckets, pre=pre))
 
 
-def fold_grouped_counts(parts, key_col: str, count_cols: list[str],
-                        n_buckets: int | None = None):
-    """Global sum of per-batch partial count rows through
-    :func:`bucket_fold`: rows bucket by a hash of their key, and each
-    partition (``P`` data-sized, about ``max(FOLD_PARTITION_BYTES,
-    bytes / n_buckets)`` of input per fold call) sums its keys with
-    Arrow's vectorized ``group_by``.
-
-    Ray's ``groupby(key).sum`` is a sort-based shuffle over every
-    partial row — measured ~10x the cost of the bucket fold on this
-    repo's vocabulary-sized exchanges (BASELINE r3). Output: one
-    (key, *count_cols) row per distinct key, bucket-partitioned.
-    """
+def _grouped_sum(key_col: str, count_cols: list[str]):
+    """The fold of :func:`fold_grouped_counts`: one Arrow ``group_by``
+    sum of ``count_cols`` per ``key_col``, sums cast to int64."""
     def fold(g: pa.Table) -> pa.Table:
         gg = g.group_by(key_col).aggregate(
             [(c, "sum") for c in count_cols])
@@ -281,4 +314,23 @@ def fold_grouped_counts(parts, key_col: str, count_cols: list[str],
             cols[c] = gg[f"{c}_sum"].cast(pa.int64())
         return pa.table(cols)
 
-    return fold_by_key(parts, key_col, fold, n_buckets)
+    return fold
+
+
+def fold_grouped_counts(parts, key_col: str, count_cols: list[str],
+                        n_buckets: int | None = None, pre=None):
+    """Global sum of per-block partial count rows through
+    :func:`fold_by_key`: rows bucket by a hash of their key, and each
+    partition (``P`` data-sized, about ``max(FOLD_PARTITION_BYTES,
+    bytes / n_buckets)`` of input per fold call) sums its keys with
+    Arrow's vectorized ``group_by``. ``parts`` is a Dataset or a list of
+    block refs; ``pre``, when given, makes the partial rows from each
+    input block in the exchange's own map tasks.
+
+    Ray's ``groupby(key).sum`` is a sort-based shuffle over every
+    partial row — measured ~10x the cost of the bucket fold on this
+    repo's vocabulary-sized exchanges (BASELINE r3). Output: one
+    (key, *count_cols) row per distinct key, bucket-partitioned.
+    """
+    return fold_by_key(parts, key_col, _grouped_sum(key_col, count_cols),
+                       n_buckets, pre)

@@ -142,16 +142,40 @@ def test_bucket_fold_keeps_buckets_whole(ray_session, monkeypatch):
         return pa.table({"key": gg["key"],
                          "n": pc.cast(gg["key_count"], pa.int64())})
 
+    def pre(b: pa.Table) -> pa.Table:
+        # a per-block map that never sees an empty block and changes the
+        # rows: the key is tagged with its block's first key's parity
+        assert b.num_rows
+        return b.set_column(0, "key", pc.add(b["key"], 1000 * (b["key"][0].as_py() % 2)))
+
     for part_bytes, want_blocks in ((util.FOLD_PARTITION_BYTES, 1), (1, nb)):
         monkeypatch.setattr(util, "FOLD_PARTITION_BYTES", part_bytes)
+        answers = {}
         for name, ds in inputs.items():
             out = util.bucket_fold(ds, fold).materialize()
             got = sorted((r["key"], r["n"]) for r in out.take_all())
+            # pre = the same map run by map_batches before the exchange
+            with_pre = sorted((r["key"], r["n"]) for r in util.fold_by_key(
+                ds, "key", fold, pre=pre).take_all())
+            mapped = sorted((r["key"], r["n"]) for r in util.fold_by_key(
+                ds.map_batches(pre, batch_format="pyarrow"), "key",
+                fold).take_all())
+            assert with_pre == mapped, name
+            answers[name] = with_pre
             if name == "empty":
-                assert got == []
+                assert got == [] and with_pre == []
             else:
                 assert out.num_blocks() == want_blocks, name
                 assert got == [(k, 6) for k in range(500)], name
+                assert sum(n for _, n in with_pre) == 3000, name
+        # block refs in, with pre: the same answer as the Dataset
+        refs = inputs["empty_block"].to_arrow_refs()
+        assert sorted((r["key"], r["n"]) for r in util.fold_by_key(
+            refs, "key", fold, pre=pre).take_all()) == answers["empty_block"]
+        # an all-empty input (every block empty) folds to no rows
+        all_empty = rd.from_arrow([t.slice(0, 0)] * 3)
+        assert util.fold_by_key(all_empty, "key", fold, pre=pre).take_all() == []
+        assert util.fold_grouped_counts(all_empty, "key", ["n"], pre=pre).take_all() == []
 
 
 def test_fold_bucket_domain_resolved_on_driver(ray_session, monkeypatch):
@@ -221,6 +245,42 @@ def test_bucket_fold_answers_independent_of_partition_count(ray_session,
     assert one[1].num_rows > 0 and one[1].equals(many[1])
     assert one[2].equals(many[2])
     pd.testing.assert_frame_equal(one[3], many[3])
+
+
+def test_curate_stages_run_no_ray_data_execution(ray_session, monkeypatch):
+    """MinHash pairs (both verify paths) and the exact adjacent-pair
+    counts run on plain Ray tasks over a materialized Dataset's block
+    refs: with ``Dataset.map_batches``, ``take_all`` and ``materialize``
+    made to raise, they still answer, and the answers equal the ones
+    computed before the patch."""
+    from org_rdkit_lucene_ray import synth
+    from org_rdkit_lucene_ray.stages.lm import top_adjacent_pairs
+
+    texts = synth.gen_pages(400, seed=9)["text"].to_pylist()
+    for dst in range(0, 400, 25):               # near and exact copies
+        texts[dst] = texts[(dst * 7 + 3) % 400] + (" extra" if dst % 2 else "")
+    t = pa.table({"doc_id": pa.array(range(400), pa.int64()),
+                  "text": pa.array(texts, pa.string())})
+    docs = rd.from_arrow([t.slice(i, 50) for i in range(0, 400, 50)]).materialize()
+
+    def answers():
+        return (minhash_dup_pairs(docs, threshold=0.5),
+                minhash_dup_pairs(docs, threshold=0.5,
+                                  broadcast_candidate_limit=0),
+                top_adjacent_pairs(docs, k=20, method="exact"))
+
+    want = answers()
+
+    def refuse(*a, **kw):
+        raise AssertionError("a Ray Data execution ran")
+
+    for name in ("map_batches", "take_all", "materialize"):
+        monkeypatch.setattr(rd.Dataset, name, refuse)
+    got = answers()
+    assert want[0].num_rows > 0 and want[2].num_rows == 20
+    assert want[0].equals(want[1])
+    for w, g in zip(want, got):
+        assert w.equals(g)
 
 
 # --------------------------------------------------------------------- ann
