@@ -546,9 +546,7 @@ def _shingle_rows(t: pa.Table, need: np.ndarray, shingle: int,
     uint64 bytes)."""
     from org_rdkit_lucene_ray.pipelines.build import _binary_from_offsets
 
-    if t.num_rows:
-        t = t.filter(pc.is_in(pc.cast(t[id_col], pa.int64()),
-                              value_set=pa.array(need, pa.int64())))
+    t = _rows_of(t, need, id_col)
     if not t.num_rows:
         return _ATTACH_SCHEMA.empty_table()
     toks = tokenize_column(t[text_col].combine_chunks(), REGISTRY["standard"])
@@ -973,13 +971,15 @@ def simhash_dup_pairs(docs: rd.Dataset, *, max_hamming: int = 3,
     return _sorted_pairs(verified, empty)
 
 
-@ray.remote
-def _rows_in(t: pa.Table, need: np.ndarray, id_col: str) -> pa.Table:
+def _rows_of(t: pa.Table, need: np.ndarray, id_col: str) -> pa.Table:
     """The rows of one block whose ``id_col`` is in ``need``."""
     if not t.num_rows:
         return t
     return t.filter(pc.is_in(pc.cast(t[id_col], pa.int64()),
                              value_set=pa.array(need, pa.int64())))
+
+
+_rows_in = ray.remote(_rows_of)
 
 
 @ray.remote

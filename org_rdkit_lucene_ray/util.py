@@ -237,20 +237,19 @@ def _exchange(src, fold, *, key_col: str | None = None,
     per partition. Stages that chain exchanges pass these refs on as the
     next ``src`` and never build a Dataset in between."""
     n_buckets = fold_buckets(n_buckets)
+    size = None
     if isinstance(src, ray.data.Dataset):
         if pre is None:
             src = src.materialize()
-            size, blocks = src.size_bytes(), src.to_arrow_refs()
-        else:
-            blocks = src.to_arrow_refs()
-    else:
-        blocks = list(src)
+            size = src.size_bytes()
+        src = src.to_arrow_refs()
+    blocks = list(src)
     if pre is not None:
         pre_ref = ray.put(pre)
         mapped = [_map_block.remote(pre_ref, b) for b in blocks]
         blocks = [m[0] for m in mapped]
         size = sum(ray.get([m[1] for m in mapped]))
-    elif not isinstance(src, ray.data.Dataset):
+    elif size is None:
         size = sum(ray.get([_block_nbytes.remote(b) for b in blocks]))
     p = fold_partitions(size, n_buckets)
     fold_ref = ray.put(fold)
