@@ -69,10 +69,11 @@ def exact_dedup_groups(docs: rd.Dataset, *, text_col: str = "text",
     Shape: one :func:`util.fold_by_key` on the fingerprint. Its ``pre``
     map task per input block computes the md5 fingerprints (the content
     hash shuffles, never the full text) and combines them to per-block
-    partial (fp, min-id, count) rows; the fold is the real min/count
-    merge, an Arrow hash-aggregate per data-sized partition — never a
-    global sort over the corpus-sized digest domain. Shuffle payload
-    stays ~50 B/row regardless of document size."""
+    partial (fp, min-id, count) rows, as each block of a lazy input is
+    read (the raw text is never held whole); the fold is the real
+    min/count merge, an Arrow hash-aggregate per data-sized partition —
+    never a global sort over the corpus-sized digest domain. Shuffle
+    payload stays ~50 B/row regardless of document size."""
 
     def fingerprint_partial(t: pa.Table) -> pa.Table:
         from org_rdkit_lucene_ray.util import md5_hex_column
@@ -538,15 +539,14 @@ def _verify_pairs_distributed(sh: list, pairs: list,
     return _exchange(sh + stage1, finish_b, key_col="key")
 
 
-@ray.remote
-def _shingle_rows(t: pa.Table, need: np.ndarray, shingle: int,
+def _shingle_rows(t: pa.Table, *, need: np.ndarray, shingle: int,
                   text_col: str, id_col: str) -> pa.Table:
     """The candidate docs of one doc block -> (key=doc_id, other=null,
     sh=blob of the SORTED distinct shingle hashes as raw little-endian
     uint64 bytes)."""
     from org_rdkit_lucene_ray.pipelines.build import _binary_from_offsets
 
-    t = _rows_of(t, need, id_col)
+    t = _rows_of(t, need=need, id_col=id_col)
     if not t.num_rows:
         return _ATTACH_SCHEMA.empty_table()
     toks = tokenize_column(t[text_col].combine_chunks(), REGISTRY["standard"])
@@ -631,7 +631,11 @@ def minhash_dup_pairs(
        dedupes them across bands in a second exchange;
     2. :func:`_candidate_ids` (one small task per pair block), then one
        shingle task per doc block makes the shingle sets of JUST the
-       candidate docs (binary blobs of sorted uint64 hashes);
+       candidate docs (binary blobs of sorted uint64 hashes). Both maps
+       are :func:`util._map_blocks`: a materialized ``docs`` is mapped
+       from its held blocks, a lazy one is read twice with each map fused
+       into its read, so the raw text is never held whole; the candidate
+       id array rides inside the shingle map, shipped once;
     3. exact-Jaccard verify. Up to ``broadcast_candidate_limit``
        candidate docs, one verify task per pair block takes the pair
        block and every shingle table as arguments and joins them in the
@@ -642,11 +646,10 @@ def minhash_dup_pairs(
        boilerplate-heavy-corpus path). Both paths share
        :func:`_pair_jaccard` and are equality-tested.
     Candidate volume is logged (no silent caps)."""
-    from org_rdkit_lucene_ray.util import _exchange
+    from org_rdkit_lucene_ray.util import _exchange, _map_blocks
 
-    blocks = docs.to_arrow_refs()
     pairs = _distinct_pairs(_exchange(
-        blocks, _pairs_of_bucket_groups, key_col="band_hash",
+        docs, _pairs_of_bucket_groups, key_col="band_hash",
         pre=functools.partial(_minhash_task, params=dict(
             num_perm=num_perm, bands=bands, shingle=shingle,
             text_col=text_col, id_col=id_col))))
@@ -655,8 +658,9 @@ def minhash_dup_pairs(
     empty = _VERIFIED_SCHEMA.empty_table()
     if not need.size:
         return empty
-    sh = [_shingle_rows.remote(b, need, shingle, text_col, id_col)
-          for b in blocks]
+    sh, _ = _map_blocks(docs, functools.partial(
+        _shingle_rows, need=need, shingle=shingle, text_col=text_col,
+        id_col=id_col))
     if need.size > broadcast_candidate_limit:
         verified = _verify_pairs_distributed(sh, pairs, threshold)
     else:
@@ -950,7 +954,7 @@ def simhash_dup_pairs(docs: rd.Dataset, *, max_hamming: int = 3,
             }))
         return pa.concat_tables(parts)
 
-    from org_rdkit_lucene_ray.util import _exchange
+    from org_rdkit_lucene_ray.util import _exchange, _map_blocks
 
     fold = functools.partial(_simhash_group_pairs, max_hamming=max_hamming)
     pairs = _distinct_pairs(_exchange(
@@ -963,23 +967,22 @@ def simhash_dup_pairs(docs: rd.Dataset, *, max_hamming: int = 3,
     if not need.size:
         return empty
     # the (tiny: 16 B/candidate) id -> simhash rows of the candidates, one
-    # filter task per signature block; the Hamming verify runs in one task
-    # per pair block that takes them as arguments, never on the driver
-    lut = [_rows_in.remote(b, need, id_col) for b in sig.to_arrow_refs()]
+    # filter task per signature block (``need`` put once, inside the
+    # map); the Hamming verify runs in one task per pair block that takes
+    # them as arguments, never on the driver
+    lut, _ = _map_blocks(sig, functools.partial(
+        _rows_of, need=need, id_col=id_col))
     verified = [_verify_hamming.remote(p, max_hamming, id_col, *lut)
                 for p in pairs]
     return _sorted_pairs(verified, empty)
 
 
-def _rows_of(t: pa.Table, need: np.ndarray, id_col: str) -> pa.Table:
+def _rows_of(t: pa.Table, *, need: np.ndarray, id_col: str) -> pa.Table:
     """The rows of one block whose ``id_col`` is in ``need``."""
     if not t.num_rows:
         return t
     return t.filter(pc.is_in(pc.cast(t[id_col], pa.int64()),
                              value_set=pa.array(need, pa.int64())))
-
-
-_rows_in = ray.remote(_rows_of)
 
 
 @ray.remote

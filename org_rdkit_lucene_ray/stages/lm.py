@@ -490,11 +490,7 @@ def collocation_topk(docs: rd.Dataset, *, k: int = 20, min_count: int = 5,
     t_total = int(wc_ds.sum("n") or 0)
     if method == "auto":
         method = "exact" if wc_ds.count() <= max_vocab else "hashed"
-    from org_rdkit_lucene_ray.util import fold_grouped_counts
-
-    pairs = fold_grouped_counts(
-        docs, "pair", ["c"],
-        pre=functools.partial(_pair_partial, cfg=cfg, text_col=text_col))
+    pairs = rd.from_arrow_refs(_exact_pair_counts(docs, cfg, text_col))
     p_total = int(pairs.sum("c") or 0)
     if p_total == 0:
         return pa.table({"rank": pa.array([], pa.int64()),

@@ -3,7 +3,8 @@ one bucket-fold exchange (:func:`bucket_fold`, :func:`fold_by_key`).
 
 The exchange is every curation fold's and every join's shuffle. It runs
 on plain Ray tasks over block refs: an optional per-block map (``pre``)
-runs as one task per input block; at one partition a single task folds
+runs as one task per input block (of a lazy Dataset, fused into its
+read: :func:`_map_blocks`); at one partition a single task folds
 every block; past it one split task per block cuts the rows at fixed
 bucket boundaries and one fold task per partition folds its slices.
 The public wrappers return a materialized Dataset; stages that chain
@@ -229,6 +230,34 @@ def _block_nbytes(t: pa.Table) -> int:
     return t.nbytes
 
 
+def _map_blocks(src, pre) -> tuple[list, int]:
+    """``pre`` of every block of ``src`` -> (the outputs' refs, their
+    total bytes). ``pre`` never sees an empty block.
+
+    - block refs, or a materialized Dataset (its blocks are already
+      held): one :func:`_map_block` task per block, ``pre`` put in the
+      object store once;
+    - a lazy Dataset: ``pre`` runs as a ``map_batches`` that Ray Data
+      fuses into the read, one batch per block, so each block is mapped
+      as it is read and only the map outputs are kept — the raw input
+      is never held whole — and the sizes come from the output blocks'
+      metadata."""
+    if isinstance(src, ray.data.Dataset) and \
+            not isinstance(src, ray.data.dataset.MaterializedDataset):
+        outs, size = [], 0
+        for bundle in src.map_batches(
+                pre, batch_format="pyarrow").iter_internal_ref_bundles():
+            for block, meta in bundle.blocks:
+                outs.append(block)
+                size += meta.size_bytes or 0
+        return outs, size
+    if isinstance(src, ray.data.Dataset):
+        src = src.to_arrow_refs()
+    pre_ref = ray.put(pre)
+    mapped = [_map_block.remote(pre_ref, b) for b in src]
+    return [m[0] for m in mapped], sum(ray.get([m[1] for m in mapped]))
+
+
 def _exchange(src, fold, *, key_col: str | None = None,
               n_buckets: int | None = None, pre=None) -> list:
     """The exchange behind :func:`bucket_fold`, :func:`fold_by_key` and
@@ -237,19 +266,14 @@ def _exchange(src, fold, *, key_col: str | None = None,
     per partition. Stages that chain exchanges pass these refs on as the
     next ``src`` and never build a Dataset in between."""
     n_buckets = fold_buckets(n_buckets)
-    size = None
-    if isinstance(src, ray.data.Dataset):
-        if pre is None:
-            src = src.materialize()
-            size = src.size_bytes()
-        src = src.to_arrow_refs()
-    blocks = list(src)
     if pre is not None:
-        pre_ref = ray.put(pre)
-        mapped = [_map_block.remote(pre_ref, b) for b in blocks]
-        blocks = [m[0] for m in mapped]
-        size = sum(ray.get([m[1] for m in mapped]))
-    elif size is None:
+        blocks, size = _map_blocks(src, pre)
+    elif isinstance(src, ray.data.Dataset):
+        src = src.materialize()
+        size = src.size_bytes()
+        blocks = src.to_arrow_refs()
+    else:
+        blocks = list(src)
         size = sum(ray.get([_block_nbytes.remote(b) for b in blocks]))
     p = fold_partitions(size, n_buckets)
     fold_ref = ray.put(fold)
@@ -280,8 +304,10 @@ def bucket_fold(ds, fold, n_buckets: int | None = None, pre=None):
 
     1. the input blocks: ``ds`` is a Dataset or a list of Arrow block
        refs. With ``pre``, one map task per block returns ``pre(block)``
-       and its byte size (``pre`` is never called on an empty block, as
-       ``map_batches`` never did); without it a Dataset is materialized
+       and its byte size (:func:`_map_blocks`: a lazy Dataset's map is
+       fused into its read, so only the map outputs are held; ``pre`` is
+       never called on an empty block, as ``map_batches`` never did);
+       without it a Dataset is materialized
        (the exchange is a full barrier anyway), so its byte size is known
        metadata, and refs are sized by one small task each;
     2. ``P`` = :func:`fold_partitions` of that size;

@@ -117,9 +117,10 @@ def test_bucket_fold_keeps_buckets_whole(ray_session, monkeypatch):
     """At P = fold_buckets() every key still folds in exactly one call:
     each key's rows, spread over 8 input blocks, come back as ONE row
     with the full count, and the exchange really ran P partitions. The
-    same holds with an empty block among the inputs and with keys that
-    fill only 3 of the buckets; an empty Dataset folds to no rows. At
-    both P the fold never sees an empty table and the answers agree."""
+    same holds with an empty block among the inputs, with keys that
+    fill only 3 of the buckets and with lazy inputs; an empty Dataset
+    folds to no rows. At both P the fold never sees an empty table and
+    the answers agree."""
     import pyarrow.compute as pc
 
     from org_rdkit_lucene_ray import util
@@ -134,6 +135,12 @@ def test_bucket_fold_keeps_buckets_whole(ray_session, monkeypatch):
         "empty_block": rd.from_arrow(blocks[:3] + [t.slice(0, 0)] + blocks[3:]),
         "few_buckets": rd.from_arrow([few.slice(i, 375) for i in range(0, 3000, 375)]),
         "empty": rd.from_arrow(t.slice(0, 0)),
+        # lazy inputs: pre is fused into their last map; the pandas
+        # one's blocks reach it as Arrow batches
+        "lazy": rd.from_arrow(blocks[:3] + [t.slice(0, 0)] + blocks[3:])
+        .map_batches(lambda b: b, batch_format="pyarrow"),
+        "lazy_pandas": rd.from_arrow(blocks).map_batches(
+            lambda b: b, batch_format="pandas"),
     }
 
     def fold(g: pa.Table) -> pa.Table:
@@ -247,13 +254,20 @@ def test_bucket_fold_answers_independent_of_partition_count(ray_session,
     pd.testing.assert_frame_equal(one[3], many[3])
 
 
-def test_curate_stages_run_no_ray_data_execution(ray_session, monkeypatch):
-    """MinHash pairs (both verify paths) and the exact adjacent-pair
-    counts run on plain Ray tasks over a materialized Dataset's block
-    refs: with ``Dataset.map_batches``, ``take_all`` and ``materialize``
-    made to raise, they still answer, and the answers equal the ones
-    computed before the patch."""
+def test_curate_stages_run_no_ray_data_execution(ray_session, monkeypatch,
+                                                 tmp_path):
+    """Exact dedup, MinHash pairs (both verify paths) and the exact
+    adjacent-pair counts run on plain Ray tasks over a materialized
+    Dataset's block refs: with ``Dataset.map_batches``, ``take_all`` and
+    ``materialize`` made to raise, they still answer, and the answers
+    equal the ones computed before the patch. A lazy ``read_parquet`` of
+    the same rows is streamed (each map fused into the read), never
+    materialized whole: with ``materialize``, ``to_arrow_refs`` and
+    ``take_all`` made to raise, the answers are the same again."""
+    import pyarrow.parquet as pq
+
     from org_rdkit_lucene_ray import synth
+    from org_rdkit_lucene_ray.stages.dedup import exact_dedup_groups
     from org_rdkit_lucene_ray.stages.lm import top_adjacent_pairs
 
     texts = synth.gen_pages(400, seed=9)["text"].to_pylist()
@@ -262,25 +276,38 @@ def test_curate_stages_run_no_ray_data_execution(ray_session, monkeypatch):
     t = pa.table({"doc_id": pa.array(range(400), pa.int64()),
                   "text": pa.array(texts, pa.string())})
     docs = rd.from_arrow([t.slice(i, 50) for i in range(0, 400, 50)]).materialize()
+    for i in range(0, 400, 50):
+        pq.write_table(t.slice(i, 50), tmp_path / f"part-{i:03d}.parquet")
 
-    def answers():
+    def answers(docs):
         return (minhash_dup_pairs(docs, threshold=0.5),
                 minhash_dup_pairs(docs, threshold=0.5,
                                   broadcast_candidate_limit=0),
-                top_adjacent_pairs(docs, k=20, method="exact"))
-
-    want = answers()
+                top_adjacent_pairs(docs, k=20, method="exact"),
+                exact_dedup_groups(docs))
 
     def refuse(*a, **kw):
         raise AssertionError("a Ray Data execution ran")
 
-    for name in ("map_batches", "take_all", "materialize"):
-        monkeypatch.setattr(rd.Dataset, name, refuse)
-    got = answers()
+    def answers_refusing(names, docs):
+        with monkeypatch.context() as m:
+            for name in names:
+                m.setattr(rd.Dataset, name, refuse)
+            return answers(docs)
+
+    want = answers(docs)
+    got = answers_refusing(("map_batches", "take_all", "materialize"), docs)
+    lazy = answers_refusing(("take_all", "materialize", "to_arrow_refs"),
+                            rd.read_parquet(str(tmp_path)))
     assert want[0].num_rows > 0 and want[2].num_rows == 20
     assert want[0].equals(want[1])
-    for w, g in zip(want, got):
-        assert w.equals(g)
+    for w, g, z in zip(want[:3], got[:3], lazy[:3]):
+        assert w.equals(g) and w.equals(z)
+
+    def rows(ds):
+        return sorted(tuple(r.values()) for r in ds.take_all())
+
+    assert rows(want[3]) == rows(got[3]) == rows(lazy[3])
 
 
 # --------------------------------------------------------------------- ann
